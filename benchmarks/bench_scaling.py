@@ -92,7 +92,7 @@ def test_simulator_event_throughput(benchmark):
 def test_simulator_event_throughput_fat_tree(benchmark):
     """The larger case: a leaf/spine fabric with many switches, where
     per-switch rotation overhead and topology construction both weigh
-    in (the fast backend's bulk releases + O(1) idle sleep carry it)."""
+    in (the simulator's bulk releases + O(1) idle sleep carry it)."""
     benchmark.extra_info["scale"] = "single-pod"
     net = fat_tree_network(
         spines=2, leaves=4, hosts_per_leaf=2, speed_bps=mbps(100)

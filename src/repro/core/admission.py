@@ -18,6 +18,11 @@ admitted set, so the per-request work is kept incremental:
   profiles are built (entries are value-checked, so a re-used flow
   name can never serve a stale profile, and a rejected candidate's
   entries are retired);
+* a request failing the cheap necessary utilisation condition
+  (Eqs. 20/34/35-style, O(flows x links)) is rejected before any
+  response-time analysis runs.  Every resource it checks is also
+  checked by some stage, so the full analysis would diverge and reject
+  the same request — the pre-check only makes overload cheap;
 * the admitted set's converged jitter table warm-starts the tentative
   analysis.  Admitting a flow only adds interference, so the previous
   least fixed point lies below the new one and the monotone holistic
@@ -37,6 +42,10 @@ exportable via :meth:`AdmissionController.export_state` and can be
 reconstructed with :meth:`AdmissionController.restore` without
 re-admitting flow by flow — the basis of the service layer's
 snapshot/restore (:mod:`repro.service.state`).
+
+``tests/oracle.py`` holds the cold controller these shortcuts are
+checked against: it re-analyses every tentative set from scratch with
+the seed engine, with no pre-check and no warm start.
 """
 
 from __future__ import annotations
@@ -44,13 +53,13 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro import telemetry as _telemetry
 from repro.core.context import AnalysisContext, AnalysisOptions
 from repro.telemetry import tracing as _tracing
 from repro.core.holistic import holistic_analysis
-from repro.core.results import HolisticResult
+from repro.core.results import FlowResult, HolisticResult
 from repro.model.flow import Flow
 from repro.model.network import Network
 from repro.model.routing import validate_route
@@ -93,18 +102,8 @@ class AdmissionController:
         options: AnalysisOptions | None = None,
         initial_flows: Sequence[Flow] = (),
         *,
-        fast_reject: bool = True,
-        warm_start: bool = True,
         retained_flows: int = 256,
     ):
-        #: When True, requests failing the cheap necessary utilisation
-        #: condition (Eqs. 20/34/35-style, O(flows x links)) are
-        #: rejected without running the full holistic analysis —
-        #: important for an online controller under overload attack.
-        self.fast_reject = fast_reject
-        #: When True, the tentative analysis starts from the admitted
-        #: set's converged jitter table (see module docstring).
-        self.warm_start = warm_start
         self.network = network
         self.options = options or AnalysisOptions()
         self._flows: list[Flow] = []
@@ -186,23 +185,24 @@ class AdmissionController:
 
         tentative = [*self._flows, flow]
         ctx = self._ctx.with_flows(tentative, share_demand_cache=True)
-        if self.fast_reject:
-            from repro.core.utilization import network_convergence_report
+        # Looked up per call, so instrumentation wrapping the module
+        # attribute sees every pre-check.
+        from repro.core.utilization import network_convergence_report
 
-            report = network_convergence_report(ctx)
-            if not report.all_convergent:
-                bottleneck = report.bottleneck()
-                self._retire_demands(flow.name)
-                return AdmissionDecision(
-                    accepted=False,
-                    reason=(
-                        "necessary utilisation condition violated at "
-                        f"{'/'.join(str(p) for p in bottleneck.resource)} "
-                        f"({bottleneck.utilization:.4f} >= 1)"
-                    ),
-                    analysis=None,
-                )
-        if self.warm_start and self._flows:
+        report = network_convergence_report(ctx)
+        if not report.all_convergent:
+            bottleneck = report.bottleneck()
+            self._retire_demands(flow.name)
+            return AdmissionDecision(
+                accepted=False,
+                reason=(
+                    "necessary utilisation condition violated at "
+                    f"{'/'.join(str(p) for p in bottleneck.resource)} "
+                    f"({bottleneck.utilization:.4f} >= 1)"
+                ),
+                analysis=None,
+            )
+        if self._flows:
             ctx.jitters.warm_start_from(self._ctx.jitters)
             _telemetry.add("admission.warm_starts")
         analysis = holistic_analysis(
@@ -215,7 +215,7 @@ class AdmissionController:
                 reason="holistic analysis diverged (utilisation too high)",
                 analysis=analysis,
             )
-        violation = self._first_violation(analysis)
+        violation = first_violation(analysis.flow_results)
         if violation is not None:
             self._retire_demands(flow.name)
             return AdmissionDecision(
@@ -275,8 +275,6 @@ class AdmissionController:
         *,
         flows: Sequence[Flow],
         jitters: Mapping | None = None,
-        fast_reject: bool = True,
-        warm_start: bool = True,
         retained_flows: int = 256,
     ) -> "AdmissionController":
         """Rebuild a controller from :meth:`export_state` output.
@@ -291,13 +289,7 @@ class AdmissionController:
         (warm starts, shared demand caches, stage memos) is
         exactness-preserving.
         """
-        ctrl = cls(
-            network,
-            options,
-            fast_reject=fast_reject,
-            warm_start=warm_start,
-            retained_flows=retained_flows,
-        )
+        ctrl = cls(network, options, retained_flows=retained_flows)
         ctrl._flows = list(flows)
         ctrl._ctx = AnalysisContext(network, ctrl._flows, ctrl.options)
         if jitters:
@@ -311,17 +303,19 @@ class AdmissionController:
         )
         return ctrl
 
-    @staticmethod
-    def _first_violation(analysis: HolisticResult) -> str | None:
-        for name, result in sorted(analysis.flow_results.items()):
-            for frame in result.frames:
-                if not frame.schedulable:
-                    return (
-                        f"flow {name!r} frame {frame.frame}: bound "
-                        f"{frame.response:.6g}s exceeds deadline "
-                        f"{frame.deadline:.6g}s"
-                    )
-        return None
+
+def first_violation(results: Mapping[str, FlowResult]) -> str | None:
+    """Why a converged analysis rejects: the first (by flow name) frame
+    whose bound exceeds its deadline, or ``None`` when all are met."""
+    for name, result in sorted(results.items()):
+        for frame in result.frames:
+            if not frame.schedulable:
+                return (
+                    f"flow {name!r} frame {frame.frame}: bound "
+                    f"{frame.response:.6g}s exceeds deadline "
+                    f"{frame.deadline:.6g}s"
+                )
+    return None
 
 
 def make_admission_controller(
@@ -342,8 +336,8 @@ HierarchicalAdmissionController` (per-pod shards, demand envelopes,
     — the hierarchical one just answers them in time proportional to
     the interference closure of the candidate instead of the admitted
     set.  Extra keyword arguments pass through to the chosen class
-    (``fast_reject``, ``warm_start``, ``retained_flows``, and for the
-    hierarchical controller also ``pod_map``).
+    (``retained_flows``, and for the hierarchical controller also
+    ``pod_map``).
     """
     if hierarchical:
         # Local import: hierarchy.py imports from this module.

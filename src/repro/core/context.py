@@ -14,19 +14,26 @@ Resources are identified by :data:`ResourceKey` tuples:
   ``link(N1, N2)`` (used both by the first-hop and the egress analyses);
 * ``("in", N)`` — the ingress path of switch ``N`` (NIC FIFO → priority
   queue).
+
+Besides the per-(flow, link) profiles the context keeps two caches the
+engine always uses: one flat :class:`~repro.core.demand.LinkDemandMatrix`
+per link, from which every stage's interference set is gathered, and
+the per-stage memo of :mod:`repro.core.pipeline`.  The test oracle
+(``tests/oracle.py``) subclasses the context to bypass both and sum
+per-flow demand objects instead, as the seed engine did.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from repro import telemetry as _telemetry
 from repro.core.demand import LinkDemand, build_link_demand
 from repro.core.packetization import DEFAULT_CONFIG, STRICT_CONFIG, PacketizationConfig
 from repro.model.flow import Flow, check_unique_names, flows_on_link, hep_flows
-from repro.model.network import Network, NodeKind
+from repro.model.network import Network
 
 #: ``("link", N1, N2)`` or ``("in", N)``.
 ResourceKey = tuple
@@ -45,6 +52,12 @@ def ingress_resource(n: str) -> ResourceKey:
 @dataclass(frozen=True)
 class AnalysisOptions:
     """Knobs of the analysis; defaults reproduce the corrected model.
+
+    Every field changes what is computed; none selects how.  The engine
+    has one path: certified-floor fixed points, the holistic worklist,
+    the per-stage memo and flat per-link demand arrays are always on,
+    and ``tests/oracle.py`` holds the plain seed engine they are
+    checked against.
 
     Attributes
     ----------
@@ -66,46 +79,6 @@ class AnalysisOptions:
         Iteration cap per fixed point.
     holistic_max_iterations:
         Cap on the outer holistic jitter iterations (Sec. 3.5).
-    accelerate_fixed_points:
-        Use the safeguarded certified-floor acceleration of
-        ``util/fixed_point.py`` for the busy-period recurrences.  The
-        accelerated iteration provably converges to the same least
-        fixed point as plain Picard; disable to run the plain seed
-        solver (used by the engine-equivalence tests).
-    incremental_holistic:
-        Drive the Sec. 3.5 outer iteration with the dependency-aware
-        worklist engine (see ``core/holistic.py``), re-analysing only
-        flows whose interfering jitters changed.  Produces bit-identical
-        results to the full sweep; disable to force the full sweep.
-    anderson_fixed_points:
-        Opt-in Anderson(1)/secant extrapolation in the fixed-point
-        solver (see ``util/fixed_point.py``), layered on top of the
-        certified floor and defended by the same overshoot safeguard
-        (any non-increase at a jump target restarts plain Picard; a
-        jump can never prove divergence).  Off by default and **not**
-        part of the bit-identical engine family: unlike the floor, the
-        jumps carry no certificate, so on multi-crossing demand
-        staircases the returned bound can be a non-least fixed point —
-        still a sound (pessimistic) upper bound, since every stage and
-        the holistic iteration are monotone in it, but not exact.
-    memoize_stages:
-        Cache each (flow, resource) stage analysis on its exact varying
-        inputs — the flow's own per-frame jitters at the resource and
-        every participant's ``extra_j`` there (all other stage inputs
-        are fixed for the context's lifetime).  A holistic round that
-        re-walks a flow then recomputes only the stages whose inputs
-        actually moved; untouched stages replay their cached
-        :class:`~repro.core.results.StageResult` objects bit for bit.
-        Purely a perf knob — disable to re-run every stage analysis.
-    flat_demand_arrays:
-        Serve stage interference sets from per-link
-        :class:`~repro.core.demand.LinkDemandMatrix` stores (stacked,
-        spec-class-deduplicated window matrices gathered by row index)
-        instead of packing per-flow ``LinkDemand`` objects per stage.
-        Queries are bit-identical — same shared window arrays, same
-        reduction order — so this is purely a memory/speed knob; it is
-        what keeps 10^5-flow links from thrashing the per-set packing
-        cache.  Disable to force the object-per-flow construction.
     """
 
     strict_paper: bool = False
@@ -113,11 +86,6 @@ class AnalysisOptions:
     horizon_factor: float = 1000.0
     max_fp_iterations: int = 100_000
     holistic_max_iterations: int = 200
-    accelerate_fixed_points: bool = True
-    anderson_fixed_points: bool = False
-    incremental_holistic: bool = True
-    memoize_stages: bool = True
-    flat_demand_arrays: bool = True
 
     @property
     def packetization(self) -> PacketizationConfig:
@@ -135,10 +103,10 @@ class JitterTable:
 
     The table tracks its own writes so the holistic engine can run
     per-round fixed-point detection without copying the whole table:
-    :meth:`begin_round` resets the accounting, :meth:`round_delta`
-    mirrors the magnitude :meth:`max_abs_delta` would report against a
-    round-start snapshot (a first explicit write counts as its own
-    magnitude, matching the snapshot semantics), and
+    :meth:`begin_round` resets the accounting, :meth:`round_delta` is
+    the largest elementwise change against the round-start table (a
+    first explicit write counts as its own magnitude, as if compared
+    with a round-start snapshot that lacked the entry), and
     :meth:`drain_changed_keys` yields the keys whose *effective* value
     (as seen through :meth:`get`) changed bit-wise — the worklist
     engine's dirtiness signal.
@@ -344,24 +312,6 @@ class JitterTable:
         """Copy of the explicit entries (for fixed-point comparison)."""
         return dict(self._table)
 
-    def max_abs_delta(self, other: Mapping[tuple[str, ResourceKey], tuple[float, ...]]) -> float:
-        """Largest elementwise change vs a previous snapshot."""
-        keys = set(self._table) | set(other)
-        worst = 0.0
-        for key in keys:
-            a = self._table.get(key)
-            b = other.get(key)
-            if a is None or b is None:
-                # A newly-appearing entry counts as its own magnitude.
-                present = a if a is not None else b
-                worst = max(worst, max(abs(x) for x in present))
-                continue
-            for x, y in zip(a, b):
-                if math.isinf(x) and math.isinf(y):
-                    continue
-                worst = max(worst, abs(x - y))
-        return worst
-
 
 class AnalysisContext:
     """Everything the per-resource analyses need, with caching.
@@ -408,7 +358,7 @@ class AnalysisContext:
         self._link_flows_cache: dict[tuple[str, str], tuple[Flow, ...]] = {}
         self._hep_cache: dict[tuple[str, str, str], tuple[Flow, ...]] = {}
         # resource -> {flow name -> (jitter inputs, stage results)}; see
-        # AnalysisOptions.memoize_stages.  Never shared across contexts:
+        # core/pipeline.py.  Never shared across contexts:
         # the cached results embed the flow *set* (interferer demand
         # tables), which with_flows changes.  Keyed resource-first so a
         # mutable context (core/hierarchy.py) can invalidate everything
@@ -520,12 +470,8 @@ class AnalysisContext:
         hit = self._matrix_cache.get(key)
         if hit is not None and hit[0] == version:
             return hit[1]
-        flows = self.flows_on_link(n1, n2)
         matrix = LinkDemandMatrix(
-            [self.demand(f, n1, n2) for f in flows],
-            self.network.linkspeed(n1, n2),
-            [max(f.spec.jitters) for f in flows],
-            [f.priority_on(n1, n2) for f in flows],
+            [self.demand(f, n1, n2) for f in self.flows_on_link(n1, n2)]
         )
         self._matrix_cache[key] = (version, matrix)
         reg = _telemetry.REGISTRY
@@ -555,27 +501,15 @@ class AnalysisContext:
         *,
         strict: bool = False,
     ):
-        """Stage :class:`~repro.core.demand.InterferenceSet` on a link.
-
-        With ``options.flat_demand_arrays`` the set is gathered from the
-        link's flat matrix (one fancy index); otherwise it is packed
-        from the per-flow profiles.  Both constructions answer every
-        query bit-identically.
-        """
-        from repro.core.demand import InterferenceSet
-
-        if not self.options.flat_demand_arrays:
-            return InterferenceSet(
-                [self.demand(j, n1, n2) for j in flows_seq],
-                shifts,
-                strict=strict,
-            )
+        """Stage :class:`~repro.core.demand.InterferenceSet` on a link,
+        gathered from the link's flat matrix (see
+        :meth:`~repro.core.demand.LinkDemandMatrix.subset`)."""
         return self.link_matrix(n1, n2).subset(
             [j.name for j in flows_seq], shifts, strict=strict
         )
 
     # ------------------------------------------------------------------
-    # Stage memo (AnalysisOptions.memoize_stages; core/pipeline.py)
+    # Stage memo (core/pipeline.py)
     # ------------------------------------------------------------------
     def stage_memo_get(self, flow_name: str, resource: ResourceKey):
         """Cached ``(inputs, stage results)`` of a flow at a resource."""
@@ -665,7 +599,3 @@ class AnalysisContext:
                 self._demand_cache if share_demand_cache else None
             ),
         )
-
-    def with_options(self, options: AnalysisOptions) -> "AnalysisContext":
-        """A fresh context (cleared caches) with different options."""
-        return AnalysisContext(self.network, self.flows, options)

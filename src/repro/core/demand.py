@@ -21,13 +21,17 @@ these functions thousands of times.
 Batched interference queries
 ----------------------------
 The busy-period recurrences evaluate ``sum_j MX/NX(tau_j, t + extra_j)``
-over a whole interferer set at every iterate.  :class:`InterferenceSet`
-packs the interferers' sorted-window tables into padded matrices once
-per stage and answers the summed query with a handful of vectorised
-numpy operations instead of per-flow Python calls.  The per-flow values
-are gathered from exactly the same precomputed arrays and accumulated in
-the same left-to-right order as the scalar path, so the results are
-bit-identical — the engine-equivalence guarantees rely on this.
+over a whole interferer set at every iterate.  The analysis context
+keeps one :class:`LinkDemandMatrix` per link — every flow's
+sorted-window tables stacked into padded matrices — and
+:meth:`LinkDemandMatrix.subset` gathers each stage's
+:class:`InterferenceSet` from it.  Sets of :data:`_VECTORIZE_THRESHOLD`
+or more interferers answer the summed query with a handful of
+vectorised numpy operations; smaller ones loop over the per-flow scalar
+methods.  The vectorised values come from exactly the same precomputed
+arrays and are accumulated in the same left-to-right order as the
+scalar sums, so the results are bit-identical — the test oracle sums
+per flow, and the engine-equivalence suite compares the two with ``==``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +51,6 @@ from repro.core.packetization import (
     packetize,
 )
 from repro.model.flow import Flow
-from repro.model.gmf import GmfSpec
 
 
 @dataclass(frozen=True)
@@ -390,54 +393,23 @@ def _cached_link_demand(
 _VECTORIZE_THRESHOLD = 20
 
 
-@lru_cache(maxsize=1024)
-def _packed_windows(
-    demands: tuple[LinkDemand, ...],
-) -> tuple[np.ndarray, ...]:
-    """Padded window matrices for a demand set (shared, never mutated).
-
-    The packing is a pure function of the demand profiles, and the same
-    interferer sets recur at every holistic round and admission request
-    — so the matrices are memoized on the (value-hashed) profile tuple.
-    ``LinkDemand`` hashes over its defining fields (name, ``c``,
-    ``n_eth``, ``t``, ``mft``); the window arrays are derived from
-    those, so equal keys imply equal matrices.
-    """
-    n = len(demands)
-    tsums = np.array([d.tsum for d in demands])
-    csums = np.array([d.csum for d in demands])
-    nsums = np.array([d.nsum for d in demands], dtype=np.int64)
-    width = max(len(d._win_t) for d in demands)
-    win_t = np.full((n, width), np.inf)
-    cmax = np.zeros((n, width))
-    nmax = np.zeros((n, width), dtype=np.int64)
-    for i, d in enumerate(demands):
-        w = len(d._win_t)
-        win_t[i, :w] = d._win_t
-        cmax[i, :w] = d._cmax_prefix
-        nmax[i, :w] = d._nmax_prefix
-    return tsums, csums, nsums, win_t, cmax, nmax, np.arange(n)
-
-
 class InterferenceSet:
     """Batched ``sum_j MX/NX(tau_j, t + shift_j)`` over an interferer set.
 
     Built once per analysis stage (the interferers and their jitter
     shifts are fixed for the whole stage) and queried at every iterate
-    of every busy-period / queuing-time fixed point of the stage.  The
-    interferers' sorted-window tables are packed into +inf-padded
-    matrices; a query then costs one vectorised row-wise rank count and
-    two gathers instead of ``N`` Python-level ``mx``/``nx`` calls.
+    of every busy-period / queuing-time fixed point of the stage.
 
-    Per-flow values are reduced strictly left-to-right in construction
-    order so the sums are bit-identical to the scalar generator
-    expressions they replace.
-
-    Small sets skip :meth:`_gather` (and with it every numpy array
-    dispatch) entirely: below :data:`_VECTORIZE_THRESHOLD` interferers
-    the summed queries loop over the per-flow scalar methods, which
-    answer each single-instant ``mx``/``nx`` via a pure-Python bisect
-    over :attr:`LinkDemand._win_lists`.
+    Constructed directly, a set loops over the per-flow scalar methods,
+    which answer each single-instant ``mx``/``nx`` via a pure-Python
+    bisect over :attr:`LinkDemand._win_lists`.  Sets built by
+    :meth:`from_arrays` (large stages, gathered by
+    :meth:`LinkDemandMatrix.subset`) hold the interferers'
+    sorted-window tables as +inf-padded matrices; a query then costs
+    one vectorised row-wise rank count and two gathers instead of ``N``
+    Python-level calls.  Per-flow values are reduced strictly
+    left-to-right in construction order either way, so both forms
+    return bit-identical sums.
 
     Parameters
     ----------
@@ -462,20 +434,7 @@ class InterferenceSet:
         self.demands = tuple(demands)
         self.shifts = tuple(float(s) for s in shifts)
         self.strict = strict
-        n = len(self.demands)
-        self._vectorized = n >= _VECTORIZE_THRESHOLD
-        if not self._vectorized:
-            return
-        self._shift_arr = np.array(self.shifts)
-        (
-            self._tsums,
-            self._csums,
-            self._nsums,
-            self._win_t,
-            self._cmax,
-            self._nmax,
-            self._rows,
-        ) = _packed_windows(self.demands)
+        self._vectorized = False
 
     @classmethod
     def from_arrays(
@@ -491,31 +450,29 @@ class InterferenceSet:
         cmax: np.ndarray,
         nmax: np.ndarray,
     ) -> "InterferenceSet":
-        """Construct from pre-gathered window matrices (flat-array path).
+        """A vectorised set over pre-gathered window matrices.
 
         :class:`LinkDemandMatrix.subset` slices a link-wide matrix by
-        flow position instead of re-packing per-flow tables; the
-        matrices may carry extra ``+inf``/0 padding columns (link-level
-        width vs per-set width), which is inert: the rank count
-        ``win_t <= boundary`` never admits an ``inf`` column and the
-        gathers never index past the last admitted window.  All values
-        come from the same shared per-class arrays the scalar path
-        bisects, so queries stay bit-identical.
+        flow position; the matrices may carry extra ``+inf``/0 padding
+        columns (link-level width vs per-set width), which is inert:
+        the rank count ``win_t <= boundary`` never admits an ``inf``
+        column and the gathers never index past the last admitted
+        window.  All values come from the same shared per-class arrays
+        the scalar path bisects, so queries stay bit-identical.
         """
         self = cls.__new__(cls)
         self.demands = demands
         self.shifts = shifts
         self.strict = strict
-        self._vectorized = len(demands) >= _VECTORIZE_THRESHOLD
-        if self._vectorized:
-            self._shift_arr = np.array(shifts)
-            self._tsums = tsums
-            self._csums = csums
-            self._nsums = nsums
-            self._win_t = win_t
-            self._cmax = cmax
-            self._nmax = nmax
-            self._rows = np.arange(len(demands))
+        self._vectorized = True
+        self._shift_arr = np.array(shifts)
+        self._tsums = tsums
+        self._csums = csums
+        self._nsums = nsums
+        self._win_t = win_t
+        self._cmax = cmax
+        self._nmax = nmax
+        self._rows = np.arange(len(demands))
         return self
 
     def __len__(self) -> int:
@@ -639,47 +596,25 @@ class InterferenceSet:
         return sum((mx + nx * circ).tolist())
 
 
-#: Structured per-flow row metadata of a :class:`LinkDemandMatrix`:
-#: cycle period (``TSUM``, s), max source jitter (s), wire bits per
-#: cycle, Ethernet fragments per cycle (``NSUM``) and the flow's
-#: priority on the link.  This is the memory-flat face of the demand
-#: layer — one contiguous record per flow instead of a Python object —
-#: used by the hierarchy layer's pod-boundary envelopes.
-LINK_META_DTYPE = np.dtype(
-    [
-        ("period", np.float64),
-        ("jitter", np.float64),
-        ("wire_bits", np.float64),
-        ("n_frag", np.int64),
-        ("prio", np.int64),
-    ]
-)
-
-
 class LinkDemandMatrix:
     """Memory-flat demand representation of every flow on one link.
 
-    Holds, in flow (admission) order: a structured metadata row per
-    flow (:data:`LINK_META_DTYPE`), the full-cycle sums, and the sorted
-    window tables stacked into one padded matrix per quantity.  Rows of
-    flows with the same spec class reference the *same* shared window
-    arrays (the name-free :func:`build_link_demand` cache), so a
+    Holds, in flow (admission) order, the full-cycle sums and the
+    sorted window tables stacked into one padded matrix per quantity.
+    Rows of flows with the same spec class reference the *same* shared
+    window arrays (the name-free :func:`build_link_demand` cache), so a
     datacenter-scale link with 10^5 identically-shaped flows stores one
     window table, not 10^5.
 
     :meth:`subset` assembles a stage's :class:`InterferenceSet` with a
-    single row-gather per matrix — replacing the per-flow Python
-    packing loop (and its lru cache, which thrashes once interferer
-    tuples outnumber its capacity) with one C-level fancy index.
-    Below the vectorisation threshold it returns a plain scalar-path
-    set over the shared per-flow profiles; both paths are bit-identical
-    to the object-per-flow construction.
+    single row-gather per matrix — one C-level fancy index instead of a
+    per-flow Python packing loop.  Below the vectorisation threshold it
+    returns a plain scalar-path set over the shared per-flow profiles;
+    both are bit-identical to summing the profiles one by one.
     """
 
     __slots__ = (
         "demands",
-        "meta",
-        "n_classes",
         "_index",
         "_tsums",
         "_csums",
@@ -689,29 +624,17 @@ class LinkDemandMatrix:
         "_nmax",
     )
 
-    def __init__(
-        self,
-        demands: Sequence[LinkDemand],
-        linkspeed_bps: float,
-        jitters: Sequence[float],
-        priorities: Sequence[int],
-    ):
+    def __init__(self, demands: Sequence[LinkDemand]):
         self.demands = tuple(demands)
         n = len(self.demands)
         self._index = {d.flow_name: i for i, d in enumerate(self.demands)}
         if len(self._index) != n:
             raise ValueError("duplicate flow names on one link")
-        self.meta = np.zeros(n, dtype=LINK_META_DTYPE)
         self._tsums = np.array([d.tsum for d in self.demands])
         self._csums = np.array([d.csum for d in self.demands])
         self._nsums = np.array(
             [d.nsum for d in self.demands], dtype=np.int64
         )
-        self.meta["period"] = self._tsums
-        self.meta["jitter"] = np.asarray([float(j) for j in jitters])
-        self.meta["wire_bits"] = self._csums * float(linkspeed_bps)
-        self.meta["n_frag"] = self._nsums
-        self.meta["prio"] = np.asarray(list(priorities), dtype=np.int64)
         width = max((len(d._win_t) for d in self.demands), default=0)
         self._win_t = np.full((n, width), np.inf)
         self._cmax = np.zeros((n, width))
@@ -728,7 +651,6 @@ class LinkDemandMatrix:
             self._win_t[rows, :w] = d._win_t
             self._cmax[rows, :w] = d._cmax_prefix
             self._nmax[rows, :w] = d._nmax_prefix
-        self.n_classes = len(by_class)
 
     def __len__(self) -> int:
         return len(self.demands)
@@ -765,33 +687,28 @@ class LinkDemandMatrix:
 # ----------------------------------------------------------------------
 def demand_cache_stats() -> dict[str, dict[str, int]]:
     """Sizes and hit counters of the module-level demand caches."""
-    out: dict[str, dict[str, int]] = {}
-    for label, cache in (
-        ("window_cache", _cached_link_demand),
-        ("packed_cache", _packed_windows),
-    ):
-        info = cache.cache_info()
-        out[label] = {
+    info = _cached_link_demand.cache_info()
+    return {
+        "window_cache": {
             "hits": info.hits,
             "misses": info.misses,
             "size": info.currsize,
             "maxsize": info.maxsize,
         }
-    return out
+    }
 
 
 def clear_demand_caches() -> None:
-    """Drop the module-level window-packing caches.
+    """Drop the module-level window-table cache.
 
-    The caches are shared across every context in the process; a
+    The cache is shared across every context in the process; a
     campaign sweeping many scenarios (different link speeds / spec
     grids) would otherwise accumulate entries across rows with no
     eviction pressure relief between unrelated grid points.  The
     campaign runner calls this at row boundaries; correctness never
-    depends on the caches (they are pure memoization).
+    depends on the cache (it is pure memoization).
     """
     _cached_link_demand.cache_clear()
-    _packed_windows.cache_clear()
 
 
 def record_demand_cache_telemetry() -> None:

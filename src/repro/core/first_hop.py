@@ -94,13 +94,8 @@ def first_hop_stage(ctx: AnalysisContext, flow: Flow) -> list[StageResult]:
         [extras[j.name] for j in others],
         strict=strict,
     )
-    accelerate = ctx.options.accelerate_fixed_points
-    anderson = ctx.options.anderson_fixed_points
-    busy_accel = None
-    others_rate = others_intercept = 0.0
-    if accelerate:
-        busy_accel = LinearLowerBound(*all_set.mx_support())
-        others_rate, others_intercept = others_set.mx_support()
+    busy_accel = LinearLowerBound(*all_set.mx_support())
+    others_rate, others_intercept = others_set.mx_support()
 
     # Frames with equal C_i^k share the busy-period fixed point and all
     # frames share the per-instance queuing fixed points (they depend
@@ -119,7 +114,6 @@ def first_hop_stage(ctx: AnalysisContext, flow: Flow) -> list[StageResult]:
             max_iterations=ctx.options.max_fp_iterations,
             what=what,
             accelerator=busy_accel,
-            anderson=anderson,
         )
 
     def w_for(own_backlog: float, what: str) -> float | None:
@@ -131,12 +125,9 @@ def first_hop_stage(ctx: AnalysisContext, flow: Flow) -> list[StageResult]:
             horizon=horizon,
             max_iterations=ctx.options.max_fp_iterations,
             what=what,
-            accelerator=(
-                LinearLowerBound(others_rate, others_intercept + own_backlog)
-                if accelerate
-                else None
+            accelerator=LinearLowerBound(
+                others_rate, others_intercept + own_backlog
             ),
-            anderson=anderson,
         )
 
     results: list[StageResult] = []

@@ -14,9 +14,8 @@ so one admission touches only the candidate's dependency cone:
 
 * :class:`MutableAnalysisContext` — an analysis context whose flow set
   mutates in place: per-link flow lists, ``hep`` caches, jitter-table
-  registration, stage memos and flat demand matrices
-  (``AnalysisOptions.flat_demand_arrays``) all update per admit/release
-  instead of being rebuilt from the full set;
+  registration, stage memos and the flat per-link demand matrices all
+  update per admit/release instead of being rebuilt from the full set;
 * :class:`DemandEnvelopes` — cached per-resource necessary-condition
   utilisations; the fast-reject of a request checks only the
   candidate's route (every other resource kept its previously sub-unit
@@ -29,7 +28,8 @@ so one admission touches only the candidate's dependency cone:
 Exactness
 ---------
 Decisions and converged jitter tables are bit-identical to the
-reference controller's (asserted by ``tests/test_hierarchy.py``):
+serial controller's and to a from-scratch analysis by the seed engine
+of ``tests/oracle.py`` (asserted by ``tests/test_hierarchy.py``):
 
 * **admit** seeds the worklist with the candidate plus every flow whose
   stage participant set the candidate joined (derived from the same
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro import telemetry as _telemetry
-from repro.core.admission import AdmissionDecision
+from repro.core.admission import AdmissionDecision, first_violation
 from repro.core.context import (
     AnalysisContext,
     AnalysisOptions,
@@ -330,15 +330,11 @@ class HierarchicalAdmissionController:
         options: AnalysisOptions | None = None,
         initial_flows: Sequence[Flow] = (),
         *,
-        fast_reject: bool = True,
-        warm_start: bool = True,  # parity; incremental admits always warm-start
         retained_flows: int = 256,
         pod_map: PodMap | None = None,
     ):
         self.network = network
         self.options = options or AnalysisOptions()
-        self.fast_reject = fast_reject
-        self.warm_start = warm_start
         self.pod_map = pod_map or PodMap.from_network(network)
         self._ctx = MutableAnalysisContext(network, (), self.options)
         self._envelopes = DemandEnvelopes(self._ctx)
@@ -577,20 +573,19 @@ class HierarchicalAdmissionController:
         ctx.add_flow(flow)  # validates the route, invalidates its links
         self._note_invalidations(flow)
 
-        if self.fast_reject:
-            violation = self._envelopes.violation(flow)
-            if violation is not None:
-                key, value = violation
-                self._withdraw(flow, edges_installed=False)
-                return AdmissionDecision(
-                    accepted=False,
-                    reason=(
-                        "necessary utilisation condition violated at "
-                        f"{'/'.join(str(p) for p in key)} "
-                        f"({value:.4f} >= 1)"
-                    ),
-                    analysis=None,
-                )
+        violation = self._envelopes.violation(flow)
+        if violation is not None:
+            key, value = violation
+            self._withdraw(flow, edges_installed=False)
+            return AdmissionDecision(
+                accepted=False,
+                reason=(
+                    "necessary utilisation condition violated at "
+                    f"{'/'.join(str(p) for p in key)} "
+                    f"({value:.4f} >= 1)"
+                ),
+                analysis=None,
+            )
 
         seed = self._install_edges(flow)
         self._order[flow.name] = self._next_order
@@ -600,7 +595,7 @@ class HierarchicalAdmissionController:
         if not converged:
             reason = "holistic analysis diverged (utilisation too high)"
         else:
-            reason = self._first_violation(updated)
+            reason = first_violation(updated)
         analysis = HolisticResult(
             flow_results=dict(updated), iterations=rounds, converged=converged
         )
@@ -726,7 +721,7 @@ class HierarchicalAdmissionController:
         if not converged:
             reason = "holistic analysis diverged (utilisation too high)"
         else:
-            reason = self._first_violation(updated)
+            reason = first_violation(updated)
         if reason is not None:
             raise ValueError(f"preloaded flow set not admissible: {reason}")
         self._results.update(updated)
@@ -792,15 +787,3 @@ class HierarchicalAdmissionController:
             reg.add("hierarchy.pod_resolves", float(len(touched)))
             reg.add("hierarchy.flow_resolves", float(evals))
             reg.add("hierarchy.changed_set", float(len(updated)))
-
-    @staticmethod
-    def _first_violation(results: Mapping[str, FlowResult]) -> str | None:
-        for name, result in sorted(results.items()):
-            for frame in result.frames:
-                if not frame.schedulable:
-                    return (
-                        f"flow {name!r} frame {frame.frame}: bound "
-                        f"{frame.response:.6g}s exceeds deadline "
-                        f"{frame.deadline:.6g}s"
-                    )
-        return None

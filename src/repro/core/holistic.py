@@ -19,28 +19,30 @@ Worklist engine
 ``analyze_flow`` is a deterministic function of the flow's spec and the
 jitters of its interferers at the resources along its route, so a flow
 whose inputs did not change since its last analysis would reproduce its
-previous result bit for bit — re-running it is pure waste.  The default
-engine therefore precomputes the *read set* of every flow (which
+previous result bit for bit — re-running it is pure waste.  The engine
+therefore precomputes the *read set* of every flow (which
 ``(flow, resource)`` jitter entries its first-hop / ingress / egress
 stages consult, via ``flows_on_link`` and ``hep``), inverts it into a
 readers map, and each round re-analyses only the flows whose read set
 intersects the entries that changed bit-wise in the previous round.
 
-Convergence is judged exactly like the full sweep: a round whose
-largest write-delta is within :data:`JITTER_TOLERANCE` is the fixed
-point (the :class:`~repro.core.context.JitterTable` tracks write deltas
-with the same semantics the snapshot comparison had, including counting
-a first explicit write as its own magnitude).  Because skipped flows
-would have reproduced their cached results exactly, the worklist
-trajectory — per-round table state, round count, final bounds — is
-bit-identical to the full sweep's; the equivalence tests assert this.
-``AnalysisOptions.incremental_holistic=False`` forces the full sweep.
+Convergence is judged exactly like the plain iteration above, which
+re-analyses every flow every round and compares the table against a
+round-start snapshot: a round whose largest write-delta is within
+:data:`JITTER_TOLERANCE` is the fixed point (the
+:class:`~repro.core.context.JitterTable` tracks write deltas with the
+snapshot comparison's semantics, including counting a first explicit
+write as its own magnitude).  Because skipped flows would have
+reproduced their cached results exactly, the worklist trajectory —
+per-round table state, round count, final bounds — is bit-identical to
+the plain iteration's.  ``tests/oracle.py`` keeps the plain iteration
+(the seed engine), and the engine-equivalence suite compares the two
+with ``==`` on floats.
 
-The per-stage memo (``AnalysisOptions.memoize_stages``, implemented in
-``core/pipeline.py``) composes with either engine: when a re-walked
-flow reaches a stage whose exact jitter inputs are unchanged, the
-cached :class:`~repro.core.results.StageResult` objects are replayed
-instead of re-running the stage's fixed points.
+The per-stage memo (``core/pipeline.py``) composes with the worklist:
+when a re-walked flow reaches a stage whose exact jitter inputs are
+unchanged, the cached :class:`~repro.core.results.StageResult` objects
+are replayed instead of re-running the stage's fixed points.
 """
 
 from __future__ import annotations
@@ -83,36 +85,7 @@ def holistic_analysis(
         as the starting point — useful for incremental admission).
     """
     ctx = context or AnalysisContext(network, flows, options)
-    if ctx.options.incremental_holistic:
-        return _worklist_analysis(ctx)
-    return _full_sweep_analysis(ctx)
-
-
-def _full_sweep_analysis(ctx: AnalysisContext) -> HolisticResult:
-    """The plain Sec. 3.5 iteration: every flow, every round."""
-    max_iter = ctx.options.holistic_max_iterations
-
-    results: dict[str, FlowResult] = {}
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        before = ctx.jitters.snapshot()
-        results = {f.name: analyze_flow(ctx, f) for f in ctx.flows}
-        if _any_diverged(results):
-            # A diverged stage yields infinite jitters downstream; the
-            # iteration can never recover (monotone), so stop now.
-            _note_analysis(ctx, iterations, iterations * len(ctx.flows), 0)
-            return HolisticResult(
-                flow_results=results, iterations=iterations, converged=False
-            )
-        delta = ctx.jitters.max_abs_delta(before)
-        if delta <= JITTER_TOLERANCE:
-            converged = True
-            break
-    _note_analysis(ctx, iterations, iterations * len(ctx.flows), 0)
-    return HolisticResult(
-        flow_results=results, iterations=iterations, converged=converged
-    )
+    return _worklist_analysis(ctx)
 
 
 def _worklist_analysis(ctx: AnalysisContext) -> HolisticResult:
@@ -122,15 +95,15 @@ def _worklist_analysis(ctx: AnalysisContext) -> HolisticResult:
     # Invert the read sets into a readers map once per analysis.  With
     # jitter modelling disabled every read returns 0 and the map is
     # empty: nothing ever gets dirty and the engine stops after the
-    # confirming round, like the sweep.
+    # confirming round, like the plain iteration.
     readers: dict[tuple, set[str]] = {}
     if ctx.options.use_jitter:
         for f in ctx.flows:
             for key in flow_read_set(ctx, f):
                 readers.setdefault(key, set()).add(f.name)
 
-    # The sweep analyses flows in order, so within a round a flow sees
-    # the *current-round* writes of flows earlier in the order
+    # The plain iteration analyses flows in order, so within a round a
+    # flow sees the *current-round* writes of flows earlier in the order
     # (Gauss-Seidel).  The worklist mirrors that exactly: a changed
     # entry dirties readers still ahead in the current round
     # immediately, and readers already passed for the next round.

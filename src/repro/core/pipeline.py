@@ -55,8 +55,6 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
     jsum = [float(j) for j in spec.jitters]
     stages: list[list[StageResult]] = [[] for _ in range(n)]
 
-    memoize = ctx.options.memoize_stages
-
     def run_stage(resource, participants, stage) -> None:
         """Set this flow's jitters at ``resource``, analyse all frames,
         and advance RSUM/JSUM by the responses.
@@ -66,26 +64,25 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
 
         ``participants`` are the flows whose jitters at ``resource`` the
         stage analysis reads (its only inputs that vary over the
-        context's lifetime, besides this flow's own jitters).  With
-        ``memoize_stages`` the stage is replayed from cache whenever
-        those inputs are unchanged since its last run.
+        context's lifetime, besides this flow's own jitters).  The
+        stage is replayed from the context's memo whenever those inputs
+        are unchanged since its last run: the analysis is a pure
+        function of them, so the cached results are exactly what a
+        rerun would return.
         """
         ctx.jitters.set(flow.name, resource, jsum)
-        if memoize:
-            inputs = (tuple(jsum), ctx.extras(participants, resource))
-            hit = ctx.stage_memo_get(flow.name, resource)
-            reg = _telemetry.REGISTRY
-            if hit is not None and hit[0] == inputs:
-                if reg is not None:
-                    reg.add("engine.stage_memo.hits")
-                results = hit[1]
-            else:
-                if reg is not None:
-                    reg.add("engine.stage_memo.misses")
-                results = stage()
-                ctx.stage_memo_put(flow.name, resource, inputs, results)
+        inputs = (tuple(jsum), ctx.extras(participants, resource))
+        hit = ctx.stage_memo_get(flow.name, resource)
+        reg = _telemetry.REGISTRY
+        if hit is not None and hit[0] == inputs:
+            if reg is not None:
+                reg.add("engine.stage_memo.hits")
+            results = hit[1]
         else:
+            if reg is not None:
+                reg.add("engine.stage_memo.misses")
             results = stage()
+            ctx.stage_memo_put(flow.name, resource, inputs, results)
         for k in range(n):
             result = results[k]
             if math.isinf(jsum[k]) and not math.isinf(result.response):

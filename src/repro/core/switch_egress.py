@@ -97,14 +97,9 @@ def egress_stage(
         [extras[j.name] for j in hep],
         strict=strict,
     )
-    accelerate = ctx.options.accelerate_fixed_points
-    anderson = ctx.options.anderson_fixed_points
-    busy_accel = None
-    hep_rate = hep_intercept = 0.0
-    if accelerate:
-        rate, intercept = all_set.mixed_support(circ)
-        busy_accel = LinearLowerBound(rate, intercept + mft)
-        hep_rate, hep_intercept = hep_set.mixed_support(circ)
+    rate, intercept = all_set.mixed_support(circ)
+    busy_accel = LinearLowerBound(rate, intercept + mft)
+    hep_rate, hep_intercept = hep_set.mixed_support(circ)
 
     # Eq. 29: level-i busy period, seeded with MFT (Eq. 28).  Neither
     # the busy period nor the per-instance queuing times depend on the
@@ -122,7 +117,6 @@ def egress_stage(
             max_iterations=ctx.options.max_fp_iterations,
             what=f"egress busy period of {flow.name} on {node}->{nxt}",
             accelerator=busy_accel,
-            anderson=anderson,
         ).value
     except FixedPointDiverged:
         return [diverged_stage(StageKind.EGRESS, resource)] * n
@@ -140,11 +134,7 @@ def egress_stage(
         def queue_update(w: float) -> float:
             return mft + own_backlog + hep_set.mixed_sum(w, circ)
 
-        accel = (
-            LinearLowerBound(hep_rate, hep_intercept + mft + own_backlog)
-            if accelerate
-            else None
-        )
+        accel = LinearLowerBound(hep_rate, hep_intercept + mft + own_backlog)
         try:
             w_q = iterate_fixed_point(
                 queue_update,
@@ -153,7 +143,6 @@ def egress_stage(
                 max_iterations=ctx.options.max_fp_iterations,
                 what=f"egress w({q}) of {flow.name} on {node}->{nxt}",
                 accelerator=accel,
-                anderson=anderson,
             ).value
         except FixedPointDiverged:
             return [diverged_stage(StageKind.EGRESS, resource)] * n

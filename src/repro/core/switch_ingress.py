@@ -95,13 +95,8 @@ def ingress_stage(
         [extras[j.name] for j in others],
         strict=strict,
     )
-    accelerate = ctx.options.accelerate_fixed_points
-    anderson = ctx.options.anderson_fixed_points
-    busy_accel = None
-    others_rate = others_intercept = 0.0
-    if accelerate:
-        busy_accel = LinearLowerBound(*all_set.nx_support(circ))
-        others_rate, others_intercept = others_set.nx_support(circ)
+    busy_accel = LinearLowerBound(*all_set.nx_support(circ))
+    others_rate, others_intercept = others_set.nx_support(circ)
 
     # Eq. 22: busy period counted in CIRC-weighted Ethernet frames.
     def busy_update(t: float) -> float:
@@ -123,7 +118,6 @@ def ingress_stage(
             max_iterations=ctx.options.max_fp_iterations,
             what=what,
             accelerator=busy_accel,
-            anderson=anderson,
         )
 
     def w_for(own_backlog: float, what: str) -> float | None:
@@ -135,12 +129,9 @@ def ingress_stage(
             horizon=horizon,
             max_iterations=ctx.options.max_fp_iterations,
             what=what,
-            accelerator=(
-                LinearLowerBound(others_rate, others_intercept + own_backlog)
-                if accelerate
-                else None
+            accelerator=LinearLowerBound(
+                others_rate, others_intercept + own_backlog
             ),
-            anderson=anderson,
         )
 
     results: list[StageResult] = []

@@ -53,7 +53,36 @@ def _fields_to_dict(obj: Any) -> dict[str, Any]:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _dict_to_fields(cls, doc: Mapping[str, Any], label: str) -> Any:
+#: Option keys that once chose between a fast and a reference path,
+#: mapped to the value naming the path that remains.  Documents written
+#: while they existed (scenario files, service snapshots) carry them;
+#: they still load when the value matches and are refused otherwise.
+_REMOVED_ANALYSIS_KEYS = {
+    "accelerate_fixed_points": True,
+    "incremental_holistic": True,
+    "memoize_stages": True,
+    "flat_demand_arrays": True,
+    "anderson_fixed_points": False,
+}
+_REMOVED_SIM_KEYS = {"fast": True}
+
+
+def _dict_to_fields(
+    cls,
+    doc: Mapping[str, Any],
+    label: str,
+    removed: Mapping[str, bool] | None = None,
+) -> Any:
+    doc = dict(doc)
+    for key, kept in (removed or {}).items():
+        if key in doc:
+            value = doc.pop(key)
+            if value is not kept:
+                raise ScenarioError(
+                    f"{label}: option {key!r} was removed; a document "
+                    f"may carry it only as {json.dumps(kept)}, the path "
+                    f"that remains (got {value!r})"
+                )
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(doc) - known
     if unknown:
@@ -69,7 +98,9 @@ def analysis_options_to_dict(options: AnalysisOptions) -> dict[str, Any]:
 
 
 def analysis_options_from_dict(doc: Mapping[str, Any]) -> AnalysisOptions:
-    return _dict_to_fields(AnalysisOptions, doc, "analysis options")
+    return _dict_to_fields(
+        AnalysisOptions, doc, "analysis options", _REMOVED_ANALYSIS_KEYS
+    )
 
 
 def sim_config_to_dict(sim: SimConfig) -> dict[str, Any]:
@@ -81,7 +112,7 @@ def sim_config_to_dict(sim: SimConfig) -> dict[str, Any]:
 def sim_config_from_dict(doc: Mapping[str, Any]) -> SimConfig:
     doc = dict(doc)
     pkt = doc.pop("packetization", None)
-    sim = _dict_to_fields(SimConfig, doc, "sim config")
+    sim = _dict_to_fields(SimConfig, doc, "sim config", _REMOVED_SIM_KEYS)
     if pkt is not None:
         pkt_cfg = _dict_to_fields(
             PacketizationConfig, pkt, "sim config packetization"

@@ -251,14 +251,10 @@ class _InlineShard:
         network: Network,
         options: AnalysisOptions | None,
         *,
-        fast_reject: bool,
-        warm_start: bool,
         shard_id: int = 0,
     ):
         self.shard_id = shard_id
-        self._ctrl = AdmissionController(
-            network, options, fast_reject=fast_reject, warm_start=warm_start
-        )
+        self._ctrl = AdmissionController(network, options)
 
     def send_batch(
         self,
@@ -291,8 +287,6 @@ class _InlineShard:
             self._ctrl.options,
             flows=flows,
             jitters=jitters,
-            fast_reject=self._ctrl.fast_reject,
-            warm_start=self._ctrl.warm_start,
         )
 
     def telemetry_snapshot(self) -> dict[str, Any] | None:
@@ -328,7 +322,7 @@ class _InlineShard:
 
 
 def _shard_worker(
-    conn, network, options, fast_reject, warm_start, shard_id=0,
+    conn, network, options, shard_id=0,
     telemetry_on=False, faults: Sequence[FaultSpec] = (),
     tracing_on=False, incarnation=0,
 ) -> None:
@@ -369,9 +363,7 @@ def _shard_worker(
         _tracing.enable_tracing(
             _tracing.Tracer(proc=f"shard{shard_id}", incarnation=incarnation)
         )
-    ctrl = AdmissionController(
-        network, options, fast_reject=fast_reject, warm_start=warm_start
-    )
+    ctrl = AdmissionController(network, options)
     injected = WorkerFaults(faults) if faults else None
     n_ops = 0
     while True:
@@ -409,12 +401,7 @@ def _shard_worker(
             conn.send(tr.drain() if tr is not None else None)
         elif kind == "restore":
             ctrl = AdmissionController.restore(
-                network,
-                options,
-                flows=msg[1],
-                jitters=msg[2],
-                fast_reject=fast_reject,
-                warm_start=warm_start,
+                network, options, flows=msg[1], jitters=msg[2]
             )
             conn.send(True)
         elif kind == "close":
@@ -455,8 +442,6 @@ class _ProcessShard:
         network: Network,
         options: AnalysisOptions | None,
         *,
-        fast_reject: bool,
-        warm_start: bool,
         shard_id: int = 0,
         supervise: bool = True,
         max_restarts: int = 5,
@@ -476,7 +461,7 @@ class _ProcessShard:
         if replicas and not supervise:
             raise ValueError("replicas require supervise=True")
         self.shard_id = shard_id
-        self._worker_args = (network, options, fast_reject, warm_start)
+        self._worker_args = (network, options)
         self._supervise = bool(supervise)
         self._max_restarts = max_restarts
         self._journal_limit = journal_limit
@@ -1234,8 +1219,6 @@ class ShardedAdmissionService:
         options: AnalysisOptions | None = None,
         shard_map: Mapping[str, int] | None = None,
         workers: bool = False,
-        fast_reject: bool = True,
-        warm_start: bool = True,
         supervise: bool = True,
         max_restarts: int = 5,
         journal_limit: int = 256,
@@ -1276,8 +1259,6 @@ class ShardedAdmissionService:
         # rebalance() can build new-layout backends with identical
         # resilience settings.
         self._shard_kwargs: dict[str, Any] = dict(
-            fast_reject=fast_reject,
-            warm_start=warm_start,
             supervise=supervise,
             max_restarts=max_restarts,
             journal_limit=journal_limit,
@@ -1313,13 +1294,7 @@ class ShardedAdmissionService:
                 shard_id=sid,
                 **self._shard_kwargs,
             )
-        return _InlineShard(
-            self.network,
-            self.options,
-            fast_reject=self._shard_kwargs["fast_reject"],
-            warm_start=self._shard_kwargs["warm_start"],
-            shard_id=sid,
-        )
+        return _InlineShard(self.network, self.options, shard_id=sid)
 
     # ------------------------------------------------------------------
     @property

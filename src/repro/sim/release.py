@@ -117,7 +117,12 @@ class RandomRelease:
 # Generalized-jitter policies: fragment offsets within [t, t + GJ)
 # ----------------------------------------------------------------------
 class JitterPolicy(Protocol):
-    """Places a packet's fragments inside its generalized-jitter window."""
+    """Places a packet's fragments inside its generalized-jitter window.
+
+    ``offsets`` must be a pure function of ``(n_fragments, jitter)``:
+    the simulator evaluates it once per frame class and reuses the
+    offsets for every arrival of that class.
+    """
 
     def offsets(self, n_fragments: int, jitter: float) -> Sequence[float]:
         ...

@@ -13,10 +13,8 @@ Per-flow forwarding uses the flow's pre-specified route and per-link
 802.1p priorities — exactly the information the paper's operator
 provisions into the switches.
 
-Fast backend
-------------
-``SimConfig.fast`` (default True) selects the fast simulation backend:
-
+Performance
+-----------
 * traffic injection is precomputed — one packetization per distinct
   ``(payload_bits, transport)`` class, one jitter-offset vector per
   ``(fragment count, jitter)`` class, and all ``(arrival, offset,
@@ -28,21 +26,20 @@ Fast backend
   and tuple-keyed dicts; :class:`~repro.sim.trace.PacketRecord` objects
   are materialised once, at trace finalisation.
 
-Both changes are exhaustively checked to be **bit-identical** to the
-reference backend (``fast=False``, the seed implementation) in
-``tests/test_sim_equivalence.py`` — same release instants (the numpy
+Both are checked to be **bit-identical** to the seed simulator — the
+per-packet reference kept in ``tests/oracle.py``, which schedules one
+release at a time and updates record objects per delivery — in
+``tests/test_sim_equivalence.py``: same release instants (the numpy
 arithmetic performs the identical IEEE-754 operations), same event
 order (identical schedule order, and ``(time, sequence)`` is a total
-order), same trace records.  The fast injection path evaluates each
-jitter policy once per frame class instead of once per arrival, so
-custom jitter policies must be pure functions of ``(n_fragments,
-jitter)`` — both built-ins are; stateful policies should run with
-``fast=False``.
+order), same trace records.  Injection evaluates each jitter policy
+once per frame class instead of once per arrival, so jitter policies
+must be pure functions of ``(n_fragments, jitter)``; both built-ins
+are.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -79,7 +76,6 @@ TOPOLOGY_CONFIG_FIELDS = (
     "packetization",
     "nic_fifo_capacity",
     "priority_levels",
-    "fast",
 )
 
 
@@ -112,12 +108,6 @@ class SimConfig:
     priority_levels:
         Number of 802.1p levels enforced by switch output queues
         (commercial switches support 2-8); ``None`` = unlimited.
-    fast:
-        Use the fast simulation backend (vectorised release
-        precomputation, bulk scheduling, flat per-packet accounting —
-        see the module docstring).  Bit-identical to ``fast=False``;
-        disable to run the reference implementation (the equivalence
-        tests do) or when injecting stateful custom jitter policies.
     """
 
     duration: float = 1.0
@@ -128,7 +118,6 @@ class SimConfig:
     drain_factor: float = 0.5
     nic_fifo_capacity: int | None = None
     priority_levels: int | None = None
-    fast: bool = True
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -138,7 +127,7 @@ class SimConfig:
 
 
 def _make_switch_deliver(engine, hits, counts, n_nodes, node_idx, push, driver):
-    """Fully inlined fast-path delivery into a switch: hop accounting
+    """Fully inlined delivery into a switch: hop accounting
     plus the receive (stamp, rx push, pending, wake) with every target
     prebound — the handler-table entry behind one link's deliveries."""
 
@@ -208,10 +197,10 @@ class Simulator:
         net = self.network
         cfg = self.config
 
-        # Stable node indexing for the fast backend's int-keyed hop
-        # accounting.  The flat accounting containers live as long as
-        # the topology (cleared in place per run) because the delivery
-        # closures below bind them directly.
+        # Stable node indexing for the int-keyed hop accounting.  The
+        # flat accounting containers live as long as the topology
+        # (cleared in place per run) because the delivery closures
+        # below bind them directly.
         self._node_names = [n.name for n in net.nodes()]
         self._node_index = {name: i for i, name in enumerate(self._node_names)}
         self._n_nodes = len(self._node_names)
@@ -282,7 +271,6 @@ class Simulator:
                     ),
                     deliver=deliver,
                     deliver_kind=deliver_kind,
-                    on_idle=(lambda s=node.name, i=itf: self._on_tx_idle(s, i)),
                 )
             # Receive-only interfaces still need queue structures (they
             # exist in ClickSwitch); SimSwitch requires a transmitter per
@@ -306,9 +294,8 @@ class Simulator:
                 idle_cost=cfg.idle_cost,
             )
             self.switches[node.name] = sw
-            # Shortcut the on-idle hook to the owning driver's wake —
-            # same effect as Simulator._on_tx_idle without two lookups
-            # per drained transmission.
+            # A drained transmission wakes the egress task that refills
+            # the link (the driver owning the interface).
             for itf in click.interfaces:
                 if net.has_link(node.name, itf):
                     sw.transmitters[itf].on_idle = sw._driver_of[itf].wake
@@ -318,13 +305,13 @@ class Simulator:
     def _register_deliver(self, dst_name: str, from_itf: str):
         """Create + register the delivery hook for one directed link.
 
-        Switch-target hooks on the fast backend are recorded for
-        :meth:`_finalize_delivers`, which patches in the fully inlined
-        handler once the receiving :class:`SimSwitch` exists.
+        Switch-target hooks are recorded for :meth:`_finalize_delivers`,
+        which patches in the fully inlined handler once the receiving
+        :class:`SimSwitch` exists.
         """
         deliver = self._make_deliver(dst_name, from_itf)
         kind = self.engine.register_handler(deliver)
-        if self.config.fast and self.network.node(dst_name).is_switch:
+        if self.network.node(dst_name).is_switch:
             self._deliver_fixups.append((kind, dst_name, from_itf))
         return deliver, kind
 
@@ -334,8 +321,6 @@ class Simulator:
 
         Only the not-yet-patched tail is processed: rebinds that add no
         new ports re-patch nothing."""
-        if not self.config.fast:
-            return
         engine = self.engine
         pending, self._fixups_patched = (
             self._deliver_fixups[self._fixups_patched :],
@@ -360,50 +345,42 @@ class Simulator:
         """Delivery hook for the link ``from_itf -> dst_name``.
 
         The destination's kind is resolved once (the network is
-        immutable for the simulator's lifetime); the fast backend also
-        binds its flat-accounting path here.
+        immutable for the simulator's lifetime).  A destination host
+        counts fragments straight into the flat accounting arrays; a
+        switch gets a placeholder that :meth:`_finalize_delivers`
+        replaces.
         """
-        is_switch = self.network.node(dst_name).is_switch
-        node_idx = self._node_index[dst_name]
-        switches = self.switches
-        if self.config.fast:
-            engine = self.engine
-            hits = self._p_hits
-            if is_switch:
-                # Placeholder only: _finalize_delivers swaps in the
-                # real (inlined) _make_switch_deliver closure before
-                # any event can fire — the receiving SimSwitch does not
-                # exist yet here.  Failing loudly beats silently
-                # dropping hop records if that ordering ever breaks.
-                def deliver(frame: QueuedFrame, _unused=None) -> None:
-                    raise RuntimeError(
-                        f"delivery into {dst_name!r} before "
-                        "_finalize_delivers patched the handler"
-                    )
-            else:
-                recv = self._p_recv
-                completed = self._p_completed
+        if self.network.node(dst_name).is_switch:
+            # Placeholder only: _finalize_delivers swaps in the real
+            # (inlined) _make_switch_deliver closure before any event
+            # can fire — the receiving SimSwitch does not exist yet
+            # here.  Failing loudly beats silently dropping hop records
+            # if that ordering ever breaks.
+            def deliver(frame: QueuedFrame, _unused=None) -> None:
+                raise RuntimeError(
+                    f"delivery into {dst_name!r} before "
+                    "_finalize_delivers patched the handler"
+                )
 
-                def deliver(frame: QueuedFrame, _unused=None) -> None:
-                    # Inlined _dest_receive_fast: at the destination the
-                    # per-hop fragment count and the completion count
-                    # coincide, so one counter serves both.
-                    pid = frame.packet_id
-                    count = recv[pid] + 1
-                    recv[pid] = count
-                    if count == frame.n_fragments:
-                        now = engine._now
-                        completed[pid] = now
-                        hits.append((pid, node_idx, now))
-        else:
-            if is_switch:
-                def deliver(frame: QueuedFrame, _unused=None) -> None:
-                    self._record_hop(dst_name, frame)
-                    switches[dst_name].receive(frame, from_itf)
-            else:
-                def deliver(frame: QueuedFrame, _unused=None) -> None:
-                    self._record_hop(dst_name, frame)
-                    self._on_destination_receive(dst_name, frame)
+            return deliver
+
+        engine = self.engine
+        hits = self._p_hits
+        node_idx = self._node_index[dst_name]
+        recv = self._p_recv
+        completed = self._p_completed
+
+        def deliver(frame: QueuedFrame, _unused=None) -> None:
+            # At the destination the per-hop fragment count and the
+            # completion count coincide, so one counter serves both.
+            pid = frame.packet_id
+            count = recv[pid] + 1
+            recv[pid] = count
+            if count == frame.n_fragments:
+                now = engine._now
+                completed[pid] = now
+                hits.append((pid, node_idx, now))
+
         return deliver
 
     def _fill_route_tables(self) -> None:
@@ -449,9 +426,6 @@ class Simulator:
         # delivery closures are cleared in place, not replaced.
         self.trace = SimulationTrace(duration=cfg.duration)
         self._finalized = False
-        self._packet_ids = itertools.count()
-        self._records: dict[int, PacketRecord] = {}
-        self._hop_fragments: dict[tuple[int, str], int] = {}
         self._p_flow: list[str] = []
         self._p_frame: list[int] = []
         self._p_arrival: list[float] = []
@@ -462,13 +436,7 @@ class Simulator:
         self._hop_counts.clear()
 
         self._finalize_delivers()
-
-        # Schedule all frame releases.
-        if cfg.fast:
-            self._schedule_releases_fast()
-        else:
-            for flow in self.flows:
-                self._schedule_flow_releases(flow)
+        self._schedule_releases()
 
     # ------------------------------------------------------------------
     # Topology reuse
@@ -525,72 +493,21 @@ class Simulator:
         return self
 
     # ------------------------------------------------------------------
-    # Compatibility hooks (kept for tests / external drivers)
+    # Traffic injection
     # ------------------------------------------------------------------
-    def _pull_tx(self, switch: str, interface: str):
-        return self.switches[switch].pull_tx(interface)
-
-    def _on_tx_idle(self, switch: str, interface: str) -> None:
-        self.switches[switch].on_tx_idle(interface)
-
-    # ------------------------------------------------------------------
-    # Traffic injection — reference backend (``fast=False``)
-    # ------------------------------------------------------------------
-    def _schedule_flow_releases(self, flow: Flow) -> None:
-        policy = self._release.get(flow.name, EagerRelease())
-        jitter_policy = self._jitter.get(flow.name, SpreadJitterPolicy())
-        spec = flow.spec
-        src = flow.source
-        nxt = flow.succ(src)
-        port = self.ports[(src, nxt)]
-        first_prio = flow.priority_on(src, nxt)
-
-        for arrival, k in policy.arrivals(spec, self.config.duration):
-            pkt = packetize(
-                spec.payload_bits[k], flow.transport, self.config.packetization
-            )
-            packet_id = next(self._packet_ids)
-            record = PacketRecord(
-                packet_id=packet_id,
-                flow=flow.name,
-                frame=k,
-                arrival=arrival,
-                n_fragments=pkt.n_eth_frames,
-            )
-            self._records[packet_id] = record
-            self.trace.packets.append(record)
-
-            offsets = jitter_policy.offsets(pkt.n_eth_frames, spec.jitters[k])
-            for frag_idx, (bits, off) in enumerate(
-                zip(pkt.fragment_wire_bits, offsets)
-            ):
-                frame = QueuedFrame(
-                    flow=flow.name,
-                    wire_bits=bits,
-                    priority=first_prio,
-                    packet_id=packet_id,
-                    fragment=frag_idx,
-                    n_fragments=pkt.n_eth_frames,
-                    enqueued_at=arrival + off,
-                )
-                self.engine.schedule(arrival + off, port.enqueue, frame)
-
-    # ------------------------------------------------------------------
-    # Traffic injection — fast backend
-    # ------------------------------------------------------------------
-    def _schedule_releases_fast(self) -> None:
+    def _schedule_releases(self) -> None:
         """Precompute every release and bulk-load the engine.
 
         Packetization runs once per distinct ``(payload_bits,
         transport)`` class, jitter offsets once per ``(fragment count,
         jitter)`` class, and the flow's ``(arrival + offset)`` release
         instants come from one numpy broadcast per flow (identical
-        IEEE-754 additions to the reference loop, hence bit-equal).
-        The assembled records are heapified in one ``schedule_many``
-        call; their order — flow by flow, arrival by arrival, fragment
-        by fragment — matches the reference loop's schedule order, so
-        sequence numbers (and therefore simultaneous-event pop order)
-        are identical.
+        IEEE-754 additions to a per-release ``arrival + offset`` loop,
+        hence bit-equal).  The assembled records are heapified in one
+        ``schedule_many`` call; their order — flow by flow, arrival by
+        arrival, fragment by fragment — is the order such a loop would
+        schedule them in, so sequence numbers (and therefore
+        simultaneous-event pop order) are identical.
         """
         cfg = self.config
         duration = cfg.duration
@@ -697,37 +614,12 @@ class Simulator:
         self.engine.schedule_many(events)
 
     # ------------------------------------------------------------------
-    # Completion — reference backend
-    # ------------------------------------------------------------------
-    def _record_hop(self, node: str, frame: QueuedFrame) -> None:
-        """Track per-node fragment arrival; stamp the node when the
-        packet's last fragment lands there (per-hop latency records)."""
-        record = self._records.get(frame.packet_id)
-        if record is None:
-            return
-        key = (frame.packet_id, node)
-        count = self._hop_fragments.get(key, 0) + 1
-        self._hop_fragments[key] = count
-        if count == record.n_fragments:
-            record.node_arrivals[node] = self.engine.now
-            del self._hop_fragments[key]
-
-    def _on_destination_receive(self, node: str, frame: QueuedFrame) -> None:
-        record = self._records.get(frame.packet_id)
-        if record is None:
-            return
-        record.fragments_received += 1
-        if record.fragments_received == record.n_fragments:
-            record.completed = self.engine.now
-
-    # ------------------------------------------------------------------
-    # Completion — fast backend: the per-fragment accounting is inlined
-    # into the delivery closures (see _make_deliver); records deferred.
+    # Completion: the per-fragment accounting is inlined into the
+    # delivery closures (see _make_deliver); records are deferred.
     # ------------------------------------------------------------------
     def _finalize_trace(self) -> None:
         """Materialise :class:`PacketRecord` objects from the flat
-        arrays — in packet-id order, i.e. exactly the order the
-        reference backend appended them at release-scheduling time."""
+        arrays, in packet-id order (release-scheduling order)."""
         records = [
             PacketRecord(
                 packet_id=pid,
@@ -760,7 +652,7 @@ class Simulator:
             reg.observe("sim.run_s", time.perf_counter() - start)
             reg.add("sim.runs")
             reg.add("sim.events", self.engine.events_processed - before)
-        if self.config.fast and not self._finalized:
+        if not self._finalized:
             self._finalize_trace()
         self.trace.events_processed = self.engine.events_processed
         return self.trace

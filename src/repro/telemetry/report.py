@@ -100,12 +100,11 @@ def derived_metrics(snapshot: Mapping[str, Any] | None) -> dict[str, float]:
 
     for name in sorted(gauges):
         out[name] = gauges[name]
-    # Hit-rate rollups of the gauge-reported module caches (demand.py).
-    for label in ("window_cache", "packed_cache"):
-        hits = gauges.get(f"engine.{label}.hits")
-        misses = gauges.get(f"engine.{label}.misses")
-        if hits is not None and misses is not None and hits + misses:
-            out[f"engine.{label}.hit_rate"] = hits / (hits + misses)
+    # Hit-rate rollup of the gauge-reported window cache (demand.py).
+    hits = gauges.get("engine.window_cache.hits")
+    misses = gauges.get("engine.window_cache.misses")
+    if hits is not None and misses is not None and hits + misses:
+        out["engine.window_cache.hit_rate"] = hits / (hits + misses)
 
     for name in sorted(hists):
         hist = hists[name]

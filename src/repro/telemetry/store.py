@@ -6,7 +6,7 @@ by default, same spirit as ``BENCH_scaling.json``: committed history
 you can diff against).  A record carries:
 
 * ``label`` — the user-chosen name runs are grouped and diffed by
-  (``pr6-baseline``, ``anderson-on``, ...),
+  (``pr6-baseline``, ``nightly``, ...),
 * ``kind`` — what produced it (``campaign``, ``replay``, ``bench``),
 * ``scenario`` — scenario/workload identifier, when there is one,
 * ``git`` — short revision the run was taken at,

@@ -25,28 +25,10 @@ that keeps the result exact:
   accelerated iteration converges to *the same* fixed point as plain
   Picard (the holistic engine relies on this for bit-identical
   results), skipping the entire staircase climb below the floor.
-  Secant / Anderson(1) extrapolation *above* the floor is available as
-  an **opt-in** mode (``anderson=True``; Rebholz et al. 2021, Bian &
-  Chen 2022 motivate the nonsmooth variant) but is deliberately *not*
-  part of the default fast path, because it is **sound yet not always
-  exact**: the staircases cross the diagonal more than once (exactly
-  why the analyses examine several instances ``q``), and above the
-  certified floor no global-certificate clamp can stop an extrapolated
-  step from jumping past the least fixed point.  The mode defends
-  every jump with the same safeguard the floor uses — below the least
-  fixed point a monotone ``f`` satisfies ``f(t) > t`` strictly, so any
-  non-increase at a jump target is overshoot evidence and restarts the
-  iteration as plain (floor-accelerated) Picard, and a jump target is
-  never allowed to *prove* divergence.  That makes the mode exact on
-  recurrences with a single diagonal crossing at or above the seed
-  (the textbook response-time shape) and guarantees that any accepted
-  result is a true fixed point — i.e. a valid, possibly pessimistic,
-  upper bound on the least one — but a jump into a strictly-
-  increasing region above the least fixed point is undetectable in a
-  black-box model.  Hence: off by default, never part of the
-  bit-identical engine family, tested for exactness on the
-  single-crossing class and for sound pessimism on adversarial
-  staircases in ``tests/test_fixed_point.py``.
+  Above the floor the iteration stays plain Picard: the staircases
+  cross the diagonal more than once (exactly why the analyses examine
+  several instances ``q``), so no extrapolation without a certificate
+  could be trusted to stop at the *least* crossing.
 * The floor is defended twice against certificate rounding: its shave
   scales with the ``1/(1-rate)`` error amplification (collapsing to a
   vacuous floor as ``rate`` approaches 1), and the first evaluation
@@ -56,6 +38,9 @@ that keeps the result exact:
 * ``rate >= 1`` with a positive intercept certifies ``f(t) > t``
   everywhere: the iteration cannot converge and is declared divergent
   immediately instead of crawling to the horizon.
+* A certificate whose floor lies below the seed (a vacuous one, or a
+  zero ``rate`` with an intercept no larger than the seed) leaves the
+  iteration plain Picard: same iterates, same iteration count.
 """
 
 from __future__ import annotations
@@ -149,7 +134,6 @@ def solve_cached(
     max_iterations: int = 0,
     what: str = "fixed point",
     accelerator: LinearLowerBound | None = None,
-    anderson: bool = False,
 ) -> float | None:
     """Memoized least-fixed-point solve; ``None`` records divergence.
 
@@ -175,7 +159,6 @@ def solve_cached(
                 ),
                 what=what,
                 accelerator=accelerator,
-                anderson=anderson,
             ).value
         except FixedPointDiverged:
             cache[key] = None
@@ -186,23 +169,6 @@ def solve_cached(
 
 #: Default cap on the number of iterations before declaring divergence.
 DEFAULT_MAX_ITERATIONS = 100_000
-
-#: Fraction of the secant step (beyond the plain Picard step) an
-#: Anderson(1) jump actually takes.  The staircases are discretisations
-#: of the affine trend the secant reconstructs, so the continuous
-#: crossing typically lies slightly *past* the least fixed point;
-#: stopping short keeps most of the speedup while making overshoot (a
-#: safeguarded restart at best, a sound-but-pessimistic fixed point at
-#: worst) the exception rather than the rule.
-ANDERSON_DAMPING = 0.9
-
-#: Minimum relative progress (beyond the plain Picard step) a jump must
-#: promise to be taken.  Near the fixed point the remaining gap shrinks
-#: below the staircase's plateau width, where any extrapolation lands
-#: past the least crossing and triggers a safeguarded restart that
-#: throws the whole climb away — so the endgame is always handed back
-#: to plain Picard.
-ANDERSON_MIN_GAIN = 0.05
 
 #: Default relative tolerance used to declare convergence.  The recurrences
 #: in this library are sums/products of floats, so exact equality is usually
@@ -219,7 +185,6 @@ def iterate_fixed_point(
     rel_tol: float = DEFAULT_REL_TOL,
     what: str = "fixed point",
     accelerator: LinearLowerBound | None = None,
-    anderson: bool = False,
 ) -> FixedPointResult:
     """Iterate ``x <- f(x)`` from ``seed`` until convergence.
 
@@ -244,15 +209,6 @@ def iterate_fixed_point(
         Optional :class:`LinearLowerBound` certificate enabling the
         certified-floor acceleration (see module docstring).  The
         result is exactly the least fixed point Picard would reach.
-    anderson:
-        Opt-in Anderson(1)/secant extrapolation above the floor (see
-        module docstring).  Every jump is defended by the floor's
-        overshoot safeguard — a non-increasing evaluation at a jump
-        target restarts the iteration as plain Picard, and a jump can
-        never prove divergence — making the result exact on
-        single-crossing recurrences and always a true (possibly
-        non-least, i.e. pessimistic-but-sound) fixed point otherwise.
-        Off by default for that reason.
 
     Raises
     ------
@@ -291,10 +247,6 @@ def iterate_fixed_point(
             # the same value, skipping the staircase climb below it.
             x = floor
     jumped = x == floor and floor > 0.0
-    prev_x = prev_f = 0.0
-    have_prev = False  # a (prev_x, prev_f) graph point for the secant
-    at_jump = False    # x is an unconfirmed Anderson jump target
-    anderson_jumps = 0
     for iteration in range(max_iterations):
         nxt = float(f(x))
         if jumped and iteration == 0 and nxt < x:
@@ -311,50 +263,19 @@ def iterate_fixed_point(
                 rel_tol=rel_tol,
                 what=what,
             )
-        if at_jump and nxt <= x:
-            # The same safeguard applied to an Anderson jump: any
-            # non-increase at the target (a plateau hit counts — the
-            # target could sit on a fixed point that is not the least)
-            # is overshoot evidence.  Restart without extrapolation;
-            # the certified floor, if any, remains in force.
-            _telemetry.add("engine.fixed_point.anderson_restarts")
-            return iterate_fixed_point(
-                f,
-                seed,
-                horizon=horizon,
-                max_iterations=max_iterations,
-                rel_tol=rel_tol,
-                what=what,
-                accelerator=accelerator,
-            )
         if nxt < x and (x - nxt) > rel_tol * max(1.0, abs(x)):
             raise ValueError(
                 f"{what}: update decreased from {x!r} to {nxt!r}; "
                 "recurrence is expected to be monotone non-decreasing"
             )
         if nxt > horizon:
-            if at_jump:
-                # A jump target must never *prove* divergence: the jump
-                # could have overshot the least fixed point into a
-                # region whose demand exceeds the horizon.  Restart and
-                # let plain Picard decide.
-                _telemetry.add("engine.fixed_point.anderson_restarts")
-                return iterate_fixed_point(
-                    f,
-                    seed,
-                    horizon=horizon,
-                    max_iterations=max_iterations,
-                    rel_tol=rel_tol,
-                    what=what,
-                    accelerator=accelerator,
-                )
             _note_diverged()
             raise FixedPointDiverged(
                 f"{what}: iterate {nxt!r} exceeded horizon {horizon!r}",
                 last_value=nxt,
                 iterations=iteration + 1,
             )
-        if not at_jump and abs(nxt - x) <= rel_tol * max(1.0, abs(x), abs(nxt)):
+        if abs(nxt - x) <= rel_tol * max(1.0, abs(x), abs(nxt)):
             # The final application only confirmed the fixed point when
             # it reproduced its input exactly (seed-was-fixed contract).
             advanced = iteration + (0 if nxt == x else 1)
@@ -364,10 +285,6 @@ def iterate_fixed_point(
                 reg.observe("engine.fixed_point.iterations", advanced)
                 if jumped:
                     reg.add("engine.fixed_point.floor_jumps")
-                if anderson_jumps:
-                    reg.add(
-                        "engine.fixed_point.anderson_jumps", anderson_jumps
-                    )
             tr = _tracing.TRACER
             if tr is not None:
                 # Solver attribution: fold per-solve work onto whatever
@@ -377,29 +294,7 @@ def iterate_fixed_point(
                 tr.annotate("fp.solves")
                 tr.annotate("fp.iterations", float(advanced))
             return FixedPointResult(value=nxt, iterations=advanced)
-        at_jump = False
-        new_x = nxt
-        if anderson and have_prev and x > prev_x:
-            # Anderson(1): secant of g(t) = f(t) - t through the last
-            # two graph points, damped to stop short of the
-            # extrapolated crossing; jump only when it still lands
-            # strictly beyond the plain Picard step and inside the
-            # horizon.
-            denom = (x - prev_x) - (nxt - prev_f)
-            if denom > 0.0:
-                secant = x + (nxt - x) * (x - prev_x) / denom
-                target = nxt + ANDERSON_DAMPING * (secant - nxt)
-                if (
-                    target > nxt + ANDERSON_MIN_GAIN * abs(nxt)
-                    and target <= horizon
-                ):
-                    new_x = target
-                    at_jump = True
-                    anderson_jumps += 1
-        prev_x = x
-        prev_f = nxt
-        have_prev = True
-        x = new_x
+        x = nxt
     _note_diverged()
     raise FixedPointDiverged(
         f"{what}: no convergence after {max_iterations} iterations "

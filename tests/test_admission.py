@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle import ColdAdmissionController
 from repro.core.admission import AdmissionController
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
@@ -119,27 +120,23 @@ class TestFastReject:
         assert decision.analysis is None
         assert "utilisation" in decision.reason
 
-    def test_fast_reject_can_be_disabled(self):
-        from repro.util.units import mbps
-
-        net = star_network(4, speed_bps=mbps(10))
-        ctrl = AdmissionController(net, fast_reject=False)
-        hog = call_flow("hog", ("h0", "sw", "h1"), payload=2_500_000)
-        decision = ctrl.request(hog)
-        assert not decision.accepted
-        assert decision.analysis is not None  # full (diverged) analysis
-
     def test_fast_reject_agrees_with_full_analysis(self):
-        """Both paths reject the same overload and accept the same
+        """The pre-check and a full analysis without it (the oracle's
+        cold controller) reject the same overload and accept the same
         feasible flow (the pre-check is necessary, not sufficient)."""
         from repro.util.units import mbps
 
-        for fast in (True, False):
-            net = star_network(4, speed_bps=mbps(10))
-            ctrl = AdmissionController(net, fast_reject=fast)
+        net = star_network(4, speed_bps=mbps(10))
+        rejections = []
+        for ctrl in (AdmissionController(net), ColdAdmissionController(net)):
             ok = ctrl.request(call_flow("ok", ("h0", "sw", "h1")))
             assert ok.accepted
             bad = ctrl.request(
                 call_flow("bad", ("h0", "sw", "h1"), payload=2_500_000)
             )
             assert not bad.accepted
+            rejections.append(bad)
+        pre_checked, analysed = rejections
+        assert pre_checked.analysis is None
+        # Without the pre-check the analysis itself diverges.
+        assert not analysed.analysis.converged

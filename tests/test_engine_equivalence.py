@@ -1,34 +1,39 @@
-"""Engine equivalence: the fast paths must not move a single bit.
+"""Engine equivalence: production must not move a single bit from the seed.
 
-The performance work layers four optimisations over the seed engine —
-the safeguarded accelerated fixed-point solver
-(``AnalysisOptions.accelerate_fixed_points``), the dependency-aware
-holistic worklist (``AnalysisOptions.incremental_holistic``), the
-per-stage input memo (``AnalysisOptions.memoize_stages``), and the
-admission hot path (shared demand cache + warm-started jitter table).
-All four are *exactness-preserving* by construction: the safeguard
-clamps every accelerated iterate to a certified lower bound of the
-least fixed point, the worklist skips only flows that would reproduce
-their cached result bit for bit, the memo replays a stage only when
-its exact jitter inputs are unchanged, and warm starts seed the
-monotone holistic iteration from a sound lower bound of the new fixed
-point.
+Production analyses a flow set through one path of exactness-preserving
+shortcuts: the certified-floor fixed-point solver, the dependency-aware
+holistic worklist, the per-stage input memo, and stage interference
+sets gathered from flat per-link demand arrays (vectorised for stages
+with many interferers); the admission controller adds a utilisation
+pre-check, shared demand profiles and warm-started jitter tables.  The
+floor never lifts an iterate past the least fixed point, the worklist
+skips only flows that would reproduce their result bit for bit, the
+memo replays a stage only when its exact inputs are unchanged, the flat
+gather reads the same window arrays in the same summation order, and a
+warm start seeds the monotone iteration below the new fixed point.
 
-These tests are the executable form of that claim: across random flow
-sets (seeded ``random_flow_set`` sweeps, the property-test recipe used
-throughout this suite) on line / star / tree topologies, every engine
-combination must return response-time bounds **bit-identical** (``==``
-on floats, no tolerance) to the plain full-sweep Picard engine, and an
-online admission controller must make the same accept/reject decisions
-with the same final bounds as a cold-start seed-engine controller.
+These tests are the executable form of that claim.  The reference is
+the seed engine kept in ``tests/oracle.py``: plain Picard fixed points,
+every flow analysed every round, every stage recomputed, and per-flow
+scalar demand sums.  Across seeded ``random_flow_set`` sweeps on line /
+star / tree / multi-pod topologies, production (the ``all`` engine)
+must return the oracle's bounds and round count **bit-identically**
+(``==`` on floats, no tolerance).  The sweep also puts each production
+layer alone on top of the oracle — ``accelerated`` (certificates),
+``worklist``, ``memoized``, ``flat`` (the flat-array gather) — so a
+mismatch names the layer that moved the bit.  A dense input drives
+stages past the vectorisation threshold, and the admission tests hold
+production controllers against the oracle's cold controller.
 """
 
-from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
+import oracle
 from repro.core.admission import AdmissionController
-from repro.core.context import AnalysisOptions
+from repro.core.context import AnalysisContext, AnalysisOptions
+from repro.core.demand import InterferenceSet
 from repro.core.holistic import holistic_analysis
 from repro.util.units import mbps
 from repro.workloads.generator import random_flow_set
@@ -39,25 +44,60 @@ from repro.workloads.topologies import (
     tree_network,
 )
 
-#: The seed implementation: plain Picard busy periods, full-sweep
-#: holistic, every stage analysis recomputed every round, per-flow
-#: demand objects (no flat arrays).
-SEED_ENGINE = AnalysisOptions(
-    accelerate_fixed_points=False,
-    incremental_holistic=False,
-    memoize_stages=False,
-    flat_demand_arrays=False,
-)
 
-#: Each fast path alone on top of the seed, and the production default
-#: (everything on).
-FAST_ENGINES = {
-    "accelerated": replace(SEED_ENGINE, accelerate_fixed_points=True),
-    "worklist": replace(SEED_ENGINE, incremental_holistic=True),
-    "memoized": replace(SEED_ENGINE, memoize_stages=True),
-    "flat": replace(SEED_ENGINE, flat_demand_arrays=True),
-    "all": AnalysisOptions(),
-}
+class _Uncertified:
+    """A production interference set with its certificates withheld."""
+
+    def __init__(self, inner):
+        self.mx_sum = inner.mx_sum
+        self.nx_sum = inner.nx_sum
+        self.mixed_sum = inner.mixed_sum
+
+    mx_support = oracle.ScalarInterference.mx_support
+    nx_support = oracle.ScalarInterference.nx_support
+    mixed_support = oracle.ScalarInterference.mixed_support
+
+
+class _Certified(oracle.OracleContext):
+    """Oracle + production certificates (the certified-floor solver)."""
+
+    def interference(self, flows_seq, n1, n2, shifts, *, strict=False):
+        return InterferenceSet(
+            [self.demand(j, n1, n2) for j in flows_seq], shifts, strict=strict
+        )
+
+
+class _Memoized(oracle.OracleContext):
+    """Oracle + the production stage memo."""
+
+    stage_memo_get = AnalysisContext.stage_memo_get
+    stage_memo_put = AnalysisContext.stage_memo_put
+
+
+class _Flat(oracle.OracleContext):
+    """Oracle summing over the production flat-array gather."""
+
+    def interference(self, flows_seq, n1, n2, shifts, *, strict=False):
+        return _Uncertified(
+            AnalysisContext.interference(
+                self, flows_seq, n1, n2, shifts, strict=strict
+            )
+        )
+
+
+def _run(engine, net, flows):
+    """The analysis of ``flows`` by one engine of the sweep."""
+    if engine == "all":
+        return holistic_analysis(net, flows)
+    if engine == "worklist":
+        ctx = oracle.OracleContext(net, flows)
+        return holistic_analysis(net, flows, context=ctx)
+    layer = {
+        "accelerated": _Certified,
+        "memoized": _Memoized,
+        "flat": _Flat,
+    }[engine]
+    return oracle.sweep(layer(net, flows))
 
 
 def _topology(name):
@@ -79,6 +119,17 @@ def _topology(name):
             speed_bps=mbps(100),
         )
     raise ValueError(name)
+
+
+@lru_cache(maxsize=None)
+def _case(topology, seed, utilization):
+    """One sweep input and the oracle's answer for it (computed once,
+    shared by every engine compared against it)."""
+    net = _topology(topology)
+    flows = random_flow_set(
+        net, n_flows=10, total_utilization=utilization, seed=seed
+    )
+    return net, flows, oracle.holistic_analysis(net, flows)
 
 
 def assert_bit_identical(a, b):
@@ -105,64 +156,56 @@ def assert_bit_identical(a, b):
                 )
 
 
-@pytest.mark.parametrize("engine", sorted(FAST_ENGINES))
+@pytest.mark.parametrize(
+    "engine", ["accelerated", "all", "flat", "memoized", "worklist"]
+)
 @pytest.mark.parametrize("topology", ["line3", "star6", "tree2", "multipod"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("utilization", [0.3, 0.85])
 def test_fast_engine_matches_seed_engine(engine, topology, seed, utilization):
-    """Property sweep: every fast engine == plain full-sweep Picard."""
-    net = _topology(topology)
-    flows = random_flow_set(
-        net, n_flows=10, total_utilization=utilization, seed=seed
-    )
-    reference = holistic_analysis(net, flows, SEED_ENGINE)
-    fast = holistic_analysis(net, flows, FAST_ENGINES[engine])
-    assert_bit_identical(fast, reference)
+    """Property sweep: production, and each of its layers alone on top
+    of the oracle, == the oracle's seed engine."""
+    net, flows, reference = _case(topology, seed, utilization)
+    assert_bit_identical(_run(engine, net, flows), reference)
 
 
-@pytest.mark.parametrize("topology", ["line3", "tree2"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("utilization", [0.3, 0.85])
-def test_anderson_engine_is_sound_never_optimistic(topology, seed, utilization):
-    """The opt-in Anderson(1) solver mode is *sound but not exact*:
-    every returned bound is a true fixed point of its recurrence, so at
-    the engine level no response may ever drop below the seed engine's
-    (that would be optimistic = unsafe); rare pessimistic excesses are
-    the documented price of the uncertified jumps, which is why the
-    mode is off by default and not part of :data:`FAST_ENGINES`."""
-    net = _topology(topology)
-    flows = random_flow_set(
-        net, n_flows=10, total_utilization=utilization, seed=seed
-    )
-    reference = holistic_analysis(net, flows, SEED_ENGINE)
-    anderson = holistic_analysis(
-        net, flows, AnalysisOptions(anderson_fixed_points=True)
-    )
-    assert anderson.converged == reference.converged
-    if not reference.converged:
-        return
-    for name, ref in reference.flow_results.items():
-        got = anderson.flow_results[name]
-        for frame_a, frame_b in zip(got.frames, ref.frames):
-            assert frame_a.response >= frame_b.response, (
-                f"{name} frame {frame_a.frame}: anderson bound "
-                f"{frame_a.response!r} below seed {frame_b.response!r}"
-            )
+@pytest.mark.parametrize("strict", [False, True], ids=["corrected", "strict"])
+def test_dense_stages_match_seed_engine(strict, monkeypatch):
+    """80 flows over three hosts put dozens of interferers on every
+    stage, so production gathers vectorised interference sets — which
+    must sum exactly like the oracle's per-flow loop, in both the
+    corrected and the printed (strict) model."""
+    built = []
+    gather = InterferenceSet.from_arrays.__func__
+
+    def counting(cls, demands, *args, **kwargs):
+        built.append(len(demands))
+        return gather(cls, demands, *args, **kwargs)
+
+    monkeypatch.setattr(InterferenceSet, "from_arrays", classmethod(counting))
+    net = star_network(3)
+    flows = random_flow_set(net, n_flows=80, total_utilization=0.8, seed=0)
+    options = AnalysisOptions(strict_paper=strict)
+    production = holistic_analysis(net, flows, options)
+    assert built, "no stage reached the vectorised gather"
+    reference = oracle.holistic_analysis(net, flows, options)
+    assert_bit_identical(production, reference)
 
 
 @pytest.mark.parametrize("utilization", [0.5, 1.6])
 @pytest.mark.parametrize("seed", [11, 23])
 def test_admission_decisions_match_seed_engine(seed, utilization):
-    """The hot-path controller and a cold seed-engine controller agree.
+    """The production controller and the oracle's cold controller agree.
 
-    The fast controller uses the production defaults: accelerated
-    solver, worklist engine, shared demand cache, warm-started jitter
-    tables.  The reference rebuilds everything from scratch per request
-    with the seed engine.  Decisions, final admitted sets and all
-    *converged* response bounds must coincide.  Exemptions: round
-    counts may differ (warm starts converge in fewer holistic rounds),
-    and when a tentative analysis *diverges* the reported bounds are a
-    partial trajectory (the engines stop mid-climb), which a warm start
+    Production uses its utilisation pre-check, shared demand cache and
+    warm-started jitter tables; the oracle re-analyses every tentative
+    set from scratch with the seed engine.  Decisions, final admitted
+    sets and all *converged* response bounds must coincide.  A
+    pre-check rejection carries no analysis; the oracle's full analysis
+    of the same set must then diverge.  Exemptions: round counts may
+    differ (warm starts converge in fewer holistic rounds), and when a
+    tentative analysis *diverges* the reported bounds are a partial
+    trajectory (the engines stop mid-climb), which a warm start
     legitimately shifts — both controllers must still agree that the
     set diverged and reject.
     """
@@ -170,30 +213,31 @@ def test_admission_decisions_match_seed_engine(seed, utilization):
     flows = random_flow_set(
         net, n_flows=16, total_utilization=utilization, seed=seed
     )
-    fast = AdmissionController(net, FAST_ENGINES["all"])
-    cold = AdmissionController(net, SEED_ENGINE, warm_start=False)
+    production = AdmissionController(net)
+    cold = oracle.ColdAdmissionController(net)
 
     accepted = 0
     for flow in flows:
-        df = fast.request(flow)
+        dp = production.request(flow)
         dc = cold.request(flow)
-        assert df.accepted == dc.accepted, (
-            f"{flow.name}: fast={df.reason!r} cold={dc.reason!r}"
+        assert dp.accepted == dc.accepted, (
+            f"{flow.name}: production={dp.reason!r} oracle={dc.reason!r}"
         )
-        accepted += df.accepted
-        assert (df.analysis is None) == (dc.analysis is None)
-        if df.analysis is not None:
-            assert df.analysis.converged == dc.analysis.converged
-            if not df.analysis.converged:
-                continue
-            for name, result in df.analysis.flow_results.items():
-                ref = dc.analysis.flow_results[name]
-                for frame_a, frame_b in zip(result.frames, ref.frames):
-                    assert frame_a.response == frame_b.response, (
-                        f"{name} frame {frame_a.frame}: "
-                        f"{frame_a.response!r} != {frame_b.response!r}"
-                    )
-    assert [f.name for f in fast.admitted_flows] == [
+        accepted += dp.accepted
+        if dp.analysis is None:
+            assert not dc.analysis.converged
+            continue
+        assert dp.analysis.converged == dc.analysis.converged
+        if not dp.analysis.converged:
+            continue
+        for name, result in dp.analysis.flow_results.items():
+            ref = dc.analysis.flow_results[name]
+            for frame_a, frame_b in zip(result.frames, ref.frames):
+                assert frame_a.response == frame_b.response, (
+                    f"{name} frame {frame_a.frame}: "
+                    f"{frame_a.response!r} != {frame_b.response!r}"
+                )
+    assert [f.name for f in production.admitted_flows] == [
         f.name for f in cold.admitted_flows
     ]
     if utilization > 1.0:
@@ -207,7 +251,7 @@ def test_release_then_readmit_matches_from_scratch(seed):
 
     After admitting N flows, releasing one and re-admitting it, the
     controller's cached state (shared demand profiles, warm-started
-    jitters) must yield exactly the bounds a from-scratch seed-engine
+    jitters) must yield exactly the bounds the oracle's from-scratch
     analysis of the same final flow set produces.
     """
     net = line_network(3, hosts_per_switch=4, speed_bps=mbps(1000))
@@ -223,7 +267,7 @@ def test_release_then_readmit_matches_from_scratch(seed):
 
     names = [f.name for f in ctrl.admitted_flows]
     final_set = [next(f for f in flows if f.name == n) for n in names]
-    reference = holistic_analysis(net, final_set, SEED_ENGINE)
+    reference = oracle.holistic_analysis(net, final_set)
     analysis = ctrl.last_analysis
     assert analysis.converged and reference.converged
     for name, result in reference.flow_results.items():

@@ -192,85 +192,14 @@ class TestAcceleration:
         assert accel.value == plain.value
         assert accel.iterations == plain.iterations
 
-
-class TestAnderson:
-    """The opt-in Anderson(1)/secant mode: exact on single-crossing
-    recurrences, safeguard-defended (and at worst soundly pessimistic)
-    on adversarial multi-crossing staircases."""
-
-    def test_classic_response_time_exact(self):
-        """Exactness check vs the plain iterate: textbook recurrence."""
-        c, t_hi, c_hi = 2.0, 5.0, 1.0
-
-        def f(r):
-            return c + math.ceil(r / t_hi) * c_hi
-
-        plain = iterate_fixed_point(f, seed=c)
-        fast = iterate_fixed_point(f, seed=c, anderson=True)
-        assert fast.value == plain.value == 3.0
-
-    def test_linear_crawl_exact_and_fewer_iterations(self):
-        """A near-affine staircase: the secant lands (almost) on the
-        single crossing, replacing the plateau-by-plateau crawl."""
-        rate, burst = 0.98, 1.0
-
-        def f(x):
-            return burst + rate * math.floor(x * 64.0) / 64.0
-
-        plain = iterate_fixed_point(f, seed=0.0)
-        fast = iterate_fixed_point(f, seed=0.0, anderson=True)
-        assert fast.value == plain.value
-        assert fast.iterations < plain.iterations / 5
-
-    def test_composes_with_certified_floor(self):
-        def f(x):
-            return 1.0 + 0.9 * math.ceil(x)
-
-        plain = iterate_fixed_point(f, seed=0.0)
-        fast = iterate_fixed_point(
-            f,
-            seed=0.0,
-            accelerator=LinearLowerBound(0.9, 1.0),
-            anderson=True,
+    def test_seed_level_certificate_is_plain_picard(self):
+        """A zero-rate certificate whose intercept is the seed (what the
+        stages build from the oracle's vacuous supports) never lifts
+        the seed: the iteration is plain Picard, step for step."""
+        f = self.slow_recurrence()
+        plain = iterate_fixed_point(f, seed=2.5)
+        accel = iterate_fixed_point(
+            f, seed=2.5, accelerator=LinearLowerBound(0.0, 2.5)
         )
-        assert fast.value == plain.value
-
-    def test_overshoot_onto_plateau_restarts_exactly(self):
-        """A jump landing past a crossing hits a non-increasing
-        evaluation; the safeguard restarts plain Picard and the result
-        is exact."""
-        # Crossing at 1 (f(1)=1); anything extrapolated past it lands
-        # on the same plateau -> f(p) = 1 <= p -> caught.
-        f = staircase([(0.0, 0.4), (0.35, 0.8), (0.75, 1.0)])
-        plain = iterate_fixed_point(f, seed=0.0)
-        fast = iterate_fixed_point(f, seed=0.0, anderson=True)
-        assert fast.value == plain.value == 1.0
-
-    def test_jump_cannot_prove_divergence(self):
-        """A jump target whose evaluation exceeds the horizon restarts
-        plain Picard instead of raising FixedPointDiverged."""
-        # lfp = 1.0 (f(1) = 1), but f explodes past 2: a bad jump into
-        # [2, inf) would see f > horizon.
-        f = staircase([(0.0, 0.45), (0.4, 0.9), (0.85, 1.0), (2.0, 100.0)])
-        plain = iterate_fixed_point(f, seed=0.0, horizon=10.0)
-        fast = iterate_fixed_point(f, seed=0.0, horizon=10.0, anderson=True)
-        assert fast.value == plain.value == 1.0
-
-    def test_multi_crossing_result_is_sound_fixed_point(self):
-        """On an adversarial staircase the mode may converge to a
-        non-least fixed point — documented pessimism: the result is
-        still a true fixed point and never below the plain iterate."""
-        steps = [(0.0, 0.3)]
-        steps += [(0.05 * i, 0.3 + 0.048 * i) for i in range(1, 15)]
-        steps += [(5.0, 40.0)]
-        f = staircase(steps)
-        plain = iterate_fixed_point(f, seed=0.0)
-        fast = iterate_fixed_point(f, seed=0.0, anderson=True)
-        assert fast.value >= plain.value
-        assert f(fast.value) == fast.value  # a genuine fixed point
-
-    def test_divergent_recurrence_still_diverges(self):
-        with pytest.raises(FixedPointDiverged):
-            iterate_fixed_point(
-                lambda x: x + 1.0, seed=0.0, horizon=50.0, anderson=True
-            )
+        assert accel.value == plain.value
+        assert accel.iterations == plain.iterations > 1

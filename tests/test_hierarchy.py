@@ -3,27 +3,29 @@
 The controller's claim is strong: every admit and release costs only
 the candidate's interference closure, yet the controller's state —
 decisions, per-flow bounds, the whole jitter table — is **byte
-identical** to what a from-scratch analysis of the live flow set would
-produce, after *every* step of *any* interleaving of admits and
-releases.  These tests are the executable form of that claim (the
-satellite property test of PR 8), plus the structural pieces: pod
+identical** to what a from-scratch analysis of the live flow set by the
+seed engine of ``tests/oracle.py`` would produce, after *every* step of
+*any* interleaving of admits and releases.  These tests are the
+executable form of that claim, plus the structural pieces: pod
 classification, demand envelopes, preload-vs-sequential equivalence,
-and the hierarchical == flat == reference decision agreement the CI
-``scaling-smoke`` job re-asserts at 10^4 flows.
+and the agreement of the hierarchical controller (flat demand arrays),
+the serial controller and the oracle's cold controller (per-flow demand
+objects) that the CI ``scaling-smoke`` job re-asserts, against a
+from-scratch analysis, at 10^4 flows.
 """
 
 import random
 
 import pytest
 
+import oracle
 from repro import telemetry
 from repro.core.admission import (
     AdmissionController,
     make_admission_controller,
 )
-from repro.core.context import AnalysisContext, AnalysisOptions
+from repro.core.context import AnalysisOptions
 from repro.core.hierarchy import HierarchicalAdmissionController, PodMap
-from repro.core.holistic import holistic_analysis
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
 from repro.scenario.families import datacenter_flows
@@ -142,9 +144,9 @@ def test_interleaving_matches_from_scratch_after_every_step(seed):
         assert [f.name for f in ref.admitted_flows] == [
             f.name for f in admitted
         ]
-        # From-scratch reference: fresh context, same engine options.
-        ctx = AnalysisContext(net, admitted, options)
-        scratch = holistic_analysis(net, admitted, options, context=ctx)
+        # From-scratch reference: the oracle on a fresh context.
+        ctx = oracle.OracleContext(net, admitted, options)
+        scratch = oracle.sweep(ctx)
         assert scratch.converged
         assert hier.jitter_snapshot() == ctx.jitters.snapshot()
         _assert_results_equal(dict(hier.flow_results), scratch.flow_results)
@@ -165,16 +167,16 @@ def test_preload_equals_sequential_admission():
 
 
 def test_hierarchical_flat_reference_decisions_agree():
-    """The scaling-smoke assertion: hierarchical (flat arrays on),
-    hierarchical (object-per-flow), and the reference controller make
-    identical decisions with identical converged bounds."""
+    """The scaling-smoke assertion: the hierarchical controller (flat
+    demand arrays), the serial reference controller and the oracle's
+    cold controller (per-flow demand objects, no pre-check, no warm
+    start) make identical decisions, and the hierarchical bounds equal
+    the oracle's."""
     net, flows = _small_scenario(4, speed=mbps(10), n_mice=24)
     controllers = [
         HierarchicalAdmissionController(net, AnalysisOptions()),
-        HierarchicalAdmissionController(
-            net, AnalysisOptions(flat_demand_arrays=False)
-        ),
         AdmissionController(net, AnalysisOptions()),
+        oracle.ColdAdmissionController(net),
     ]
     rejected = 0
     for f in flows:
@@ -183,15 +185,13 @@ def test_hierarchical_flat_reference_decisions_agree():
         assert len(accepted) == 1, f"{f.name}: {[d.reason for d in decisions]}"
         rejected += not decisions[0].accepted
     assert rejected  # the slow fabric must actually exercise rejection
-    h_flat, h_obj, ref = controllers
-    assert [f.name for f in h_flat.admitted_flows] == [
-        f.name for f in h_obj.admitted_flows
-    ] == [f.name for f in ref.admitted_flows]
-    _assert_results_equal(dict(h_flat.flow_results), dict(h_obj.flow_results))
-    scratch = holistic_analysis(
-        net, ref.admitted_flows, AnalysisOptions()
+    hier, ref, cold = controllers
+    assert [f.name for f in hier.admitted_flows] == [
+        f.name for f in ref.admitted_flows
+    ] == [f.name for f in cold.admitted_flows]
+    _assert_results_equal(
+        dict(hier.flow_results), cold.last_analysis.flow_results
     )
-    _assert_results_equal(dict(h_flat.flow_results), scratch.flow_results)
 
 
 # ----------------------------------------------------------------------

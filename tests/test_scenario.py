@@ -32,6 +32,18 @@ from repro.workloads.topologies import fat_tree_network, star_network
 from repro.workloads.voip import voip_flow
 
 
+#: The analysis-option keys that selected between a fast and a
+#: reference path before those switches were removed, with the value of
+#: the path that remains (what every file written then carries).
+REMOVED_ANALYSIS_KEYS = {
+    "accelerate_fixed_points": True,
+    "anderson_fixed_points": False,
+    "incremental_holistic": True,
+    "memoize_stages": True,
+    "flat_demand_arrays": True,
+}
+
+
 def _tiny_scenario(**overrides) -> Scenario:
     net = star_network(3)
     flow = voip_flow(("h0", "sw", "h1"), name="call0")
@@ -138,6 +150,35 @@ class TestScenarioRoundTrip:
         doc = scenario_to_dict(_tiny_scenario())
         doc["analysis"]["warp_drive"] = True
         with pytest.raises(ScenarioError, match="warp_drive"):
+            scenario_from_dict(doc)
+
+    def test_files_with_removed_path_options_still_load(self, tmp_path):
+        """Files written while the engine had fast/reference switches
+        carry them in every option block, set to the path that
+        remains; they load as if the keys were absent."""
+        sc = _tiny_scenario()
+        doc = scenario_to_dict(sc)
+        doc["analysis"].update(REMOVED_ANALYSIS_KEYS)
+        doc["sim"]["fast"] = True
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_scenario_file(path)
+        assert loaded.options == sc.options
+        assert loaded.sim == sc.sim
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("analysis", k, not v) for k, v in REMOVED_ANALYSIS_KEYS.items()]
+        + [("sim", "fast", False)],
+    )
+    def test_removed_path_options_refused_off_the_kept_path(
+        self, block, key, value
+    ):
+        """Asking for a path that no longer exists is an error naming
+        the removed option, not a silent switch to the other path."""
+        doc = scenario_to_dict(_tiny_scenario())
+        doc[block][key] = value
+        with pytest.raises(ScenarioError, match=f"{key}.*removed"):
             scenario_from_dict(doc)
 
 

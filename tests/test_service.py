@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.core.admission import AdmissionController
+from repro.io import ScenarioError
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
 from repro.model.network import Network
@@ -402,6 +403,35 @@ class TestSnapshotRestore:
         assert inline["state"]["flow_shards"] == {sc.flows[0].name: [0]}
         with load_service_state(path) as restored:
             assert restored.query(sc.flows[0].name)["admitted"]
+
+    def test_snapshot_with_removed_path_options_restores(self):
+        """A STATE_VERSION 2 snapshot written while the analysis had
+        fast/reference switches carries them in its analysis block; it
+        restores, and the restored service decides like the original.
+        The same document asking for a removed path is refused."""
+        sc = saturating_scenario()
+        trace = trace_from_scenario(
+            sc, n_requests=40, arrival="poisson", rate=150, hold=12, seed=3
+        )
+        warmup, remainder = trace.requests[:20], trace.requests[20:]
+        with ShardedAdmissionService(sc.network, n_shards=1) as svc:
+            svc.process_batch(list(warmup))
+            doc = service_state_to_dict(svc)
+            doc["analysis"].update(
+                accelerate_fixed_points=True,
+                anderson_fixed_points=False,
+                incremental_holistic=True,
+                memoize_stages=True,
+                flat_demand_arrays=True,
+            )
+            with service_state_from_dict(json.loads(json.dumps(doc))) as old:
+                assert old.options == svc.options
+                a = svc.process_batch(list(remainder))
+                b = old.process_batch(list(remainder))
+        assert a == b
+        doc["analysis"]["memoize_stages"] = False
+        with pytest.raises(ScenarioError, match="memoize_stages"):
+            service_state_from_dict(doc)
 
     def test_newer_state_version_refused(self):
         sc = saturating_scenario()

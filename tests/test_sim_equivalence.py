@@ -1,7 +1,7 @@
-"""Fast simulation backend: not a single bit may move.
+"""Simulation equivalence: production must not move a single bit.
 
-The fast backend (``SimConfig.fast``, on by default) layers three
-optimisations over the reference simulator — vectorised release
+The production simulator layers three optimisations over the seed
+simulator kept in ``tests/oracle.py`` — vectorised release
 precomputation bulk-loaded through the engine's ``schedule_many``, flat
 per-packet completion/hop counters with trace records materialised at
 finalisation, and (via the campaign) topology reuse through
@@ -14,10 +14,12 @@ freshly-built state.
 These tests are the executable form of that claim, mirroring
 ``test_engine_equivalence.py`` for the analysis engine: across **every
 registered scenario family**, both switch modes, and finite NIC FIFOs
-(loss!), the fast backend's trace must be bit-identical (``==`` on
-floats, no tolerance) to ``fast=False``; a rebound simulator must
-reproduce a fresh build; and the campaign's batched simulate action
-must return byte-identical payloads to the plain one.
+(loss!), the production trace must be bit-identical (``==`` on floats,
+no tolerance) to the oracle's per-packet reference run; a rebound
+simulator — production or oracle — must reproduce a fresh build; and
+the campaign's batched simulate action must return byte-identical
+payloads to the plain one.  (The ``fast_backend`` in test names is the
+production simulator.)
 """
 
 import hashlib
@@ -26,6 +28,7 @@ from dataclasses import replace
 
 import pytest
 
+import oracle
 from repro.scenario.campaign import (
     CampaignRunner,
     action_simulate,
@@ -97,13 +100,15 @@ def scenario_for(family: str):
 
 
 def run_pair(network, flows, cfg):
-    fast = simulate(network, flows, config=replace(cfg, fast=True))
-    ref = simulate(network, flows, config=replace(cfg, fast=False))
-    return fast, ref
+    """Production and oracle traces of the same run."""
+    return (
+        simulate(network, flows, config=cfg),
+        oracle.simulate(network, flows, cfg),
+    )
 
 
 # ----------------------------------------------------------------------
-# Fast vs reference across every registered family and both modes
+# Production vs oracle across every registered family and both modes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("family", sorted(REGISTRY.names()))
 @pytest.mark.parametrize("mode", ["event", "rotation"])
@@ -138,8 +143,8 @@ def test_fast_backend_bit_identical_priority_sources():
 
 
 def test_fast_backend_smoke_hashes():
-    """One scenario per family, fast vs reference trace hash — the CI
-    sim-equivalence smoke step runs exactly this test."""
+    """One scenario per family, production vs oracle trace hash — the
+    CI sim-equivalence smoke step runs exactly this test."""
     for family in sorted(REGISTRY.names()):
         scenario = scenario_for(family)
         if not scenario.flows:
@@ -152,12 +157,14 @@ def test_fast_backend_smoke_hashes():
 # Topology reuse: rebind == fresh build
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["event", "rotation"])
-@pytest.mark.parametrize("fast", [True, False])
-def test_rebind_matches_fresh_build(mode, fast):
+@pytest.mark.parametrize("production", [True, False])
+def test_rebind_matches_fresh_build(mode, production):
     """One built topology re-run across flow sets and durations is
-    bit-identical to building a simulator per run."""
+    bit-identical to building a simulator per run — for production and
+    for the oracle, whose hooks rebind must reset as well."""
+    cls = Simulator if production else oracle.ReferenceSimulator
     net = line_network(2, hosts_per_switch=2, speed_bps=mbps(100))
-    base = SimConfig(duration=0.2, switch_mode=mode, fast=fast)
+    base = SimConfig(duration=0.2, switch_mode=mode)
     sim = None
     for i, seed in enumerate((7, 11, 13)):
         flows = random_flow_set(
@@ -165,10 +172,10 @@ def test_rebind_matches_fresh_build(mode, fast):
         )
         cfg = replace(base, duration=0.2 + 0.05 * (i % 2))
         if sim is None:
-            sim = Simulator(net, flows, cfg)
+            sim = cls(net, flows, cfg)
         else:
             sim.rebind(flows, cfg)
-        fresh = Simulator(net, flows, cfg)
+        fresh = cls(net, flows, cfg)
         assert_traces_bit_identical(sim.run(), fresh.run())
 
 

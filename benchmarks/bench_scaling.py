@@ -3,9 +3,9 @@
 Not a paper table — engineering due diligence for an admission
 controller that must run online: analysis cost vs flow count, GMF cycle
 length and route length, plus simulator event throughput, and the
-datacenter axis — a single admission decision against 10^4/10^5
-already-admitted flows through the hierarchical controller
-(``core/hierarchy.py``).
+datacenter axis — a single admission decision, and a single release,
+against 10^4/10^5 already-admitted flows through the hierarchical
+controller (``core/hierarchy.py``).
 
 Every benchmark tags ``benchmark.extra_info["scale"]`` with its scale
 label (``single-pod`` for the historical cases, ``datacenter-1e4`` /
@@ -207,6 +207,27 @@ def _quiet_rack_pair(case: dict, flows) -> tuple[str, str]:
     return a, b
 
 
+def _rack_probes(benchmark, scale: str, prefix: str):
+    """The preloaded controller at ``scale`` and an iterator of fresh
+    rack-local probes on its quiet rack pair; tags ``extra_info``."""
+    ctrl, preload_s = _controller_at_scale(scale)
+    src, dst = _quiet_rack_pair(_SCALE_CASES[scale], ctrl.admitted_flows)
+    benchmark.extra_info["scale"] = f"datacenter-{scale}"
+    benchmark.extra_info["admitted_flows"] = len(ctrl.admitted_flows)
+    benchmark.extra_info["preload_s"] = round(preload_s, 3)
+    benchmark.extra_info["probe_route"] = f"{src}->{dst}"
+    probes = iter(
+        Flow(
+            name=f"{prefix}_{i}",
+            spec=_MICE_SPEC,
+            route=multi_pod_route(src, dst),
+            priority=6,
+        )
+        for i in range(100)
+    )
+    return ctrl, probes
+
+
 @pytest.mark.parametrize(
     "scale", ["1e4", pytest.param("1e5", marks=_FULL)]
 )
@@ -217,26 +238,11 @@ def test_admission_at_scale(benchmark, scale):
     rack-local mouse); its cost is the interference closure of the two
     host links it touches — independent of the admitted-set size, which
     is the hierarchical controller's O(changed-set) claim.  Each round
-    admits a fresh probe (releases cold-restart the transitive reader
-    closure, which at this scale costs minutes — see the ROADMAP item);
-    the handful of extra rack-local mice left behind is noise against
-    the preloaded set.
+    admits a fresh probe and leaves it admitted (releases are timed by
+    :func:`test_release_at_scale`); the handful of extra rack-local
+    mice left behind is noise against the preloaded set.
     """
-    ctrl, preload_s = _controller_at_scale(scale)
-    src, dst = _quiet_rack_pair(_SCALE_CASES[scale], ctrl.admitted_flows)
-    benchmark.extra_info["scale"] = f"datacenter-{scale}"
-    benchmark.extra_info["admitted_flows"] = len(ctrl.admitted_flows)
-    benchmark.extra_info["preload_s"] = round(preload_s, 3)
-    benchmark.extra_info["probe_route"] = f"{src}->{dst}"
-    probes = iter(
-        Flow(
-            name=f"bench_probe_{i}",
-            spec=_MICE_SPEC,
-            route=multi_pod_route(src, dst),
-            priority=6,
-        )
-        for i in range(100)
-    )
+    ctrl, probes = _rack_probes(benchmark, scale, "bench_probe")
 
     def setup():
         return (next(probes),), {}
@@ -248,4 +254,29 @@ def test_admission_at_scale(benchmark, scale):
 
     benchmark.pedantic(
         admit, setup=setup, rounds=10, warmup_rounds=1, iterations=1
+    )
+
+
+@pytest.mark.parametrize(
+    "scale", ["1e4", pytest.param("1e5", marks=_FULL)]
+)
+def test_release_at_scale(benchmark, scale):
+    """One rack-local release against a preloaded fabric.
+
+    Each round's setup admits a fresh rack-local probe (untimed) and the
+    timed call releases it.  A release cold-restarts only the jitter
+    entries the probe can lower (its cone) and re-solves the flows
+    owning a stage in it, so like an admission its cost follows the
+    probe's neighbourhood, not the admitted-set size.
+    """
+    ctrl, probes = _rack_probes(benchmark, scale, "bench_release_probe")
+
+    def setup():
+        probe = next(probes)
+        decision = ctrl.request(probe)
+        assert decision.accepted, decision.reason
+        return (probe.name,), {}
+
+    benchmark.pedantic(
+        ctrl.release, setup=setup, rounds=10, warmup_rounds=1, iterations=1
     )

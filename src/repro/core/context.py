@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro import telemetry as _telemetry
 from repro.core.demand import LinkDemand, build_link_demand
@@ -120,17 +120,18 @@ class JitterTable:
             f.name: link_resource(f.route[0], f.route[1]) for f in flows
         }
         self._table: dict[tuple[str, ResourceKey], tuple[float, ...]] = {}
-        # Flow name -> explicit resource keys; lets flow removal and
-        # cold resets run in O(own entries) instead of a table scan.
+        # Flow name -> explicit resource keys; lets flow removal run in
+        # O(own entries) instead of a table scan.
         self._keys_by_flow: dict[str, set[ResourceKey]] = {}
         self._round_delta = 0.0
         self._changed: set[tuple[str, ResourceKey]] = set()
         # Flow name -> {resource -> max per-frame jitter}: memoises
         # :meth:`extra`, the single hottest query of the stage memo
         # (every memoised stage rebuilds its input tuple from it).
-        # Keyed flow-first so removal/reset/rollback drop a flow's
-        # cached extras in one pop; defaults are cached too (they are
-        # constant per flow), explicit writes refresh their entry.
+        # Keyed flow-first so removal/rollback drop a flow's cached
+        # extras in one pop; defaults are cached too (they are constant
+        # per flow), explicit writes refresh their entry and resets
+        # drop it.
         self._extra_cache: dict[str, dict[ResourceKey, float]] = {}
         # When a dict, `set` records each key's pre-write value on first
         # touch; see begin_undo / rollback_undo (incremental admission).
@@ -205,18 +206,25 @@ class JitterTable:
         for resource in self._keys_by_flow.pop(flow_name, ()):
             self._table.pop((flow_name, resource), None)
 
-    def reset_flow(self, flow_name: str) -> None:
-        """Drop a flow's explicit entries (back to defaults).
+    def reset_entries(
+        self, keys: Iterable[tuple[str, ResourceKey]]
+    ) -> None:
+        """Drop the given explicit entries (back to their defaults).
 
         Cold restart for incremental release: removing interference
-        lowers the least fixed point, so re-iterating an affected flow
-        from its old (now over-approximating) entries could stick at a
-        non-least fixed point; from the defaults the monotone iteration
-        reaches the same least fixed point a from-scratch analysis does.
+        lowers the least fixed point, so re-iterating from the old (now
+        over-approximating) entries could stick at a non-least fixed
+        point; from the defaults the monotone iteration reaches the
+        same least fixed point a from-scratch analysis does.  The
+        caller picks the entries that can drop (core/hierarchy.py).
         """
-        self._extra_cache.pop(flow_name, None)
-        for resource in self._keys_by_flow.pop(flow_name, ()):
-            self._table.pop((flow_name, resource), None)
+        for name, resource in keys:
+            if self._table.pop((name, resource), None) is None:
+                continue
+            self._keys_by_flow[name].discard(resource)
+            per_flow = self._extra_cache.get(name)
+            if per_flow is not None:
+                per_flow.pop(resource, None)
 
     # ------------------------------------------------------------------
     # Undo log (tentative incremental admission)

@@ -42,12 +42,27 @@ of ``tests/oracle.py`` (asserted by ``tests/test_hierarchy.py``):
   worklist — reaches the same least fixed point.  A rejected
   candidate's writes are rolled back through the jitter-table undo log.
 * **release** removes interference, which *lowers* the least fixed
-  point; iterating affected flows from their old (now
-  over-approximating) entries could stick above it.  The transitive
-  closure of the readers map over the released flow is therefore reset
-  to the cold defaults and re-solved; flows outside the closure read
-  nothing the closure writes (otherwise they would be in it), so their
-  entries and results are already at the from-scratch fixed point.
+  point.  Only the released flow's *cone* is reset to the cold
+  defaults: the ``(flow, resource)`` jitter entries whose value can
+  depend on it.  A stage is affected when its participant set held the
+  released flow or it reads a cone entry, and an affected stage puts
+  its flow's entries at every later resource of the route into the
+  cone.  The flows owning an affected stage are re-solved; every other
+  flow, and every entry outside the cone, is left as it is.
+
+  This is exact.  An entry is written only by its own flow's earlier
+  stages, and a stage reads only its participants' entries at its own
+  resource (at an egress also the flow's constant blocking term).  So
+  entries outside the cone depend only on entries outside it, through
+  participant sets the released flow was not in: they already sit at
+  the new least fixed point.  The reset cone entries lie below it, so
+  the monotone worklist converges to it, as from scratch.
+
+  The reset is cold, not warm: with cyclic channel dependencies
+  (routes around a ring) re-iterating from the old, now
+  over-approximating entries can settle on a non-least fixed point.
+  ``tests/test_hierarchy.py::test_ring_release_matches_from_scratch``
+  pins two such inputs.
 """
 
 from __future__ import annotations
@@ -630,8 +645,55 @@ class HierarchicalAdmissionController:
         self._note_invalidations(flow)
         self._retire_demands(flow.name)
 
+    def _release_cone(
+        self, flow: Flow
+    ) -> tuple[set[tuple[str, ResourceKey]], set[str]]:
+        """The jitter entries whose value can depend on ``flow``.
+
+        Returns ``(cone, owners)``.  A stage ``(j, res)`` is *affected*
+        when its participant set held ``flow`` (the :meth:`_edge_changes`
+        gains: reader ``j`` of ``flow``'s entry at ``res``) or it reads
+        a cone entry; an affected stage puts ``j``'s entries at every
+        resource after ``res`` on ``j``'s route into the cone (an entry
+        is the sum of its flow's earlier stage responses).  ``owners``
+        are the flows with an affected stage: they are the ones to
+        re-solve, including flows whose only affected stage is their
+        last hop (no entry to reset, but their bound changes).  Direct
+        readers come from the link occupancy, so the cone is exact also
+        with jitter modelling off, where the readers map is empty but
+        participant sets still change.
+        """
+        fname = flow.name
+        gains, _ = self._edge_changes(flow)
+        todo = [(j, res) for (_, res), names in gains.items() for j in names]
+        affected: set[tuple[str, ResourceKey]] = set()
+        cone: set[tuple[str, ResourceKey]] = set()
+        while todo:
+            stage = todo.pop()
+            if stage in affected:
+                continue
+            affected.add(stage)
+            name, res = stage
+            resources = self._route_resources(self._ctx.flow(name))
+            for resource in resources[resources.index(res) + 1:]:
+                entry = (name, resource)
+                if entry in cone:
+                    break  # a flow's cone entries form a route suffix
+                cone.add(entry)
+                for reader in self._readers.get(entry, ()):
+                    if reader != fname:  # its stages leave with it
+                        todo.append((reader, resource))
+        return cone, {name for name, _ in affected}
+
     def release(self, flow_name: str) -> None:
-        """Remove an admitted flow; re-solves only its dependency cone."""
+        """Remove an admitted flow; re-solves only the entries it can lower.
+
+        Cold-resets the released flow's *cone* (:meth:`_release_cone`)
+        and re-solves the flows owning an affected stage.  The module
+        docstring says why this is exact and why the reset is cold
+        (``tests/test_hierarchy.py::test_ring_release_matches_from_scratch``
+        pins inputs where a warm restart is wrong).
+        """
         ctx = self._ctx
         if flow_name not in ctx._by_name:
             raise KeyError(f"flow {flow_name!r} is not admitted")
@@ -639,27 +701,7 @@ class HierarchicalAdmissionController:
         reg = _telemetry.REGISTRY
         start = time.perf_counter()
         flow = ctx._by_name[flow_name]
-
-        # Transitive closure of the readers map over the released flow:
-        # every flow whose least fixed point can drop.  Direct readers
-        # are re-derived from the link occupancy (exact also with
-        # jitter modelling off, where the readers map is empty but
-        # participant sets still change).
-        gains, _ = self._edge_changes(flow)
-        frontier: set[str] = set()
-        for names in gains.values():
-            frontier |= names
-        affected: set[str] = set()
-        while frontier:
-            name = frontier.pop()
-            if name in affected:
-                continue
-            affected.add(name)
-            for resource in self._route_resources(ctx.flow(name)):
-                for reader in self._readers.get((name, resource), ()):
-                    if reader not in affected:
-                        frontier.add(reader)
-        affected.discard(flow_name)
+        cone, owners = self._release_cone(flow)
 
         self._remove_edges(flow)
         self._order.pop(flow_name, None)
@@ -668,9 +710,8 @@ class HierarchicalAdmissionController:
         self._note_invalidations(flow)
         self._retire_demands(flow_name)
 
-        for name in affected:
-            ctx.jitters.reset_flow(name)  # cold restart (see module doc)
-        converged, updated, rounds, evals = self._solve(affected)
+        ctx.jitters.reset_entries(cone)  # cold restart (see module doc)
+        converged, updated, rounds, evals = self._solve(owners)
         if not converged:  # impossible: a subset of a convergent set
             raise RuntimeError(
                 f"release of {flow_name!r} failed to re-converge"

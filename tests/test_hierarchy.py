@@ -1,17 +1,20 @@
 """Hierarchical admission (core/hierarchy.py): exactness under churn.
 
-The controller's claim is strong: every admit and release costs only
-the candidate's interference closure, yet the controller's state —
-decisions, per-flow bounds, the whole jitter table — is **byte
-identical** to what a from-scratch analysis of the live flow set by the
-seed engine of ``tests/oracle.py`` would produce, after *every* step of
-*any* interleaving of admits and releases.  These tests are the
+The controller's claim is strong: an admit costs only the candidate's
+interference closure and a release only the cone of jitter entries the
+released flow can lower, yet the controller's state — decisions,
+per-flow bounds, the whole jitter table — is **byte identical** to what
+a from-scratch analysis of the live flow set by the seed engine of
+``tests/oracle.py`` would produce, after *every* step of *any*
+interleaving of admits and releases, on fat trees (acyclic channel
+dependencies) and on rings (cyclic ones).  These tests are the
 executable form of that claim, plus the structural pieces: pod
 classification, demand envelopes, preload-vs-sequential equivalence,
-and the agreement of the hierarchical controller (flat demand arrays),
-the serial controller and the oracle's cold controller (per-flow demand
-objects) that the CI ``scaling-smoke`` job re-asserts, against a
-from-scratch analysis, at 10^4 flows.
+release work bounded by the cone, two pinned ring releases that a warm
+restart gets wrong, and the agreement of the hierarchical controller
+(flat demand arrays), the serial controller and the oracle's cold
+controller (per-flow demand objects) that the CI ``scaling-smoke`` job
+re-asserts, against a from-scratch analysis, at 10^4 flows.
 """
 
 import random
@@ -28,6 +31,7 @@ from repro.core.context import AnalysisOptions
 from repro.core.hierarchy import HierarchicalAdmissionController, PodMap
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
+from repro.model.network import Network
 from repro.scenario.families import datacenter_flows
 from repro.util.units import mbps, ms
 from repro.workloads.topologies import (
@@ -52,6 +56,76 @@ def _small_scenario(seed=0, *, speed=mbps(1000), n_mice=16):
         seed=seed,
         speed_bps=speed,
     )
+
+
+def _ring_network(n_switches):
+    """Switches ``s0..s{n-1}`` in a ring, host ``h<i>`` on ``s<i>``; all
+    links duplex 100 Mbit/s with no propagation delay."""
+    net = Network()
+    for i in range(n_switches):
+        net.add_switch(f"s{i}")
+        net.add_endhost(f"h{i}")
+        net.add_duplex_link(f"h{i}", f"s{i}", speed_bps=mbps(100))
+    for i in range(n_switches):
+        net.add_duplex_link(
+            f"s{i}", f"s{(i + 1) % n_switches}", speed_bps=mbps(100)
+        )
+    return net
+
+
+def _ring_flow(
+    name, route, separations, jitters, payload_bits, *, deadline=1000
+):
+    """A priority-0 flow on a dash-separated route; times in ms."""
+    return Flow(
+        name=name,
+        spec=GmfSpec(
+            min_separations=tuple(ms(t) for t in separations),
+            deadlines=(ms(deadline),) * len(separations),
+            jitters=tuple(ms(j) for j in jitters),
+            payload_bits=tuple(payload_bits),
+        ),
+        route=tuple(route.split("-")),
+        priority=0,
+    )
+
+
+def _ring_scenario(n_switches, seed=0, *, n_flows=7):
+    """Flows routed clockwise over n-2 to n-1 switch hops of a ring, so
+    their channel dependencies form cycles (the fat trees' up/down
+    routes never do).  The 20 ms deadlines keep a rejected candidate
+    cheap: a divergent holistic iteration runs until its busy periods
+    pass a horizon proportional to the deadline."""
+    rng = random.Random(seed)
+    flows = []
+    for i in range(n_flows):
+        src = rng.randrange(n_switches)
+        hops = rng.choice((n_switches - 2, n_switches - 1))
+        dst = (src + hops) % n_switches
+        switches = [f"s{(src + k) % n_switches}" for k in range(hops + 1)]
+        route = "-".join([f"h{src}", *switches, f"h{dst}"])
+        n_frames = rng.choice((1, 2))
+        flows.append(
+            _ring_flow(
+                f"f{i}",
+                route,
+                [rng.choice((1, 1.5, 2)) for _ in range(n_frames)],
+                [rng.choice((0, 0.2, 1, 3)) for _ in range(n_frames)],
+                [rng.choice((12_000, 24_000)) for _ in range(n_frames)],
+                deadline=20,
+            )
+        )
+    return _ring_network(n_switches), flows
+
+
+def _assert_matches_from_scratch(hier, net, options):
+    """The controller's jitter table and bounds equal a from-scratch
+    analysis of its admitted set by the oracle."""
+    ctx = oracle.OracleContext(net, list(hier.admitted_flows), options)
+    scratch = oracle.sweep(ctx)
+    assert scratch.converged
+    assert hier.jitter_snapshot() == ctx.jitters.snapshot()
+    _assert_results_equal(dict(hier.flow_results), scratch.flow_results)
 
 
 def _assert_results_equal(got, want):
@@ -109,18 +183,24 @@ def test_envelope_fast_reject_matches_reference():
 # ----------------------------------------------------------------------
 # The property test: arbitrary admit/release interleavings
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_interleaving_matches_from_scratch_after_every_step(seed):
+@pytest.mark.parametrize("case", [0, 1, 2, "ring3", "ring4", "ring5"])
+def test_interleaving_matches_from_scratch_after_every_step(case):
     """Decisions match the reference controller and the jitter table and
-    bounds match a from-scratch analysis after **every** step."""
-    net, flows = _small_scenario(seed)
+    bounds match a from-scratch analysis after **every** step.  Integer
+    cases are 2-pod fat trees seeded with that number; ``ring<n>`` is
+    :func:`_ring_scenario` on ``n`` switches."""
+    if isinstance(case, int):
+        seed = case
+        net, flows = _small_scenario(seed)
+    else:
+        seed = 0
+        net, flows = _ring_scenario(int(case[len("ring"):]), seed)
     options = AnalysisOptions()
     hier = HierarchicalAdmissionController(net, options)
     ref = AdmissionController(net, options)
     rng = random.Random(seed)
     pending = list(flows)
     live: list[str] = []
-    by_name = {f.name: f for f in flows}
     steps = 0
 
     while pending or (live and steps < 60):
@@ -140,16 +220,87 @@ def test_interleaving_matches_from_scratch_after_every_step(seed):
             if dh.accepted:
                 live.append(flow.name)
 
-        admitted = [by_name[n] for n in (f.name for f in hier.admitted_flows)]
         assert [f.name for f in ref.admitted_flows] == [
-            f.name for f in admitted
+            f.name for f in hier.admitted_flows
         ]
-        # From-scratch reference: the oracle on a fresh context.
-        ctx = oracle.OracleContext(net, admitted, options)
-        scratch = oracle.sweep(ctx)
-        assert scratch.converged
-        assert hier.jitter_snapshot() == ctx.jitters.snapshot()
-        _assert_results_equal(dict(hier.flow_results), scratch.flow_results)
+        _assert_matches_from_scratch(hier, net, options)
+
+
+#: Preloaded rings whose release lowers the least fixed point through a
+#: cycle of channel dependencies: ring name -> (switches, flows, the
+#: flow to release).  Restarting warm (from the old entries) stops
+#: above the from-scratch fixed point on both.  Resetting only the
+#: direct readers' downstream entries and letting the worklist spread
+#: changes warm stops above it on ``ring3``.
+_RING_RELEASES = {
+    "ring3": (
+        3,
+        [
+            _ring_flow("f0", "h0-s0-s1-s2-h2", (1.5,), (0,), (48000,)),
+            _ring_flow("f1", "h1-s1-s2-s0-h0", (1.5,), (1,), (48000,)),
+            _ring_flow("f2", "h2-s2-s0-s1-h1", (1,), (1,), (24000,)),
+            _ring_flow("f3", "h2-s2-s0-h0", (2, 2), (1, 3), (24000, 24000)),
+            _ring_flow("f4", "h0-s0-s1-h1", (0.5, 2), (3, 0), (12000, 12000)),
+            _ring_flow("f5", "h1-s1-s2-h2", (2, 2), (3, 1), (12000, 48000)),
+        ],
+        "f4",
+    ),
+    "ring4": (
+        4,
+        [
+            _ring_flow("f0", "h0-s0-s1-s2-s3-h3", (0.5,), (0.2,), (12000,)),
+            _ring_flow("f1", "h2-s2-s3-s0-s1-h1", (2,), (0,), (48000,)),
+            _ring_flow("f2", "h1-s1-s2-s3-h3", (2,), (1,), (12000,)),
+            _ring_flow("f3", "h3-s3-s0-s1-h1", (1,), (3,), (12000,)),
+            _ring_flow("f4", "h1-s1-s2-s3-h3", (1,), (0.2,), (12000,)),
+        ],
+        "f2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RING_RELEASES))
+def test_ring_release_matches_from_scratch(case):
+    """A release on a cyclic fabric reaches the *least* fixed point: the
+    one a from-scratch analysis of the remaining flows finds."""
+    n_switches, flows, released = _RING_RELEASES[case]
+    net = _ring_network(n_switches)
+    hier = HierarchicalAdmissionController(net, AnalysisOptions())
+    hier.preload(flows)
+    hier.release(released)
+    _assert_matches_from_scratch(hier, net, AnalysisOptions())
+
+
+def test_release_work_is_bounded_by_the_cone():
+    """A rack-local release re-solves only the flows owning a stage its
+    jitter cone reaches, not the whole transitive reader closure (which
+    on a fat tree spans the fabric: about 1.4 re-solves per admitted
+    flow on this input)."""
+    net, flows = datacenter_flows(
+        pods=2,
+        aggs_per_pod=1,
+        leaves_per_pod=4,
+        hosts_per_leaf=4,
+        cores=1,
+        n_mice=64,
+        n_elephants=2,
+        incast_groups=1,
+        incast_fanin=3,
+        tenants=4,
+        seed=0,
+    )
+    hier = HierarchicalAdmissionController(net, AnalysisOptions())
+    hier.preload(flows)
+    rack_local = [f.name for f in flows if len(f.route) == 3][:5]
+    assert len(rack_local) == 5
+    resolves = []
+    for name in rack_local:
+        with telemetry.capture() as reg:
+            hier.release(name)
+        counters = reg.snapshot()["counters"]
+        resolves.append(counters.get("hierarchy.flow_resolves", 0.0))
+    assert sum(resolves) / len(resolves) < len(flows) / 2, resolves
+    _assert_matches_from_scratch(hier, net, AnalysisOptions())
 
 
 def test_preload_equals_sequential_admission():

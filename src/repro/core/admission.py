@@ -53,7 +53,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro import telemetry as _telemetry
 from repro.core.context import AnalysisContext, AnalysisOptions
@@ -152,30 +152,7 @@ class AdmissionController:
 
     def request(self, flow: Flow) -> AdmissionDecision:
         """Try to admit ``flow``; accepted flows become part of the state."""
-        reg = _telemetry.REGISTRY
-        tr = _tracing.TRACER
-        if reg is None and tr is None:
-            return self._request(flow)
-        span = (
-            tr.span("admission.request")
-            if tr is not None
-            else _tracing.NULL_SPAN
-        )
-        with span:
-            if reg is None:
-                return self._request(flow)
-            reg.add("admission.requests")
-            start = time.perf_counter()
-            decision = self._request(flow)
-            reg.observe("admission.request_s", time.perf_counter() - start)
-            if decision.accepted:
-                reg.add("admission.accepted")
-            else:
-                reg.add("admission.rejected")
-                if decision.analysis is None:
-                    reg.add("admission.fast_rejects")
-            span.annotate("accepted", 1.0 if decision.accepted else 0.0)
-            return decision
+        return observed_request(self._request, flow)
 
     def _request(self, flow: Flow) -> AdmissionDecision:
         validate_route(self.network, flow.route)
@@ -304,6 +281,42 @@ class AdmissionController:
         return ctrl
 
 
+def observed_request(
+    decide: Callable[[Flow], AdmissionDecision], flow: Flow
+) -> AdmissionDecision:
+    """Run one admission decision under the request telemetry.
+
+    Shared by both controllers: the ``admission.*`` counters and the
+    ``admission.request_s`` histogram when telemetry is on, and an
+    ``admission.request`` span tagged ``accepted`` when tracing is on
+    (fixed-point solves inside it add their ``fp.*`` tags to it).
+    """
+    reg = _telemetry.REGISTRY
+    tr = _tracing.TRACER
+    if reg is None and tr is None:
+        return decide(flow)
+    span = (
+        tr.span("admission.request")
+        if tr is not None
+        else _tracing.NULL_SPAN
+    )
+    with span:
+        if reg is not None:
+            reg.add("admission.requests")
+        start = time.perf_counter()
+        decision = decide(flow)
+        if reg is not None:
+            reg.observe("admission.request_s", time.perf_counter() - start)
+            if decision.accepted:
+                reg.add("admission.accepted")
+            else:
+                reg.add("admission.rejected")
+                if decision.analysis is None:
+                    reg.add("admission.fast_rejects")
+        span.annotate("accepted", 1.0 if decision.accepted else 0.0)
+        return decision
+
+
 def first_violation(results: Mapping[str, FlowResult]) -> str | None:
     """Why a converged analysis rejects: the first (by flow name) frame
     whose bound exceeds its deadline, or ``None`` when all are met."""
@@ -316,34 +329,3 @@ def first_violation(results: Mapping[str, FlowResult]) -> str | None:
                     f"{frame.deadline:.6g}s"
                 )
     return None
-
-
-def make_admission_controller(
-    network: Network,
-    options: AnalysisOptions | None = None,
-    initial_flows: Sequence[Flow] = (),
-    *,
-    hierarchical: bool = False,
-    **kwargs,
-):
-    """Build an admission controller for ``network``.
-
-    With ``hierarchical=True`` the returned controller is the
-    datacenter-scale :class:`~repro.core.hierarchy.\
-HierarchicalAdmissionController` (per-pod shards, demand envelopes,
-    O(changed-set) incremental re-analysis); otherwise the reference
-    :class:`AdmissionController`.  Both answer requests bit-identically
-    — the hierarchical one just answers them in time proportional to
-    the interference closure of the candidate instead of the admitted
-    set.  Extra keyword arguments pass through to the chosen class
-    (``retained_flows``, and for the hierarchical controller also
-    ``pod_map``).
-    """
-    if hierarchical:
-        # Local import: hierarchy.py imports from this module.
-        from repro.core.hierarchy import HierarchicalAdmissionController
-
-        return HierarchicalAdmissionController(
-            network, options, initial_flows, **kwargs
-        )
-    return AdmissionController(network, options, initial_flows, **kwargs)

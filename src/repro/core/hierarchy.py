@@ -25,11 +25,20 @@ so one admission touches only the candidate's dependency cone:
   :class:`PodShard` bookkeeping plus the incremental admit/release
   engine.
 
+The controller is also the online service's engine: every shard of
+:mod:`repro.service.sharding` runs one, so a served request pays for
+its change set instead of a re-analysis of the shard's admitted set.
+The locality argument does not need pods.  On a network without
+``p{i}_`` node prefixes every node is in the core tier, the pod shards
+are only bookkeeping, and the readers map alone confines the work.
+
 Exactness
 ---------
 Decisions and converged jitter tables are bit-identical to the
 serial controller's and to a from-scratch analysis by the seed engine
-of ``tests/oracle.py`` (asserted by ``tests/test_hierarchy.py``):
+of ``tests/oracle.py`` (asserted by ``tests/test_hierarchy.py``;
+``tests/test_service.py`` checks the served payloads against the
+serial controller):
 
 * **admit** seeds the worklist with the candidate plus every flow whose
   stage participant set the candidate joined (derived from the same
@@ -75,7 +84,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro import telemetry as _telemetry
-from repro.core.admission import AdmissionDecision, first_violation
+from repro.core.admission import (
+    AdmissionDecision,
+    first_violation,
+    observed_request,
+)
 from repro.core.context import (
     AnalysisContext,
     AnalysisOptions,
@@ -328,15 +341,22 @@ class HierarchicalAdmissionController:
     """Admission control with O(changed-set) incremental re-analysis.
 
     Drop-in decision-equivalent to
-    :class:`~repro.core.admission.AdmissionController` (same accept /
-    reject booleans, same converged jitter tables and per-flow bounds;
-    rejection *messages* may name a different witness), but per-request
-    work is proportional to the candidate's dependency cone instead of
-    the admitted-set size — milliseconds at 10^5 admitted flows.
+    :class:`~repro.core.admission.AdmissionController`: the same accept
+    / reject booleans, converged jitter tables and per-flow bounds.
+    Rejection reasons agree too, except that a utilisation pre-check
+    reject may name a different resource when several tie for the
+    worst utilisation (this controller checks the candidate's route,
+    the serial one the whole network).  Per-request work is
+    proportional to the candidate's dependency cone instead of the
+    admitted-set size — milliseconds at 10^5 admitted flows.  It is the
+    engine of every service shard (:mod:`repro.service.sharding`); on a
+    network without pods (see :class:`PodMap`) its pod shards are only
+    bookkeeping.
 
-    ``request``/``release``/``admitted_flows`` mirror the reference
-    API; :meth:`preload` bulk-admits a known-good set with one solve
-    (state equals the sequential-admission outcome).
+    ``request``/``release``/``admitted_flows``/``export_state``/
+    ``restore`` mirror the reference API; :meth:`preload` bulk-admits a
+    known-good set with one solve (state equals the sequential-admission
+    outcome).
     """
 
     def __init__(
@@ -565,20 +585,7 @@ class HierarchicalAdmissionController:
     # ------------------------------------------------------------------
     def request(self, flow: Flow) -> AdmissionDecision:
         """Try to admit ``flow``; accepted flows join the state."""
-        reg = _telemetry.REGISTRY
-        if reg is None:
-            return self._request(flow)
-        reg.add("admission.requests")
-        start = time.perf_counter()
-        decision = self._request(flow)
-        reg.observe("admission.request_s", time.perf_counter() - start)
-        if decision.accepted:
-            reg.add("admission.accepted")
-        else:
-            reg.add("admission.rejected")
-            if decision.analysis is None:
-                reg.add("admission.fast_rejects")
-        return decision
+        return observed_request(self._request, flow)
 
     def _request(self, flow: Flow) -> AdmissionDecision:
         ctx = self._ctx
@@ -726,15 +733,19 @@ class HierarchicalAdmissionController:
             reg.add("hierarchy.releases")
             reg.observe("hierarchy.release_s", time.perf_counter() - start)
 
-    def preload(self, flows: Sequence[Flow]) -> HolisticResult:
+    def preload(
+        self, flows: Sequence[Flow], *, jitters: Mapping | None = None
+    ) -> HolisticResult:
         """Bulk-admit a known-admissible set with a single solve.
 
         Final state (admitted set, jitter table, results) is identical
         to admitting the flows one by one in order — both converge to
         the least fixed point of the full set, the sequential path just
-        pays one tentative solve per flow.  Raises :class:`ValueError`
-        if the combined set is not schedulable; the controller should
-        be discarded in that case.
+        pays one tentative solve per flow.  ``jitters`` (the converged
+        entries of the combined set, as :meth:`export_state` returns
+        them) seed the solve, which then only confirms them.  Raises
+        :class:`ValueError` if the combined set is not schedulable; the
+        controller should be discarded in that case.
         """
         ctx = self._ctx
         added: list[Flow] = []
@@ -745,6 +756,8 @@ class HierarchicalAdmissionController:
             self._order[flow.name] = self._next_order
             self._next_order += 1
             added.append(flow)
+        if jitters:
+            ctx.jitters.seed(jitters)
         if self.options.use_jitter:
             # Rebuild the readers map wholesale (covers edges the new
             # flows create towards previously admitted ones too).
@@ -776,6 +789,39 @@ class HierarchicalAdmissionController:
         return HolisticResult(
             flow_results=dict(updated), iterations=rounds, converged=True
         )
+
+    # ------------------------------------------------------------------
+    # State export / restore (service snapshots and recovery)
+    # ------------------------------------------------------------------
+    def export_state(self) -> tuple[tuple[Flow, ...], dict]:
+        """Converged state: ``(admitted flows, jitter-table entries)``,
+        in the layout of
+        :meth:`~repro.core.admission.AdmissionController.export_state`."""
+        return self.admitted_flows, self.jitter_snapshot()
+
+    @classmethod
+    def restore(
+        cls,
+        network: Network,
+        options: AnalysisOptions | None = None,
+        *,
+        flows: Sequence[Flow],
+        jitters: Mapping | None = None,
+        retained_flows: int = 256,
+    ) -> "HierarchicalAdmissionController":
+        """Rebuild a controller from :meth:`export_state` output.
+
+        The exported table seeds one solve over the whole set (a
+        :meth:`preload`), exactly as
+        :meth:`~repro.core.admission.AdmissionController.restore` seeds
+        one holistic analysis: the monotone iteration confirms the
+        converged entries in one round.  The restored controller holds
+        the exporter's admitted set, table and bounds, so its later
+        decisions are the exporter's.
+        """
+        ctrl = cls(network, options, retained_flows=retained_flows)
+        ctrl.preload(flows, jitters=jitters)
+        return ctrl
 
     # ------------------------------------------------------------------
     # Reporting

@@ -2,7 +2,8 @@
 
 The paper's closing claim — the holistic analysis "forms an admission
 controller" (Sec. 3.5) — made concrete as a production-shaped serving
-layer on top of :mod:`repro.core.admission`:
+layer on top of the incremental controller of
+:mod:`repro.core.hierarchy`:
 
 * :mod:`repro.service.protocol` — versioned JSON-lines request protocol
   (admit / release / query / stats / snapshot / metrics / health) with

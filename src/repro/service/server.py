@@ -7,9 +7,9 @@ dispatcher drains it in **micro-batches** — whatever accumulated since
 the last service call, up to ``batch_max``, after an optional
 ``batch_window_s`` coalescing pause — and hands each batch to
 :meth:`ShardedAdmissionService.process_batch`, which fans shard-local
-runs across the shard backends.  Bursts therefore amortise jitter-table
-warm starts and (with worker-backed shards) ride N shards wide, while
-a lone request still sees one-request latency.
+runs across the shard backends.  Bursts therefore (with worker-backed
+shards) ride N shards wide, while a lone request still sees
+one-request latency.
 
 The service call runs in a thread-pool executor so the event loop keeps
 accepting connections and buffering requests during an analysis; the

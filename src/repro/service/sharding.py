@@ -1,11 +1,19 @@
 """Sharded online admission control.
 
-The serial :class:`~repro.core.admission.AdmissionController` re-runs
-the holistic analysis per request, so its throughput is bounded by one
-core.  This module partitions the *network* into link-disjoint shards —
-every directed link is owned by exactly one shard — and gives each
-shard its own controller, so requests touching different shards are
-independent and can be served in parallel.
+Every shard runs the incremental engine,
+:class:`~repro.core.hierarchy.HierarchicalAdmissionController`: it keeps
+its analysis state between requests, so an admit re-solves only the
+flows the candidate interferes with and a release only the jitter
+entries the released flow can lower.  Its decisions, jitter tables and
+bounds are bit-identical to those of the serial
+:class:`~repro.core.admission.AdmissionController`, which re-runs the
+holistic analysis over the whole admitted set per request and remains
+the parity reference (:func:`~repro.service.replay.replay_serial`).
+One engine is still bounded by one core, so this module partitions the
+*network* into link-disjoint shards — every directed link is owned by
+exactly one shard — and gives each shard its own controller, so
+requests touching different shards are independent and can be served
+in parallel.
 
 Link ownership follows switch ownership: each switch is assigned to a
 shard (deterministically — a SHA-256 hash of the switch name, or an
@@ -39,9 +47,9 @@ of protocol requests and coalesces consecutive shard-local operations
 into per-shard micro-batches.  With process-backed shards
 (``workers=True``) the micro-batches of one run are dispatched to all
 shard workers before any reply is awaited, so a burst spanning N shards
-is served N-wide; each shard drains its sub-batch over a warm
-controller (shared demand caches, jitter warm starts), which is what
-amortises the per-request fixed-point cost.  Results are reassembled in
+is served N-wide; each shard drains its sub-batch over its live
+controller state (converged jitter table, demand profiles, stage
+memos).  Results are reassembled in
 submission order — batched decisions are identical to one-at-a-time
 decisions by construction.
 
@@ -50,7 +58,7 @@ shard that dies is respawned and its **exact** pre-crash state rebuilt
 from a baseline snapshot (``export_state``) plus a bounded append-only
 **op journal** of committed mutations — accepted admits and successful
 releases, the only ops that change controller state (a rejected admit
-discards its tentative context, and queries are pure).  The in-flight
+rolls back its tentative writes, and queries are pure).  The in-flight
 batch the crash interrupted is then re-applied on the recovered worker,
 so its payloads are exactly the uninterrupted run's payloads: recovery
 is decision-parity-preserving, and the tier-1 fault tests assert
@@ -88,9 +96,9 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro import telemetry as _telemetry
-from repro.core.admission import AdmissionController
 from repro.telemetry import tracing as _tracing
 from repro.core.context import AnalysisOptions
+from repro.core.hierarchy import HierarchicalAdmissionController
 from repro.model.flow import Flow
 from repro.model.network import Network
 from repro.service.faults import FaultPlan, FaultSpec, WorkerFaults
@@ -193,7 +201,7 @@ ShardOp = tuple
 
 
 def _apply_op(
-    ctrl: AdmissionController, op: ShardOp, shard_id: int = 0
+    ctrl: HierarchicalAdmissionController, op: ShardOp, shard_id: int = 0
 ) -> dict[str, Any]:
     """Execute one op on a shard's controller; errors become payloads
     (a shard worker must survive bad requests)."""
@@ -215,21 +223,17 @@ def _apply_op(
             ctrl.release(op[1])
             return {"released": True}
         if kind == "query":
-            name = op[1]
-            admitted = any(f.name == name for f in ctrl.admitted_flows)
-            out: dict[str, Any] = {"admitted": admitted}
-            if admitted and ctrl.last_analysis is not None:
-                out["worst_response"] = ctrl.last_analysis.result(
-                    name
-                ).worst_response
-            return out
+            result = ctrl.flow_results.get(op[1])
+            if result is None:
+                return {"admitted": False}
+            return {"admitted": True, "worst_response": result.worst_response}
         return {"error": f"unknown shard op {kind!r}", "code": ERR_BAD_REQUEST}
     except (KeyError, ValueError) as exc:
         return {"error": str(exc), "code": ERR_BAD_REQUEST}
 
 
 def _apply_traced(
-    ctrl: AdmissionController,
+    ctrl: HierarchicalAdmissionController,
     op: ShardOp,
     shard_id: int,
     ctx: Mapping[str, Any] | None,
@@ -244,7 +248,7 @@ def _apply_traced(
 
 
 class _InlineShard:
-    """In-process shard: the reference (serial) backend."""
+    """In-process shard: the controller runs in the service's process."""
 
     def __init__(
         self,
@@ -254,7 +258,7 @@ class _InlineShard:
         shard_id: int = 0,
     ):
         self.shard_id = shard_id
-        self._ctrl = AdmissionController(network, options)
+        self._ctrl = HierarchicalAdmissionController(network, options)
 
     def send_batch(
         self,
@@ -282,7 +286,7 @@ class _InlineShard:
         return self._ctrl.export_state()
 
     def restore(self, flows: Sequence[Flow], jitters: Mapping) -> None:
-        self._ctrl = AdmissionController.restore(
+        self._ctrl = HierarchicalAdmissionController.restore(
             self._ctrl.network,
             self._ctrl.options,
             flows=flows,
@@ -363,7 +367,7 @@ def _shard_worker(
         _tracing.enable_tracing(
             _tracing.Tracer(proc=f"shard{shard_id}", incarnation=incarnation)
         )
-    ctrl = AdmissionController(network, options)
+    ctrl = HierarchicalAdmissionController(network, options)
     injected = WorkerFaults(faults) if faults else None
     n_ops = 0
     while True:
@@ -400,7 +404,7 @@ def _shard_worker(
             tr = _tracing.TRACER
             conn.send(tr.drain() if tr is not None else None)
         elif kind == "restore":
-            ctrl = AdmissionController.restore(
+            ctrl = HierarchicalAdmissionController.restore(
                 network, options, flows=msg[1], jitters=msg[2]
             )
             conn.send(True)

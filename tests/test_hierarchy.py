@@ -23,10 +23,7 @@ import pytest
 
 import oracle
 from repro import telemetry
-from repro.core.admission import (
-    AdmissionController,
-    make_admission_controller,
-)
+from repro.core.admission import AdmissionController
 from repro.core.context import AnalysisOptions
 from repro.core.hierarchy import HierarchicalAdmissionController, PodMap
 from repro.model.flow import Flow
@@ -346,7 +343,7 @@ def test_hierarchical_flat_reference_decisions_agree():
 
 
 # ----------------------------------------------------------------------
-# API edges, factory, stats, telemetry
+# API edges, stats, telemetry
 # ----------------------------------------------------------------------
 def test_duplicate_admit_and_unknown_release_raise():
     net, flows = _small_scenario()
@@ -356,17 +353,6 @@ def test_duplicate_admit_and_unknown_release_raise():
         hier.request(flows[0])
     with pytest.raises(KeyError, match="not admitted"):
         hier.release("nonesuch")
-
-
-def test_factory_dispatch():
-    net, _ = _small_scenario()
-    assert isinstance(
-        make_admission_controller(net), AdmissionController
-    )
-    assert isinstance(
-        make_admission_controller(net, hierarchical=True),
-        HierarchicalAdmissionController,
-    )
 
 
 def test_stats_and_telemetry_counters():

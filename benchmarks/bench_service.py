@@ -1,21 +1,16 @@
-"""Admission-service throughput: requests/sec at 1 vs N shards.
+"""Admission-service recovery: what surviving worker deaths costs.
 
-The workload is deliberately *shard-local*: four disjoint VoIP stars in
-one network, one shard per star (explicit ``shard_map``), with the
-request stream round-robining across stars so every micro-batch spans
-all shards.  At ``n_shards=1`` everything funnels through one
-controller; at ``n_shards=4`` with worker processes each star's
-requests are served by its own core — the speedup is the service
-tentpole's headline number (≥ 2x at 4 shards on a multi-core host;
-single-core CI records both numbers without the parallel gain, like
-``bench_campaign.py``).
+One worker-backed engine drains a burst trace over four disjoint VoIP
+stars while its worker is killed twice, the second time in the
+incarnation that replaced the first.  ``test_service_recovery`` prices
+cold recovery (respawn, restore, journal replay);
+``test_service_recovery_replicated`` prices warm failover to a
+journal-fed standby, which replays only the ship lag.
 
 Decisions are asserted identical to a serial
 :class:`~repro.core.admission.AdmissionController` drain of the same
 trace, so every trajectory entry measures the same admitted work.
 """
-
-import pytest
 
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
@@ -66,7 +61,6 @@ def _multi_star_scenario():
 
 
 SCENARIO = _multi_star_scenario()
-SHARD_MAP = {f"sw{s}": s for s in range(N_STARS)}
 TRACE = trace_from_scenario(
     SCENARIO,
     n_requests=N_REQUESTS,
@@ -80,48 +74,27 @@ TRACE = trace_from_scenario(
 SERIAL = replay_serial(SCENARIO.network, TRACE, SCENARIO.options)
 
 
-@pytest.mark.parametrize("n_shards", [1, N_STARS])
-def test_service_throughput(benchmark, n_shards):
-    """Drain the trace through the service (workers when sharded)."""
-
-    def run():
-        service = ShardedAdmissionService(
-            SCENARIO.network,
-            n_shards=n_shards,
-            options=SCENARIO.options,
-            shard_map={k: v % n_shards for k, v in SHARD_MAP.items()},
-            workers=n_shards > 1,
-        )
-        try:
-            return replay_service(service, TRACE, batch=16)
-        finally:
-            service.close()
-
-    summary = benchmark(run)
-    assert summary.admit_decisions == SERIAL.admit_decisions
-    benchmark.extra_info["requests_per_s"] = round(summary.requests_per_s, 1)
-    benchmark.extra_info["accepted"] = summary.accepted
+#: Two kills of the one worker: its first incarnation before op 6, then
+#: the respawned or promoted incarnation 1 before its op 40.
+KILLS = "kill:shard=0,at=6;kill:shard=0,at=40,incarnation=1"
 
 
 def test_service_recovery(benchmark):
-    """Drain the trace while killing two shard workers mid-run.
+    """Drain the trace while killing the worker twice mid-run.
 
-    The supervisor respawns each dead worker and restores its exact
+    The supervisor respawns the dead worker and restores its exact
     state (baseline snapshot + op journal), so the decisions still
     match the serial reference; the cost of that resilience — respawn,
-    restore, journal replay — is what this case prices relative to
-    ``test_service_throughput``.
+    restore, journal replay — is what this case prices.
     """
     from repro.service import FaultPlan
 
-    plan = FaultPlan.parse("kill:shard=0,at=6;kill:shard=2,at=6")
+    plan = FaultPlan.parse(KILLS)
 
     def run():
         service = ShardedAdmissionService(
             SCENARIO.network,
-            n_shards=N_STARS,
             options=SCENARIO.options,
-            shard_map=SHARD_MAP,
             workers=True,
             fault_plan=plan,
             journal_limit=32,
@@ -141,7 +114,7 @@ def test_service_recovery(benchmark):
 
 
 def test_service_recovery_replicated(benchmark):
-    """The same double-kill run with a warm standby per shard.
+    """The same double-kill run with a warm standby.
 
     Each dead primary is *promoted over* instead of cold-restarted: the
     standby already holds the committed state, so failover replays only
@@ -151,14 +124,12 @@ def test_service_recovery_replicated(benchmark):
     """
     from repro.service import FaultPlan
 
-    plan = FaultPlan.parse("kill:shard=0,at=6;kill:shard=2,at=6")
+    plan = FaultPlan.parse(KILLS)
 
     def run():
         service = ShardedAdmissionService(
             SCENARIO.network,
-            n_shards=N_STARS,
             options=SCENARIO.options,
-            shard_map=SHARD_MAP,
             workers=True,
             replicas=1,
             fault_plan=plan,

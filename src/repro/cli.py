@@ -31,7 +31,7 @@ result rows (and the printed digest) are bit-identical for any
 Serving (the :mod:`repro.service` subsystem) turns the admission
 controller into a network service::
 
-    python -m repro.cli serve scenario.json --port 7420 --shards 4
+    python -m repro.cli serve scenario.json --port 7420 --workers
     python -m repro.cli serve --restore state.json     # warm restart
     python -m repro.cli replay --family voip-star \\
         --requests 200 --arrival poisson --rate 200    # offline driver
@@ -41,7 +41,7 @@ controller into a network service::
 
 ``replay`` builds a reproducible request stream from any scenario
 family plus an arrival process (poisson / burst / recorded churn) and
-drives either an in-process sharded service or a live server;
+drives either an in-process service or a live server;
 ``--check-serial`` re-runs the stream through a plain serial
 :class:`~repro.core.admission.AdmissionController` and verifies the
 decisions match request for request.
@@ -706,10 +706,11 @@ def cmd_serve(args) -> int:
         )
     if args.workers and args.no_workers:
         raise SystemExit("--workers and --no-workers are mutually exclusive")
-    if args.restore and args.shards != 1:
-        raise SystemExit(
-            "--shards has no effect with --restore "
-            "(the shard count comes from the snapshot)"
+    if args.shards != 1:
+        log.warning(
+            "--shards %d ignored: each server runs one engine "
+            "(multi-shard serving was removed)",
+            args.shards,
         )
     if args.restore and args.admit_base:
         raise SystemExit(
@@ -745,18 +746,20 @@ def cmd_serve(args) -> int:
         except ValueError as exc:
             raise SystemExit(str(exc))
         log.info(
-            "restored %d admitted flow(s) across %d shard(s) from %s",
-            service.stats()["admitted"], service.n_shards, args.restore,
+            "restored %d admitted flow(s) from %s",
+            service.stats()["admitted"], args.restore,
         )
     else:
         loaded = _CliScenario(args.scenario)
-        service = ShardedAdmissionService(
-            loaded.network,
-            n_shards=args.shards,
-            options=loaded.scenario.options,
-            workers=args.workers,
-            **resilience,
-        )
+        try:
+            service = ShardedAdmissionService(
+                loaded.network,
+                options=loaded.scenario.options,
+                workers=args.workers,
+                **resilience,
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc))
         if args.admit_base and loaded.flows:
             payloads = service.process_batch(
                 [Request(op="admit", flow=f) for f in loaded.flows]
@@ -764,10 +767,8 @@ def cmd_serve(args) -> int:
             ok = sum(1 for p in payloads if p.get("accepted"))
             log.info("pre-admitted %d/%d base flow(s)", ok, len(payloads))
     log.info(
-        "admission service: %d shard(s), workers=%s, supervise=%s, "
-        "replicas=%d",
-        service.n_shards, service.workers, service.supervise,
-        service.replicas,
+        "admission service: workers=%s, supervise=%s, replicas=%d",
+        service.workers, service.supervise, service.replicas,
     )
     if fault_plan is not None:
         log.info(
@@ -803,7 +804,7 @@ def cmd_replay(args) -> int:
 
     if args.metrics_out and not args.connect and _telemetry.REGISTRY is None:
         # Local replay: collection must be on before the service forks
-        # its shard workers, or there is nothing to dump.
+        # its worker, or there is nothing to dump.
         _telemetry.enable()
         log.debug("telemetry collection enabled for --metrics-out")
     if args.traced and not args.connect:
@@ -854,11 +855,10 @@ def cmd_replay(args) -> int:
 
     metrics_doc = None
     if args.connect:
-        if args.shards != 1 or args.workers:
+        if args.workers:
             raise SystemExit(
-                "--shards/--workers configure the local service and have "
-                "no effect with --connect (the live server's configuration "
-                "applies)"
+                "--workers configures the local service and has no effect "
+                "with --connect (the live server's configuration applies)"
             )
         host, port = _parse_connect(args.connect)
         retry = None
@@ -898,7 +898,6 @@ def cmd_replay(args) -> int:
             )
         service = ShardedAdmissionService(
             scenario.network,
-            n_shards=args.shards,
             options=scenario.options,
             workers=args.workers,
         )
@@ -908,7 +907,7 @@ def cmd_replay(args) -> int:
                 metrics_doc = service.metrics()
         finally:
             service.close()
-        target = f"local service ({args.shards} shard(s))"
+        target = "local service"
 
     if args.metrics_out:
         import json as _json
@@ -960,58 +959,6 @@ def _parse_connect(text: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise SystemExit(f"--connect expects HOST:PORT, got {text!r}")
     return host, int(port)
-
-
-def _parse_shard_map(text: str) -> dict[str, int]:
-    """Parse a ``sw0=0,sw1=1`` switch → shard assignment string."""
-    out: dict[str, int] = {}
-    for pair in text.split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        name, eq, sid = pair.partition("=")
-        name, sid = name.strip(), sid.strip()
-        if not eq or not name or not sid.lstrip("-").isdigit():
-            raise SystemExit(
-                f"--map expects SWITCH=SHARD[,SWITCH=SHARD...], got {pair!r}"
-            )
-        out[name] = int(sid)
-    if not out:
-        raise SystemExit("--map is empty")
-    return out
-
-
-def cmd_rebalance(args) -> int:
-    from repro.service.replay import fetch_health_tcp, rebalance_tcp
-
-    if not args.map and args.shards is None:
-        raise SystemExit("rebalance needs --map and/or --shards")
-    host, port = _parse_connect(args.connect)
-    shard_map = _parse_shard_map(args.map) if args.map else None
-    try:
-        out = rebalance_tcp(
-            host,
-            port,
-            shard_map,
-            n_shards=args.shards,
-            connect_timeout=args.timeout,
-        )
-    except (OSError, RuntimeError, ConnectionError) as exc:
-        raise SystemExit(f"rebalance: {exc}")
-    print(
-        f"rebalanced to {out['n_shards']} shard(s): "
-        f"{out['moved_flows']} flow(s) moved, "
-        f"{out['admitted']} admitted"
-    )
-    if args.verbose:
-        for switch, sid in sorted(out.get("switch_shards", {}).items()):
-            print(f"  {switch} -> shard {sid}")
-        health = fetch_health_tcp(host, port)
-        print(
-            f"health: {health['status']}, failovers={health['failovers']}, "
-            f"cold_restores={health['cold_restores']}"
-        )
-    return 0
 
 
 def cmd_trace_export(args) -> int:
@@ -1362,7 +1309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser(
-        "serve", help="run the sharded admission service over TCP"
+        "serve", help="run the admission service over TCP"
     )
     p.add_argument(
         "scenario",
@@ -1376,18 +1323,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--port", type=int, default=7420, help="TCP port (0 = ephemeral)"
     )
-    p.add_argument(
-        "--shards", type=int, default=1, help="link-disjoint shard count"
-    )
+    # Legacy: accepted and ignored (warns when N != 1).
+    p.add_argument("--shards", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument(
         "--workers",
         action="store_true",
-        help="back every shard with its own worker process",
+        help="run the engine in a supervised worker process",
     )
     p.add_argument(
         "--no-workers",
         action="store_true",
-        help="with --restore: force inline shards even if the snapshot "
+        help="with --restore: run the engine inline even if the snapshot "
         "was taken from a worker-backed service",
     )
     p.add_argument(
@@ -1418,7 +1364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace",
         action="store_true",
-        help="record per-request spans (server + shard workers) into "
+        help="record per-request spans (server + worker) into "
         "bounded ring buffers; export with 'trace-export'; implies "
         "--telemetry",
     )
@@ -1433,7 +1379,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         metavar="PLAN",
         help="deterministic fault plan, e.g. "
-        "'kill:shard=1,at=40;drop_conn:at=120;seed=7' "
+        "'kill:shard=0,at=40;drop_conn:at=120;seed=7' "
         "(falls back to the REPRO_FAULTS environment variable)",
     )
     p.add_argument(
@@ -1441,21 +1387,21 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         choices=(0, 1),
-        help="warm standby workers per shard (needs --workers): a dying "
+        help="warm standby workers (needs --workers): a dying "
         "primary is promoted over from the journal-fed standby instead "
         "of cold-restarted (default 0)",
     )
     p.add_argument(
         "--no-supervise",
         action="store_true",
-        help="disable worker supervision: a dead shard worker degrades "
+        help="disable worker supervision: a dead worker degrades "
         "permanently instead of being respawned and state-restored",
     )
     p.add_argument(
         "--max-restarts",
         type=int,
         default=5,
-        help="supervisor restart budget per shard (default 5)",
+        help="supervisor restart budget (default 5)",
     )
     p.add_argument(
         "--journal-limit",
@@ -1472,36 +1418,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dispatch queue reaches this depth (0 = unbounded)",
     )
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "rebalance",
-        help="move a live server to a new shard layout without dropping "
-        "admitted flows",
-    )
-    p.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="the live server to rebalance",
-    )
-    p.add_argument(
-        "--map",
-        metavar="SWITCH=SHARD,...",
-        help="explicit switch -> shard assignment, e.g. 'sw0=0,sw1=1'",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        help="target shard count (unpinned switches hash-assign)",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        help="overall connect deadline in seconds (default 5)",
-    )
-    p.set_defaults(func=cmd_rebalance)
 
     p = sub.add_parser(
         "replay",
@@ -1534,10 +1450,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--shards", type=int, default=1, help="shards of the local service"
-    )
-    p.add_argument(
-        "--workers", action="store_true", help="process-backed shards"
+        "--workers",
+        action="store_true",
+        help="run the local service's engine in a worker process",
     )
     p.add_argument(
         "--batch", type=int, default=16, help="micro-batch / pipeline window"

@@ -1,4 +1,4 @@
-"""Online admission-control service: sharding, serving, replay, state.
+"""Online admission-control service: serving, replay, state.
 
 The paper's closing claim — the holistic analysis "forms an admission
 controller" (Sec. 3.5) — made concrete as a production-shaped serving
@@ -9,16 +9,15 @@ layer on top of the incremental controller of
   (admit / release / query / stats / snapshot / metrics / health) with
   an error-code taxonomy, idempotency keys and per-request deadlines;
 * :mod:`repro.service.sharding` — :class:`ShardedAdmissionService`:
-  deterministic link-disjoint network shards, each owning its own
-  controller (inline or worker-process backed), with two-phase accept
-  for cross-shard flows, per-shard micro-batch coalescing, and a
-  supervisor that respawns dead workers and restores exact state from
-  baseline snapshots plus a bounded op journal;
+  one engine per server, inline or in a worker process, with in-order
+  micro-batches and a supervisor that respawns a dead worker and
+  restores its exact state from a baseline snapshot plus a bounded op
+  journal — every decision equals the serial controller's;
 * :mod:`repro.service.server` — the asyncio TCP front end
   (``repro.cli serve``) with load shedding, deadline enforcement and
   server-side idempotency dedup;
 * :mod:`repro.service.replay` — scenario families x arrival processes
-  -> reproducible request streams, with sharded / serial / over-the-
+  -> reproducible request streams, with in-process / serial / over-the-
   wire drivers (``repro.cli replay``), the latter resilient via
   :mod:`repro.service.retry`;
 * :mod:`repro.service.retry` — shared :class:`RetryPolicy` (timeouts,
@@ -27,13 +26,11 @@ layer on top of the incremental controller of
   :class:`FaultPlan` (kill/hang/slow workers, drop connections, kill
   standbys / sever journal links / kill during promotion) so chaos
   runs replay identically everywhere;
-* :mod:`repro.service.replication` — warm standby workers fed by the
+* :mod:`repro.service.replication` — a warm standby worker fed by the
   primary's op journal (ship-on-commit): zero-loss promotion on
-  primary death, and the state-transfer recipe behind
-  ``ShardedAdmissionService.rebalance`` (live shard-layout changes);
+  primary death;
 * :mod:`repro.service.state` — versioned snapshot/restore of a running
-  service (byte-identical decisions on a replayed request log), with a
-  restore-time shard-layout override equivalent to live rebalancing.
+  service (byte-identical decisions on a replayed request log).
 """
 
 from repro.service.faults import (
@@ -68,7 +65,6 @@ from repro.service.replay import (
     fetch_metrics_tcp,
     fetch_stats_tcp,
     load_trace,
-    rebalance_tcp,
     replay_over_tcp,
     replay_serial,
     replay_service,
@@ -77,14 +73,10 @@ from repro.service.replay import (
     trace_from_family,
     trace_from_scenario,
 )
-from repro.service.replication import StandbyReplica, reassign_shard_states
+from repro.service.replication import StandbyReplica
 from repro.service.retry import ConnectError, RetryPolicy, connect_with_backoff
 from repro.service.server import AdmissionServer, run_server
-from repro.service.sharding import (
-    ServiceDecision,
-    ShardedAdmissionService,
-    ShardRouter,
-)
+from repro.service.sharding import ServiceDecision, ShardedAdmissionService
 from repro.service.state import (
     STATE_VERSION,
     load_service_state,
@@ -116,7 +108,6 @@ __all__ = [
     "Request",
     "RetryPolicy",
     "ServiceDecision",
-    "ShardRouter",
     "ShardedAdmissionService",
     "StandbyReplica",
     "connect_with_backoff",
@@ -128,8 +119,6 @@ __all__ = [
     "is_retryable",
     "load_service_state",
     "load_trace",
-    "reassign_shard_states",
-    "rebalance_tcp",
     "replay_over_tcp",
     "replay_serial",
     "replay_service",

@@ -2,11 +2,11 @@
 
 Chaos testing is only useful when a failure can be *replayed*: a crash
 that happens at a wall-clock instant reproduces on no other machine,
-but a crash that happens "when shard 1 applies its 40th op" reproduces
+but a crash that happens "when the worker applies its 40th op" reproduces
 everywhere, every run.  This module defines that vocabulary: a
 :class:`FaultPlan` is a seeded, serialisable bundle of
 :class:`FaultSpec` entries, each pinned to a deterministic progress
-point (a shard's op counter, or the server's response counter) rather
+point (the worker's op counter, or the server's response counter) rather
 than to time.
 
 Fault kinds
@@ -47,12 +47,20 @@ applied against the warm-standby machinery of
 Worker faults carry an ``incarnation`` (default 0): a fault only fires
 in that incarnation of the shard worker, so a supervisor-respawned
 worker does not re-trip the same kill while replaying its journal.
+Incarnations number every worker the supervisor spawns, respawned
+primaries and standbys alike, in spawn order; a standby counts the ops
+it applied before promotion, so a kill aimed at its incarnation with a
+later ``at`` kills it as the promoted primary.  Two kills of one shard
+in successive incarnations therefore read, without a standby::
+
+    kill:shard=0,at=30;kill:shard=0,at=60,incarnation=1
+
 Every fault fires at most once.
 
 The plan serialises to/from a compact spec string (CLI ``serve
 --faults`` / env ``REPRO_FAULTS``)::
 
-    kill:shard=1,at=40;slow_batch:shard=0,at=10,delay=0.02;drop_conn:at=120
+    kill:shard=0,at=40;slow_batch:shard=0,at=10,delay=0.02;drop_conn:at=120
 
 and to a JSON-able dict, so chaos runs are reproducible from a single
 recorded line.

@@ -36,19 +36,23 @@ surface:
   ``deadline_exceeded`` instead of being processed — stale work is
   shed, not served.
 
-Protocol v3 (v1/v2 requests remain accepted) adds the replication
-surface:
+Protocol v3 added the replication surface: replication fields in
+``health``/``stats`` payloads (``replicas``, per-shard
+``standby_alive`` / ``replication_lag_ops``, and the ``failovers`` /
+``failover_s_total`` / ``cold_restores`` totals; ``stats_version`` 4),
+and a ``rebalance`` verb that moved the service to a new shard layout.
 
-* the ``rebalance`` verb — move the service to a new shard layout
-  without dropping admitted flows.  The request carries ``shard_map``
-  (switch → shard id) and/or ``n_shards``; the server treats it as a
-  batch barrier (the cutover happens between batches, atomically) and
-  answers with the move summary (``rebalanced``, ``n_shards``,
-  ``moved_flows``, ``switch_shards``);
-* replication fields in ``health``/``stats`` payloads: ``replicas``,
-  per-shard ``standby_alive`` / ``replication_lag_ops``, and the
-  ``failovers`` / ``failover_s_total`` / ``cold_restores`` totals
-  (``stats_version`` 4).
+Protocol v4 serves one engine (multi-shard serving was removed):
+
+* ``rebalance`` left :data:`OPS`, so a ``rebalance`` request is
+  answered ``bad_request`` like any unknown op;
+* ``admit`` payloads carry only ``accepted`` and ``reason`` (no
+  ``shards`` / ``cross_shard``), and ``query`` payloads only
+  ``admitted`` and ``worst_response``;
+* ``stats_version`` 5 drops the shard-layout fields and counters, and
+  ``health`` drops ``n_shards`` (its ``shards`` list has one entry).
+
+Every other v1–v3 request stays a valid v4 request.
 
 Additive to v2 (no version bump — absent fields mean "untraced"):
 requests may carry ``"trace"``, a distributed-tracing context object
@@ -75,8 +79,8 @@ fidelity and ignored by the server.  Responses::
     {"v": 2, "id": 9, "ok": false, "error": "service overloaded",
      "code": "overloaded", "retry_after": 0.05}
 
-The ``admit`` payload mirrors the service decision: ``accepted``,
-``reason``, ``shards`` and ``cross_shard``.
+The ``admit`` payload mirrors the service decision: ``accepted`` and
+``reason``.
 """
 
 from __future__ import annotations
@@ -89,14 +93,13 @@ from repro.io import flow_from_dict, flow_to_dict
 from repro.model.flow import Flow
 
 #: Current protocol version (v2 added health / error codes / idem /
-#: deadlines, v3 the rebalance verb; all v1/v2 requests remain valid
-#: v3 requests).
-PROTOCOL_VERSION = 3
+#: deadlines, v3 the replication fields and a rebalance verb, v4 removed
+#: that verb; every other v1–v3 request remains a valid v4 request).
+PROTOCOL_VERSION = 4
 
 #: Operations the service understands.
 OPS = (
     "admit", "release", "query", "stats", "snapshot", "metrics", "health",
-    "rebalance",
 )
 
 # ----------------------------------------------------------------------
@@ -156,11 +159,6 @@ class Request:
     #: Distributed-tracing context (``{"id": ..., "span": ...}``);
     #: additive to v2 — ``None`` means the request is untraced.
     trace: Mapping[str, Any] | None = None
-    #: Target switch → shard assignment of a ``rebalance`` request (v3).
-    shard_map: Mapping[str, int] | None = None
-    #: Target shard count of a ``rebalance`` request (v3; optional when
-    #: ``shard_map`` pins every switch).
-    n_shards: int | None = None
 
     def __post_init__(self) -> None:
         if self.op not in OPS:
@@ -175,16 +173,6 @@ class Request:
             raise ProtocolError(
                 f"request: negative deadline_s {self.deadline_s!r}"
             )
-        if self.op == "rebalance":
-            if self.shard_map is None and self.n_shards is None:
-                raise ProtocolError(
-                    "rebalance request: needs 'shard_map' or 'n_shards'"
-                )
-            if self.n_shards is not None and self.n_shards < 1:
-                raise ProtocolError(
-                    f"rebalance request: n_shards must be >= 1, "
-                    f"got {self.n_shards}"
-                )
 
     @property
     def target(self) -> str | None:
@@ -212,31 +200,7 @@ def request_to_dict(req: Request) -> dict[str, Any]:
         doc["deadline_s"] = req.deadline_s
     if req.trace is not None:
         doc["trace"] = dict(req.trace)
-    if req.shard_map is not None:
-        doc["shard_map"] = {k: int(v) for k, v in req.shard_map.items()}
-    if req.n_shards is not None:
-        doc["n_shards"] = req.n_shards
     return doc
-
-
-def _shard_map_from_doc(doc: Mapping[str, Any]) -> dict[str, int] | None:
-    """Validate the optional ``shard_map`` field of a request document."""
-    raw = doc.get("shard_map")
-    if raw is None:
-        return None
-    if not isinstance(raw, Mapping):
-        raise ProtocolError(
-            f"request: 'shard_map' must be an object, got {raw!r}"
-        )
-    out: dict[str, int] = {}
-    for key, value in raw.items():
-        try:
-            out[str(key)] = int(value)
-        except (TypeError, ValueError):
-            raise ProtocolError(
-                f"request: non-integer shard_map[{key!r}] value {value!r}"
-            ) from None
-    return out
 
 
 def _trace_from_doc(doc: Mapping[str, Any]) -> dict[str, Any] | None:
@@ -292,14 +256,6 @@ def request_from_dict(doc: Mapping[str, Any]) -> Request:
             raise ProtocolError(
                 f"request: non-numeric 'deadline_s' value {deadline_s!r}"
             )
-    n_shards = doc.get("n_shards")
-    if n_shards is not None:
-        try:
-            n_shards = int(n_shards)
-        except (TypeError, ValueError):
-            raise ProtocolError(
-                f"request: non-integer 'n_shards' value {n_shards!r}"
-            ) from None
     flow_name = doc.get("flow_name")
     path = doc.get("path")
     idem = doc.get("idem")
@@ -313,8 +269,6 @@ def request_from_dict(doc: Mapping[str, Any]) -> Request:
         idem=str(idem) if idem is not None else None,
         deadline_s=deadline_s,
         trace=_trace_from_doc(doc),
-        shard_map=_shard_map_from_doc(doc),
-        n_shards=n_shards,
     )
 
 

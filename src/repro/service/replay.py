@@ -219,7 +219,7 @@ class ReplaySummary:
     errors: int
     elapsed_s: float
     #: Accept/reject of every ``admit`` request, in trace order — the
-    #: unit of parity between sharded, serial and over-the-wire replays.
+    #: unit of parity between service, serial and over-the-wire replays.
     admit_decisions: tuple[bool, ...] = field(repr=False)
     #: Requests re-sent by the TCP driver (reconnects and retryable
     #: error codes); 0 for in-process replays and fault-free runs.
@@ -286,7 +286,7 @@ def replay_service(service, trace: ReplayTrace, *, batch: int = 16) -> ReplaySum
 
     When tracing is enabled in this process, every request is stamped
     with a fresh trace id (``<trace name>#<index>``) so per-request
-    spans recorded by the service and its shard workers are
+    spans recorded by the service and its worker are
     correlatable — the in-process analogue of a traced TCP replay.
     """
     requests: Sequence[Request] = trace.requests
@@ -309,8 +309,8 @@ def replay_serial(
 ) -> ReplaySummary:
     """Drive a plain serial controller with identical op semantics.
 
-    This is the parity reference: on a single-shard trace the sharded
-    service must reproduce these decisions bit for bit.
+    This is the parity reference: the service must reproduce these
+    decisions bit for bit.
     """
     ctrl = AdmissionController(network, options)
     payloads: list[Mapping[str, Any]] = []
@@ -538,59 +538,3 @@ def fetch_stats_tcp(host: str, port: int) -> dict[str, Any]:
 def fetch_health_tcp(host: str, port: int) -> dict[str, Any]:
     """Ask a live server for its liveness via the ``health`` verb."""
     return asyncio.run(_request_over_tcp(host, port, "health"))
-
-
-async def _rebalance_over_tcp(
-    host: str,
-    port: int,
-    shard_map: Mapping[str, int] | None,
-    n_shards: int | None,
-    connect_timeout: float,
-) -> dict[str, Any]:
-    reader, writer = await connect_with_backoff(
-        host, port, timeout=connect_timeout
-    )
-    try:
-        req = Request(
-            op="rebalance", id=0, shard_map=shard_map, n_shards=n_shards
-        )
-        writer.write(encode_line(request_to_dict(req)))
-        await writer.drain()
-        line = await reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        doc = decode_line(line)
-        if not doc.get("ok"):
-            raise RuntimeError(
-                f"rebalance failed: {doc.get('error', 'unknown error')}"
-            )
-        return {
-            k: v for k, v in doc.items() if k not in ("v", "id", "ok", "trace")
-        }
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown
-            pass
-
-
-def rebalance_tcp(
-    host: str,
-    port: int,
-    shard_map: Mapping[str, int] | None = None,
-    *,
-    n_shards: int | None = None,
-    connect_timeout: float = 5.0,
-) -> dict[str, Any]:
-    """Ask a live server to move to a new shard layout (the ``rebalance``
-    verb, protocol v3) and return its move summary.
-
-    Connects with the shared backoff policy (``connect_timeout`` is the
-    overall deadline); the server performs the cutover atomically
-    between batches, so concurrent replaying clients only ever observe
-    the old layout or the new one.
-    """
-    return asyncio.run(
-        _rebalance_over_tcp(host, port, shard_map, n_shards, connect_timeout)
-    )

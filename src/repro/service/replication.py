@@ -1,7 +1,7 @@
-"""Warm-standby replication for process-backed shards.
+"""Warm-standby replication for the worker-backed engine.
 
-PR 7's supervised recovery is *cold*: a dead shard worker is respawned
-and its state rebuilt from the baseline snapshot plus a full journal
+Supervised recovery alone is *cold*: a dead worker is respawned and
+its state rebuilt from the baseline snapshot plus a full journal
 replay, so every crash costs a fresh controller construction, a restore
 exchange and up to ``journal_limit`` replayed ops.  This module makes
 failover *warm*: a :class:`StandbyReplica` is a second worker process
@@ -34,13 +34,6 @@ cold path uses (snapshot + committed-op journal, both byte-exact),
 promoted decisions and exported state documents are byte-identical to
 a fault-free run — the tier-1 replication tests assert it.
 
-The same snapshot + journal catch-up recipe doubles as the transfer
-path for **live rebalancing**:
-:func:`reassign_shard_states` re-routes an exported service state under
-a new :class:`~repro.service.sharding.ShardRouter`, and
-``ShardedAdmissionService.rebalance`` installs the result into freshly
-caught-up backends before atomically cutting over between batches.
-
 Standby workers run the same telemetry/tracing configuration as
 primaries, but their registries are never polled while they are
 standbys — only after promotion, where (exactly like a cold-respawned
@@ -51,7 +44,7 @@ served since.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro import telemetry as _telemetry
 from repro.model.flow import Flow
@@ -59,11 +52,11 @@ from repro.service.faults import FaultPlan, FaultSpec
 from repro.telemetry import tracing as _tracing
 from repro.util.mp import mp_context
 
-__all__ = ["StandbyReplica", "reassign_shard_states"]
+__all__ = ["StandbyReplica"]
 
 
 class StandbyReplica:
-    """One shard's warm standby worker, fed by the primary's journal.
+    """The engine's warm standby worker, fed by the primary's journal.
 
     Owns a dedicated worker process (the same
     :func:`~repro.service.sharding._shard_worker` body the primary
@@ -110,7 +103,13 @@ class StandbyReplica:
             # kill_standby faults become plain in-worker kills keyed to
             # the *standby's* op counter (restore doesn't count; every
             # shipped/caught-up op does), filtered to this generation.
-            faults = tuple(
+            # Worker faults aimed at this incarnation join them on the
+            # same counter: one whose ``at`` lies past the ops the
+            # standby applied before promotion kills it as the promoted
+            # primary.
+            faults = fault_plan.worker_faults(
+                shard=shard_id, incarnation=incarnation
+            ) + tuple(
                 FaultSpec(kind="kill", at=f.at, shard=shard_id)
                 for f in fault_plan.standby_faults(
                     shard=shard_id, generation=generation
@@ -254,63 +253,3 @@ class StandbyReplica:
             except (BrokenPipeError, EOFError, OSError):
                 pass
         self.destroy(timeout=timeout)
-
-
-# ----------------------------------------------------------------------
-# Rebalancing: re-route an exported service state under a new router
-# ----------------------------------------------------------------------
-def reassign_shard_states(
-    states: Sequence[tuple[Sequence[Flow], Mapping]],
-    flow_shards: Mapping[str, Iterable[int]],
-    router,
-) -> tuple[list[tuple[tuple[Flow, ...], dict]], dict[str, tuple[int, ...]]]:
-    """Re-partition exported per-shard states for a new shard layout.
-
-    ``states`` are ``export_shard_states()`` blocks of the *old*
-    layout, ``flow_shards`` the old admission-order flow → shard-ids
-    mapping, ``router`` the new :class:`ShardRouter`.  Every admitted
-    flow is re-routed and moved — with its converged jitter-table
-    entries — to its new owner shard(s), preserving admission order, so
-    restoring the result is byte-identical to restoring a snapshot into
-    a service built with the new map (the rebalance equivalence tests
-    assert exactly that).
-
-    Flows admitted cross-shard are refused: each old owner converged
-    the flow against its own interferer set (the documented two-phase
-    approximation), so there is no single exact state to move.
-    """
-    cross = sorted(
-        name for name, sids in flow_shards.items() if len(tuple(sids)) > 1
-    )
-    if cross:
-        raise ValueError(
-            f"cannot rebalance with cross-shard admitted flows: {cross}; "
-            "release them first (their per-shard states diverge by design)"
-        )
-    flow_by_name: dict[str, Flow] = {}
-    jitters_by_name: dict[str, dict] = {}
-    for flows, jitters in states:
-        for flow in flows:
-            flow_by_name[flow.name] = flow
-        for key, values in jitters.items():
-            jitters_by_name.setdefault(key[0], {})[key] = values
-    new_flows: list[list[Flow]] = [[] for _ in range(router.n_shards)]
-    new_jitters: list[dict] = [{} for _ in range(router.n_shards)]
-    new_flow_shards: dict[str, tuple[int, ...]] = {}
-    for name in flow_shards:
-        flow = flow_by_name.get(name)
-        if flow is None:
-            raise ValueError(
-                f"flow {name!r} is in flow_shards but in no shard state"
-            )
-        sids = router.shards_for_flow(flow)
-        new_flow_shards[name] = sids
-        entries = jitters_by_name.get(name, {})
-        for sid in sids:
-            new_flows[sid].append(flow)
-            new_jitters[sid].update(entries)
-    new_states = [
-        (tuple(flows), jitters)
-        for flows, jitters in zip(new_flows, new_jitters)
-    ]
-    return new_states, new_flow_shards

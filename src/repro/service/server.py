@@ -1,4 +1,4 @@
-"""Asyncio TCP front end of the sharded admission service.
+"""Asyncio TCP front end of the admission service.
 
 JSON-lines over TCP (see :mod:`repro.service.protocol`): every
 connection writes one request per line and reads one response per
@@ -6,9 +6,9 @@ request, in order.  All connections feed a single dispatch queue; the
 dispatcher drains it in **micro-batches** — whatever accumulated since
 the last service call, up to ``batch_max``, after an optional
 ``batch_window_s`` coalescing pause — and hands each batch to
-:meth:`ShardedAdmissionService.process_batch`, which fans shard-local
-runs across the shard backends.  Bursts therefore (with worker-backed
-shards) ride N shards wide, while a lone request still sees
+:meth:`ShardedAdmissionService.process_batch`, which sends its runs of
+engine ops to the one engine in order.  A burst therefore costs one
+engine round trip per run, while a lone request still sees
 one-request latency.
 
 The service call runs in a thread-pool executor so the event loop keeps
@@ -565,7 +565,7 @@ def run_server(
     (and the CI smoke jobs) key on it — and serves until interrupted.
     SIGTERM / SIGINT (Ctrl-C) trigger a **graceful** shutdown: the
     listener closes, every already-queued request is answered, the
-    shards drain their journal-ship links and write clean-shutdown
+    worker drains its journal-ship link and writes clean-shutdown
     flight records for every live incarnation, and only then do the
     worker processes come down.
     """
@@ -616,6 +616,7 @@ def run_server(
     except KeyboardInterrupt:  # pragma: no cover - no signal handler
         pass
     finally:
-        # Graceful service teardown: shards finish queued ops, standbys
-        # drain, every live incarnation leaves a final flight record.
+        # Graceful service teardown: the worker finishes queued ops, its
+        # standby drains, every live incarnation leaves a final flight
+        # record.
         service.shutdown()

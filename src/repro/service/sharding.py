@@ -1,6 +1,6 @@
-"""Sharded online admission control.
+"""Online admission control behind one request interface.
 
-Every shard runs the incremental engine,
+The service runs one engine,
 :class:`~repro.core.hierarchy.HierarchicalAdmissionController`: it keeps
 its analysis state between requests, so an admit re-solves only the
 flows the candidate interferes with and a release only the jitter
@@ -9,54 +9,28 @@ bounds are bit-identical to those of the serial
 :class:`~repro.core.admission.AdmissionController`, which re-runs the
 holistic analysis over the whole admitted set per request and remains
 the parity reference (:func:`~repro.service.replay.replay_serial`).
-One engine is still bounded by one core, so this module partitions the
-*network* into link-disjoint shards — every directed link is owned by
-exactly one shard — and gives each shard its own controller, so
-requests touching different shards are independent and can be served
-in parallel.
+Every admit is therefore decided against the holistic fixed point of
+the whole admitted set (Sec. 3.5 of the paper), and every served
+decision, reason, release outcome and queried bound equals the serial
+controller's.
 
-Link ownership follows switch ownership: each switch is assigned to a
-shard (deterministically — a SHA-256 hash of the switch name, or an
-explicit ``shard_map``), a host↔switch link belongs to its switch's
-shard, a switch↔switch link to its lexicographically smaller switch's
-shard, and the rare switchless link hashes its canonical endpoint pair.
-The assignment is a pure function of the topology and the shard count:
-two routers built from the same network agree bit for bit, across
-processes and machines (regular ``hash()`` is salted per process and
-would not).
-
-Shard-local flows — every link of the route in one shard — are admitted
-by that shard's controller alone.  On a trace of shard-local requests
-the shard sees exactly the op subsequence a serial controller would,
-in order, so its decisions are **identical to the serial controller's**
-(the tier-1 parity tests assert this).
-
-Flows crossing shards use a *two-phase accept*: the flow is tentatively
-requested on every shard its route touches (ascending shard id); if any
-shard rejects, the tentative accepts are rolled back and the request is
-rejected.  Each touched shard checks the flow against every flow it
-shares a link with, but jitter a flow accumulates in one shard is not
-propagated into the next shard's analysis — cross-shard decisions are
-therefore an approximation of the global holistic fixed point (flagged
-``cross_shard=True`` on the decision), which is the price of
-shard-parallel serving.  Workloads needing exact cross-shard decisions
-run with ``n_shards=1``.
+The engine runs inline, in the service's process, or (``workers=True``)
+in one supervised worker process.  The backend names keep their shard
+vocabulary: the engine is shard 0 (``service.shard.0.*`` telemetry,
+the ``shard0`` trace track, the flight record's ``shard`` field).
 
 Batching: :meth:`ShardedAdmissionService.process_batch` takes a slice
-of protocol requests and coalesces consecutive shard-local operations
-into per-shard micro-batches.  With process-backed shards
-(``workers=True``) the micro-batches of one run are dispatched to all
-shard workers before any reply is awaited, so a burst spanning N shards
-is served N-wide; each shard drains its sub-batch over its live
-controller state (converged jitter table, demand profiles, stage
-memos).  Results are reassembled in
-submission order — batched decisions are identical to one-at-a-time
-decisions by construction.
+of protocol requests and sends each run of consecutive admit, release
+and query ops to the engine in one message; the engine drains it over
+its live state (converged jitter table, demand profiles, stage memos).
+``stats``, ``snapshot``, ``metrics`` and ``health`` are barriers
+between runs.  Results come back in submission order, so batched
+decisions are identical to one-at-a-time decisions by construction.
 
-Fault tolerance: with ``supervise=True`` (the default) a worker-backed
-shard that dies is respawned and its **exact** pre-crash state rebuilt
-from a baseline snapshot (``export_state``) plus a bounded append-only
-**op journal** of committed mutations — accepted admits and successful
+Fault tolerance: with ``supervise=True`` (the default) a worker that
+dies is respawned and its **exact** pre-crash state rebuilt from a
+baseline snapshot (``export_state``) plus a bounded append-only **op
+journal** of committed mutations — accepted admits and successful
 releases, the only ops that change controller state (a rejected admit
 rolls back its tentative writes, and queries are pure).  The in-flight
 batch the crash interrupted is then re-applied on the recovered worker,
@@ -65,14 +39,14 @@ is decision-parity-preserving, and the tier-1 fault tests assert
 byte-identical final state against a fault-free run.  The journal is
 compacted into a fresh baseline whenever it outgrows
 ``journal_limit``, bounding both replay time and memory.  After
-``max_restarts`` failed recoveries the shard degrades permanently to
+``max_restarts`` failed recoveries the engine degrades permanently to
 ``shard_unavailable`` error payloads, exactly like the unsupervised
 path.  Deterministic faults (:mod:`repro.service.faults`) are applied
 inside the worker, keyed to its op counter and incarnation, so crash
 scenarios replay identically on every run.
 
-Replication: with ``replicas=1`` (worker-backed, supervised) each
-shard additionally owns a :class:`~repro.service.replication.
+Replication: with ``replicas=1`` (worker-backed, supervised) the
+engine additionally owns a :class:`~repro.service.replication.
 StandbyReplica` — a warm standby worker fed every committed op as it
 is journaled (ship-on-commit with batched acks and a high-water mark).
 A dying primary is then *promoted over* instead of cold-restarted: the
@@ -81,15 +55,11 @@ interrupted batch, and becomes the new primary while a replacement
 standby catches up from the current recipe in the background.  Cold
 recovery remains the fallback whenever the standby is unusable (dead,
 wedged, or compaction outran a severed ship link).  Failovers never
-burn the ``max_restarts`` budget — only cold restores do.  The same
-snapshot + catch-up machinery backs
-:meth:`ShardedAdmissionService.rebalance`: live re-sharding that cuts
-over atomically between batches.
+burn the ``max_restarts`` budget — only cold restores do.
 """
 
 from __future__ import annotations
 
-import hashlib
 import signal
 import time
 from dataclasses import dataclass
@@ -107,90 +77,8 @@ from repro.service.protocol import (
     ERR_UNAVAILABLE,
     Request,
 )
-from repro.service.replication import StandbyReplica, reassign_shard_states
+from repro.service.replication import StandbyReplica
 from repro.util.mp import mp_context
-
-
-def _stable_hash(text: str) -> int:
-    """Process-independent 64-bit hash (``hash()`` is salted)."""
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-class ShardRouter:
-    """Deterministic link → shard assignment (see module docstring)."""
-
-    def __init__(
-        self,
-        network: Network,
-        n_shards: int,
-        *,
-        shard_map: Mapping[str, int] | None = None,
-    ):
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self.n_shards = n_shards
-        remaining = dict(shard_map or {})
-        self._switch_shard: dict[str, int] = {}
-        for node in network.nodes():
-            if not node.is_switch:
-                continue
-            if node.name in remaining:
-                sid = int(remaining.pop(node.name))
-                if not 0 <= sid < n_shards:
-                    raise ValueError(
-                        f"shard_map[{node.name!r}]={sid} out of range "
-                        f"for {n_shards} shard(s)"
-                    )
-            else:
-                sid = _stable_hash(f"switch:{node.name}") % n_shards
-            self._switch_shard[node.name] = sid
-        if remaining:
-            raise ValueError(
-                f"shard_map names unknown switches: {sorted(remaining)}"
-            )
-        self._link_shard: dict[tuple[str, str], int] = {}
-        for link in network.links():
-            self._link_shard[(link.src, link.dst)] = self._assign(
-                link.src, link.dst
-            )
-
-    def _assign(self, a: str, b: str) -> int:
-        sa = self._switch_shard.get(a)
-        sb = self._switch_shard.get(b)
-        if sa is not None and sb is not None:
-            return sa if a <= b else sb
-        if sa is not None:
-            return sa
-        if sb is not None:
-            return sb
-        lo, hi = sorted((a, b))
-        return _stable_hash(f"link:{lo}|{hi}") % self.n_shards
-
-    # ------------------------------------------------------------------
-    def shard_of_switch(self, name: str) -> int:
-        try:
-            return self._switch_shard[name]
-        except KeyError:
-            raise KeyError(f"{name!r} is not a switch of this network") from None
-
-    def shard_of_link(self, src: str, dst: str) -> int:
-        try:
-            return self._link_shard[(src, dst)]
-        except KeyError:
-            raise KeyError(f"no link {src!r}->{dst!r}") from None
-
-    def shards_for_route(self, route: Sequence[str]) -> tuple[int, ...]:
-        """Sorted shard ids a route's links touch."""
-        return tuple(
-            sorted({self.shard_of_link(a, b) for a, b in zip(route, route[1:])})
-        )
-
-    def shards_for_flow(self, flow: Flow) -> tuple[int, ...]:
-        return self.shards_for_route(flow.route)
-
-    def assignment(self) -> dict[str, int]:
-        """Copy of the switch → shard map (stats / state documents)."""
-        return dict(self._switch_shard)
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +117,8 @@ def _apply_op(
             return {"admitted": True, "worst_response": result.worst_response}
         return {"error": f"unknown shard op {kind!r}", "code": ERR_BAD_REQUEST}
     except (KeyError, ValueError) as exc:
-        return {"error": str(exc), "code": ERR_BAD_REQUEST}
+        # args[0], not str(): str() of a KeyError quotes its message.
+        return {"error": exc.args[0], "code": ERR_BAD_REQUEST}
 
 
 def _apply_traced(
@@ -260,29 +149,19 @@ class _InlineShard:
         self.shard_id = shard_id
         self._ctrl = HierarchicalAdmissionController(network, options)
 
-    def send_batch(
+    def run_batch(
         self,
         ops: Sequence[ShardOp],
         traces: Sequence[Mapping[str, Any] | None] | None = None,
-    ) -> None:
+    ) -> list[dict[str, Any]]:
         if traces is None:
-            self._pending = [
-                _apply_op(self._ctrl, op, self.shard_id) for op in ops
-            ]
-        else:
-            self._pending = [
-                _apply_traced(self._ctrl, op, self.shard_id, ctx)
-                for op, ctx in zip(ops, traces)
-            ]
+            return [_apply_op(self._ctrl, op, self.shard_id) for op in ops]
+        return [
+            _apply_traced(self._ctrl, op, self.shard_id, ctx)
+            for op, ctx in zip(ops, traces)
+        ]
 
-    def recv_batch(self) -> list[dict[str, Any]]:
-        out, self._pending = self._pending, None
-        return out
-
-    def begin_export(self) -> None:
-        pass
-
-    def finish_export(self) -> tuple[tuple[Flow, ...], dict]:
+    def export_state(self) -> tuple[tuple[Flow, ...], dict]:
         return self._ctrl.export_state()
 
     def restore(self, flows: Sequence[Flow], jitters: Mapping) -> None:
@@ -345,9 +224,9 @@ def _shard_worker(
     """
     # Workers forked while the asyncio front end is live inherit its
     # signal wakeup fd and Python-level handlers.  Left in place, a
-    # SIGTERM aimed at *this child* (standby teardown, rebalance close)
-    # would write into the shared wakeup socketpair and the parent's
-    # loop would read it as its own shutdown request.  Detach before
+    # SIGTERM aimed at *this child* (standby teardown) would write into
+    # the shared wakeup socketpair and the parent's loop would read it
+    # as its own shutdown request.  Detach before
     # serving; SIGINT is ignored so a terminal Ctrl-C reaches only the
     # front end, which drains in-flight batches and closes us cleanly.
     try:
@@ -416,11 +295,7 @@ def _shard_worker(
 
 
 class _ProcessShard:
-    """Process-backed shard: real multi-core parallelism + supervision.
-
-    ``send_batch``/``recv_batch`` are split so the service can dispatch
-    one micro-batch to *every* shard before collecting any reply —
-    that's where the shard-parallel speedup comes from.
+    """Process-backed shard: the controller runs in a supervised worker.
 
     A dying worker must never desync the request/reply pairing.  With
     ``supervise=False`` every pipe failure marks the shard dead, pending
@@ -499,8 +374,6 @@ class _ProcessShard:
         self._failover_s_total = 0.0
         self._promotion_attempts = 0
         self._dead = False
-        self._pending_ops: list[ShardOp] | None = None
-        self._pending_traces: list | None = None
         #: Last successfully polled worker registry snapshot — folded
         #: into ``_retired`` when that incarnation dies, so merged
         #: telemetry never regresses below what a client already saw.
@@ -907,35 +780,20 @@ class _ProcessShard:
             self._spawn_standby()
 
     # -- batch interface -------------------------------------------------
-    def send_batch(
+    def run_batch(
         self,
         ops: Sequence[ShardOp],
         traces: Sequence[Mapping[str, Any] | None] | None = None,
-    ) -> None:
+    ) -> list[dict[str, Any]]:
         ops = list(ops)
-        self._pending_ops = ops
-        self._pending_traces = list(traces) if traces is not None else None
-        if self._dead:
-            return
-        try:
-            if traces is not None:
-                self._conn.send(("batch", ops, self._pending_traces))
-            else:
-                self._conn.send(("batch", ops))
-        except (BrokenPipeError, OSError):
-            if self._supervise:
-                # recv_batch's failing read triggers the recovery (the
-                # in-flight ops are re-applied there either way).
-                pass
-            else:
-                self._mark_dead()
-
-    def recv_batch(self) -> list[dict[str, Any]]:
-        ops, self._pending_ops = self._pending_ops or [], None
-        traces, self._pending_traces = self._pending_traces, None
+        traces = list(traces) if traces is not None else None
         if not self._dead:
             payloads: list[dict[str, Any]] | None
             try:
+                if traces is not None:
+                    self._conn.send(("batch", ops, traces))
+                else:
+                    self._conn.send(("batch", ops))
                 reply = self._recv()
                 # Traced batches reply ``(payloads, drained spans)``.
                 if traces is not None:
@@ -945,7 +803,7 @@ class _ProcessShard:
                         tr.extend(spans)
                 else:
                     payloads = reply
-            except (EOFError, OSError, TimeoutError):
+            except (BrokenPipeError, EOFError, OSError, TimeoutError):
                 payloads = (
                     self._recover(ops, traces) if self._supervise else None
                 )
@@ -960,29 +818,13 @@ class _ProcessShard:
         ]
 
     # -- state exchange ---------------------------------------------------
-    def begin_export(self) -> None:
+    def export_state(self) -> tuple[tuple[Flow, ...], dict]:
         if self._dead:
             raise RuntimeError(self.DEAD_ERROR)
         try:
             self._conn.send(("export",))
-        except (BrokenPipeError, OSError):
-            # The send usually still succeeds into the pipe buffer even
-            # when the worker just died; a failure here means the pipe
-            # itself is gone — recover and re-issue so finish_export has
-            # a reply to pair with.
-            if self._supervise and self._recover([]) is not None:
-                try:
-                    self._conn.send(("export",))
-                    return
-                except (BrokenPipeError, OSError):  # pragma: no cover
-                    pass
-            self._mark_dead()
-            raise RuntimeError(self.DEAD_ERROR) from None
-
-    def finish_export(self) -> tuple[tuple[Flow, ...], dict]:
-        try:
             return self._recv()
-        except (EOFError, OSError, TimeoutError):
+        except (BrokenPipeError, EOFError, OSError, TimeoutError):
             if self._supervise and self._recover([]) is not None:
                 try:
                     self._conn.send(("export",))
@@ -1154,64 +996,59 @@ class ServiceDecision:
 
     accepted: bool
     reason: str
-    shards: tuple[int, ...]
-    cross_shard: bool
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "accepted": self.accepted,
-            "reason": self.reason,
-            "shards": list(self.shards),
-            "cross_shard": self.cross_shard,
-        }
+
+def _engine_op(req: Request) -> ShardOp:
+    """The engine op of an ``admit``, ``release`` or ``query`` request."""
+    if req.op == "admit":
+        return ("request", req.flow)
+    return (req.op, req.flow_name)
+
+
+#: Requests the engine executes; every other op is a batch barrier.
+_ENGINE_OPS = frozenset({"admit", "release", "query"})
 
 
 class ShardedAdmissionService:
-    """N admission controllers behind one request interface.
+    """One admission engine behind the service's request interface.
 
     Parameters
     ----------
     network:
-        The shared topology (every shard holds all of it; shards differ
-        only in which flows they own).
-    n_shards:
-        Link partition count; ``1`` reproduces the serial controller
-        exactly for every request.
-    shard_map:
-        Optional explicit switch → shard assignment (defaults to the
-        deterministic hash of :class:`ShardRouter`).
+        The topology the engine admits flows on.
+    options:
+        Analysis options of the engine.
     workers:
-        ``True`` backs every shard with its own worker process
-        (multi-core serving); ``False`` (default) keeps shards inline —
-        bit-identical decisions either way.
+        ``True`` runs the engine in a worker process (supervision,
+        replication and worker fault injection need one); ``False``
+        (default) keeps it inline — bit-identical decisions either way.
     supervise:
-        With worker-backed shards, respawn a dead worker and restore
+        With a worker-backed engine, respawn a dead worker and restore
         its exact state (baseline snapshot + op journal) instead of
-        permanently degrading the shard.  Inline shards cannot crash
-        independently, so the flag only matters with ``workers=True``.
+        permanently degrading the service.  An inline engine cannot
+        crash independently, so the flag only matters with
+        ``workers=True``.
     max_restarts / journal_limit / op_timeout / close_timeout:
-        Supervision tuning — restart budget per shard, journal length
-        that triggers compaction into a fresh baseline, optional bound
-        on every worker reply wait, and the shutdown-escalation
-        timeout.
+        Supervision tuning — restart budget, journal length that
+        triggers compaction into a fresh baseline, optional bound on
+        every worker reply wait, and the shutdown-escalation timeout.
     replicas:
-        ``1`` gives every worker-backed shard a warm standby worker fed
-        by the primary's journal (ship-on-commit): a dying primary is
-        promoted over instead of cold-restarted, and
-        :meth:`rebalance` gets its transfer machinery.  Requires
-        ``workers=True`` and ``supervise=True``.  ``0`` (default)
-        preserves the PR 7 cold-recovery behaviour exactly.
+        ``1`` gives the worker a warm standby worker fed by the
+        primary's journal (ship-on-commit): a dying primary is promoted
+        over instead of cold-restarted.  Requires ``workers=True`` and
+        ``supervise=True``.  ``0`` (default) keeps cold recovery only.
     fault_plan:
-        Optional deterministic :class:`~repro.service.faults.FaultPlan`;
-        its worker faults are injected inside the shard workers (and
-        therefore require ``workers=True``); its replication faults
-        (``kill_standby`` / ``drop_journal`` / ``kill:during=promotion``)
-        additionally require ``replicas >= 1``.
+        Optional deterministic :class:`~repro.service.faults.FaultPlan`.
+        Every fault must target shard 0, the one engine.  Its worker
+        faults are injected inside the worker (and therefore require
+        ``workers=True``); its replication faults (``kill_standby`` /
+        ``drop_journal`` / ``kill:during=promotion``) additionally
+        require ``replicas >= 1``.
     flight_dir:
         Directory for post-mortem flight records: on every dead-worker
-        detection and on permanent shard degradation the supervisor
-        snapshots recent spans + registry state + op-journal position
-        into a JSON document there (None disables; see
+        detection and on permanent degradation the supervisor snapshots
+        recent spans + registry state + op-journal position into a JSON
+        document there (None disables; see
         :func:`repro.telemetry.tracing.write_flight_record`).
     """
 
@@ -1219,9 +1056,7 @@ class ShardedAdmissionService:
         self,
         network: Network,
         *,
-        n_shards: int = 1,
         options: AnalysisOptions | None = None,
-        shard_map: Mapping[str, int] | None = None,
         workers: bool = False,
         supervise: bool = True,
         max_restarts: int = 5,
@@ -1240,6 +1075,15 @@ class ShardedAdmissionService:
         self.fault_plan = fault_plan
         if self.replicas and not self.workers:
             raise ValueError("replicas require workers=True")
+        if fault_plan is not None:
+            stray = sorted(
+                {f.shard for f in fault_plan.faults if f.shard not in (None, 0)}
+            )
+            if stray:
+                raise ValueError(
+                    f"fault plan targets shard(s) {stray}: the service runs "
+                    "one engine, shard 0"
+                )
         if (
             fault_plan is not None
             and fault_plan.worker_faults()
@@ -1258,60 +1102,36 @@ class ShardedAdmissionService:
                 "kill:during=promotion) require workers=True and "
                 "replicas >= 1"
             )
-        self.router = ShardRouter(network, n_shards, shard_map=shard_map)
-        # Everything a shard backend needs besides its id — kept so
-        # rebalance() can build new-layout backends with identical
-        # resilience settings.
-        self._shard_kwargs: dict[str, Any] = dict(
-            supervise=supervise,
-            max_restarts=max_restarts,
-            journal_limit=journal_limit,
-            replicas=self.replicas,
-            fault_plan=fault_plan,
-            op_timeout=op_timeout,
-            close_timeout=close_timeout,
-            flight_dir=flight_dir,
-        )
-        self._shards: list[Any] = [
-            self._make_shard(sid) for sid in range(n_shards)
-        ]
-        #: flow name -> shard ids holding it (insertion = admission order).
-        self._flow_shards: dict[str, tuple[int, ...]] = {}
+        if self.workers:
+            self._engine: Any = _ProcessShard(
+                network,
+                self.options,
+                supervise=supervise,
+                max_restarts=max_restarts,
+                journal_limit=journal_limit,
+                replicas=self.replicas,
+                fault_plan=fault_plan,
+                op_timeout=op_timeout,
+                close_timeout=close_timeout,
+                flight_dir=flight_dir,
+            )
+        else:
+            self._engine = _InlineShard(network, self.options)
+        #: Admitted flow names, in admission order.
+        self._admitted: dict[str, None] = {}
         self._counters = {
             "offered": 0,
             "accepted": 0,
             "rejected": 0,
             "released": 0,
             "errors": 0,
-            "cross_shard_offered": 0,
             "batches": 0,
-            "rollbacks": 0,
-            "rebalances": 0,
         }
-
-    def _make_shard(self, sid: int) -> Any:
-        """Build one shard backend under the service's resilience knobs."""
-        if self.workers:
-            return _ProcessShard(
-                self.network,
-                self.options,
-                shard_id=sid,
-                **self._shard_kwargs,
-            )
-        return _InlineShard(self.network, self.options, shard_id=sid)
 
     # ------------------------------------------------------------------
     @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    @property
     def admitted_names(self) -> tuple[str, ...]:
-        return tuple(self._flow_shards)
-
-    def flow_assignment(self) -> dict[str, tuple[int, ...]]:
-        """Copy of the flow → shard-ids mapping (admission order)."""
-        return dict(self._flow_shards)
+        return tuple(self._admitted)
 
     def __enter__(self) -> "ShardedAdmissionService":
         return self
@@ -1320,102 +1140,26 @@ class ShardedAdmissionService:
         self.close()
 
     def close(self) -> None:
-        """Shut down shard backends (terminates worker processes)."""
-        for shard in self._shards:
-            shard.close()
+        """Shut down the engine backend (terminates worker processes)."""
+        self._engine.close()
 
     def shutdown(self) -> None:
-        """Graceful close: every live shard (and its standby) finishes
-        its queued ops and writes a clean-shutdown flight record before
-        the workers come down — the counterpart of :meth:`close`, which
-        only guarantees termination."""
-        for shard in self._shards:
-            getattr(shard, "graceful_close", shard.close)()
-
-    # ------------------------------------------------------------------
-    # Live rebalancing (journal-driven state transfer, atomic cutover)
-    # ------------------------------------------------------------------
-    def rebalance(
-        self,
-        shard_map: Mapping[str, int] | None = None,
-        *,
-        n_shards: int | None = None,
-    ) -> dict[str, Any]:
-        """Move to a new shard layout without dropping a single flow.
-
-        Exactly the standby recipe, pointed at a new layout: the old
-        shards export their state (snapshot + implied journal position),
-        :func:`~repro.service.replication.reassign_shard_states`
-        re-routes every admitted flow (with its converged jitter
-        entries) under the new :class:`ShardRouter`, fresh backends are
-        built and caught up from the re-routed states, and the service
-        atomically cuts over — callers only ever see the old layout or
-        the new one, never a mix, because the swap happens between
-        batches (``process_batch`` treats the ``rebalance`` op as a
-        flush barrier).  Restoring afterwards is byte-identical to
-        restoring a snapshot into a service built with the new map.
-
-        Raises :class:`ValueError` for a bad map or when any admitted
-        flow is currently cross-shard (its per-shard states diverge by
-        design; release it first).
-        """
-        if shard_map is None and n_shards is None:
-            raise ValueError("rebalance needs shard_map or n_shards")
-        if n_shards is None:
-            if not shard_map:
-                raise ValueError("rebalance shard_map must be non-empty")
-            n_shards = max(int(s) for s in shard_map.values()) + 1
-        new_router = ShardRouter(self.network, n_shards, shard_map=shard_map)
-        states = self.export_shard_states()
-        new_states, new_flow_shards = reassign_shard_states(
-            states, self._flow_shards, new_router
-        )
-        old_shards = self._shards
-        old_router = self.router
-        self.router = new_router
-        try:
-            new_shards = [
-                self._make_shard(sid) for sid in range(new_router.n_shards)
-            ]
-        except Exception:
-            self.router = old_router
-            raise
-        for shard, (flows, jitters) in zip(new_shards, new_states):
-            shard.restore(flows, jitters)
-        moved = sum(
-            1
-            for name, sids in new_flow_shards.items()
-            if sids != self._flow_shards.get(name)
-        )
-        # Atomic cutover: swap the full layout in one step, then retire
-        # the old backends.
-        self._shards = new_shards
-        self._flow_shards = dict(new_flow_shards)
-        for shard in old_shards:
-            shard.close()
-        self._counters["rebalances"] += 1
-        _telemetry.add("service.rebalances")
-        return {
-            "rebalanced": True,
-            "n_shards": new_router.n_shards,
-            "moved_flows": moved,
-            "admitted": len(self._flow_shards),
-            "switch_shards": new_router.assignment(),
-        }
+        """Graceful close: a live worker (and its standby) finishes its
+        queued ops and writes a clean-shutdown flight record before
+        coming down — the counterpart of :meth:`close`, which only
+        guarantees termination."""
+        getattr(self._engine, "graceful_close", self._engine.close)()
 
     # ------------------------------------------------------------------
     # Single-request interface (thin wrappers over one-op batches)
     # ------------------------------------------------------------------
     def admit(self, flow: Flow) -> ServiceDecision:
-        """Route ``flow`` to its shard(s) and decide admission."""
+        """Decide admission of ``flow``."""
         payload = self.process_batch([Request(op="admit", flow=flow)])[0]
         if "error" in payload:
             raise ValueError(payload["error"])
         return ServiceDecision(
-            accepted=payload["accepted"],
-            reason=payload["reason"],
-            shards=tuple(payload["shards"]),
-            cross_shard=payload["cross_shard"],
+            accepted=payload["accepted"], reason=payload["reason"]
         )
 
     def release(self, flow_name: str) -> None:
@@ -1431,28 +1175,19 @@ class ShardedAdmissionService:
         )[0]
 
     def stats(self) -> dict[str, Any]:
-        shard_flows = [0] * self.n_shards
-        cross = 0
-        for shards in self._flow_shards.values():
-            if len(shards) > 1:
-                cross += 1
-            for sid in shards:
-                shard_flows[sid] += 1
         health = self.health()
         out = {
             # Response layout version: 2 added the optional merged
             # "telemetry" snapshot, 3 the supervisor totals
             # ("restarts", "recovery_s_total"), 4 the replication
             # totals ("replicas", "failovers", "failover_s_total",
-            # "cold_restores").  Strictly additive, so older clients
-            # keep working unchanged.
-            "stats_version": 4,
-            "n_shards": self.n_shards,
+            # "cold_restores").  5 dropped the shard-layout fields
+            # ("n_shards", "admitted_cross_shard", "shard_flows",
+            # "switch_shards") and their counters
+            # ("cross_shard_offered", "rollbacks", "rebalances").
+            "stats_version": 5,
             "workers": self.workers,
-            "admitted": len(self._flow_shards),
-            "admitted_cross_shard": cross,
-            "shard_flows": shard_flows,
-            "switch_shards": self.router.assignment(),
+            "admitted": len(self._admitted),
             "restarts": health["restarts"],
             "recovery_s_total": health["recovery_s_total"],
             "replicas": self.replicas,
@@ -1468,82 +1203,72 @@ class ShardedAdmissionService:
     def health(self) -> dict[str, Any]:
         """Liveness/recovery summary (the protocol ``health`` payload).
 
-        ``status`` is ``"ok"`` while no shard backend has *permanently*
-        failed and ``"degraded"`` once any has (restart budget
-        exhausted, or unsupervised crash); a supervised shard between
-        crash and recovery still counts as ok.  Cheap: pure parent-side
-        bookkeeping, no worker round-trips.
+        ``status`` is ``"ok"`` while the engine backend has not
+        *permanently* failed and ``"degraded"`` once it has (restart
+        budget exhausted, or unsupervised crash); a supervised worker
+        between crash and recovery still counts as ok.  Cheap: pure
+        parent-side bookkeeping, no worker round-trips.  ``shards``
+        holds the one backend's entry.
         """
-        shards = [
-            dict(shard.health(), shard=sid)
-            for sid, shard in enumerate(self._shards)
-        ]
-        dead = [s["shard"] for s in shards if s["failed"]]
+        shard = dict(self._engine.health(), shard=0)
         return {
-            "status": "degraded" if dead else "ok",
-            "n_shards": self.n_shards,
+            "status": "degraded" if shard["failed"] else "ok",
             "workers": self.workers,
             "supervise": self.supervise,
             "replicas": self.replicas,
-            "restarts": sum(s["restarts"] for s in shards),
-            "recovery_s_total": sum(s["recovery_s_total"] for s in shards),
-            "failovers": sum(s.get("failovers", 0) for s in shards),
-            "failover_s_total": sum(
-                s.get("failover_s_total", 0.0) for s in shards
-            ),
-            "cold_restores": sum(s.get("cold_restores", 0) for s in shards),
-            "dead_shards": dead,
-            "shards": shards,
+            "restarts": shard["restarts"],
+            "recovery_s_total": shard["recovery_s_total"],
+            "failovers": shard["failovers"],
+            "failover_s_total": shard["failover_s_total"],
+            "cold_restores": shard["cold_restores"],
+            "dead_shards": [0] if shard["failed"] else [],
+            "shards": [shard],
         }
 
     def metrics(self) -> dict[str, Any]:
-        """Telemetry snapshots of the service process and its shards.
+        """Telemetry snapshots of the service process and its engine.
 
         Returns ``{"enabled", "process", "shards", "merged"}`` where
-        ``process`` is this process's registry snapshot (inline shards
-        record here), ``shards`` has one entry per worker-backed shard
-        (None for inline shards or dead workers) and ``merged`` folds
-        them all into one snapshot.  All values are None/empty when
-        telemetry is disabled.
+        ``process`` is this process's registry snapshot (an inline
+        engine records here), ``shards`` is a one-element list holding
+        the worker's snapshot (None inline or when the worker is dead)
+        and ``merged`` folds them into one snapshot.  All values are
+        None/empty when telemetry is disabled.
         """
         reg = _telemetry.REGISTRY
         process = reg.snapshot() if reg is not None else None
-        shard_snaps = [shard.telemetry_snapshot() for shard in self._shards]
+        shard_snap = self._engine.telemetry_snapshot()
         merged = _telemetry.merge_snapshots(
-            snap
-            for snap in [process, *shard_snaps]
-            if snap is not None
+            snap for snap in (process, shard_snap) if snap is not None
         )
         out = {
             "enabled": reg is not None,
             "process": process,
-            "shards": shard_snaps,
+            "shards": [shard_snap],
             "merged": merged,
         }
         tr = _tracing.TRACER
         out["tracing"] = tr is not None
         if tr is not None:
-            # Drain worker span rings into the parent ring, then expose
-            # the fleet's recent spans — the trace-export data source.
-            for shard in self._shards:
-                spans = shard.trace_snapshot()
-                if spans:
-                    tr.extend(spans)
+            # Drain the worker's span ring into the parent ring, then
+            # expose recent spans — the trace-export data source.
+            spans = self._engine.trace_snapshot()
+            if spans:
+                tr.extend(spans)
             out["trace_spans"] = tr.snapshot()
         return out
 
     # ------------------------------------------------------------------
-    # Batch execution with per-shard coalescing
+    # Batch execution
     # ------------------------------------------------------------------
     def process_batch(
         self, requests: Sequence[Request]
     ) -> list[dict[str, Any]]:
         """Execute a request slice; results in submission order.
 
-        Consecutive shard-local ops are coalesced into per-shard
-        micro-batches and (with process backends) dispatched to all
-        shards before any reply is collected.  Cross-shard admissions,
-        ``stats`` and ``snapshot`` are barriers: they see every earlier
+        Each run of consecutive admit, release and query ops goes to
+        the engine as one batch, in order.  ``stats``, ``snapshot``,
+        ``metrics`` and ``health`` are barriers: they see every earlier
         op's effect and are seen by every later op — so batched
         semantics are exactly the one-at-a-time semantics.
         """
@@ -1553,279 +1278,52 @@ class ShardedAdmissionService:
             reg.add("service.batches")
             reg.observe("service.batch_size", len(requests))
         results: list[dict[str, Any] | None] = [None] * len(requests)
-        # One planned run: per-shard op lists plus their result slots.
-        run: dict[int, list[tuple[int, ShardOp]]] = {}
-        # Planning view of name -> shards, so a release can find a flow
-        # admitted earlier in the same run.
-        planned = dict(self._flow_shards)
-
+        run: list[int] = []
         traced = _tracing.TRACER is not None
 
         def flush() -> None:
             if not run:
                 return
-            order = sorted(run)
-            for sid in order:
-                ops = [op for _, op in run[sid]]
-                if traced:
-                    self._shards[sid].send_batch(
-                        ops,
-                        traces=[requests[pos].trace for pos, _ in run[sid]],
-                    )
-                else:
-                    self._shards[sid].send_batch(ops)
-            collected = []
-            for sid in order:
-                payloads = self._shards[sid].recv_batch()
-                collected.extend(
-                    (pos, sid, op, payload)
-                    for (pos, op), payload in zip(run[sid], payloads)
-                )
-            # Account in SUBMISSION order, not shard order: a name
-            # admitted, released and re-admitted on different shards
-            # within one run must fold into the bookkeeping exactly as
-            # one-at-a-time execution would.
-            for pos, sid, op, payload in sorted(collected):
-                self._account(op, payload, sid)
+            ops = [_engine_op(requests[pos]) for pos in run]
+            traces = [requests[pos].trace for pos in run] if traced else None
+            payloads = self._engine.run_batch(ops, traces)
+            for pos, op, payload in zip(run, ops, payloads):
+                self._account(op, payload)
                 results[pos] = payload
-                # Reconcile the optimistic planning entry of an admit
-                # the shard in fact rejected (or errored).
-                if op[0] == "request" and op[1].name not in self._flow_shards:
-                    planned.pop(op[1].name, None)
             run.clear()
 
         for pos, req in enumerate(requests):
-            if req.op == "admit":
-                if (
-                    req.flow.name in planned
-                    and req.flow.name not in self._flow_shards
-                ):
-                    # The name was planned optimistically earlier in this
-                    # run; resolve whether that admit really succeeded
-                    # before deciding this one — one-at-a-time semantics.
-                    flush()
-                shards = self._plan_admit(req.flow, planned)
-                if isinstance(shards, dict):  # immediate error payload
-                    results[pos] = shards
-                    self._counters["errors"] += 1
-                elif len(shards) == 1:
-                    run.setdefault(shards[0], []).append(
-                        (pos, ("request", req.flow))
-                    )
-                    # Optimistic planning entry: a later release in this
-                    # batch routes to the same shard, which authoritatively
-                    # errors if the admit was in fact rejected — exactly
-                    # the serial KeyError semantics.
-                    planned[req.flow.name] = shards
-                else:
-                    flush()
-                    results[pos] = self._admit_cross_shard(
-                        req.flow, shards, trace=req.trace if traced else None
-                    )
-                    planned = dict(self._flow_shards)
-            elif req.op == "release":
-                shards = planned.pop(req.flow_name, None)
-                if shards is None:
-                    results[pos] = {
-                        "error": f"flow {req.flow_name!r} is not admitted",
-                        "code": ERR_BAD_REQUEST,
-                    }
-                    self._counters["errors"] += 1
-                elif len(shards) == 1:
-                    run.setdefault(shards[0], []).append(
-                        (pos, ("release", req.flow_name))
-                    )
-                else:
-                    flush()
-                    results[pos] = self._release_cross_shard(
-                        req.flow_name,
-                        shards,
-                        trace=req.trace if traced else None,
-                    )
-            elif req.op == "query":
-                flush()
-                results[pos] = self._query(req.flow_name)
-            elif req.op == "stats":
-                flush()
+            if req.op in _ENGINE_OPS:
+                run.append(pos)
+                continue
+            flush()
+            if req.op == "stats":
                 results[pos] = self.stats()
             elif req.op == "snapshot":
-                flush()
                 results[pos] = self._snapshot(req.path)
             elif req.op == "metrics":
-                flush()  # barrier: include every earlier op's counts
                 results[pos] = self.metrics()
             elif req.op == "health":
-                flush()  # barrier: reflect every earlier op's recoveries
                 results[pos] = self.health()
-            elif req.op == "rebalance":
-                flush()  # barrier: cut over between batches, never mid-run
-                try:
-                    results[pos] = self.rebalance(
-                        req.shard_map, n_shards=req.n_shards
-                    )
-                except (KeyError, ValueError, RuntimeError) as exc:
-                    results[pos] = {
-                        "error": f"rebalance failed: {exc}",
-                        "code": ERR_BAD_REQUEST,
-                    }
-                    self._counters["errors"] += 1
-                else:
-                    planned = dict(self._flow_shards)
             else:  # pragma: no cover - Request.__post_init__ rejects
                 results[pos] = {"error": f"unknown op {req.op!r}"}
         flush()
         return results  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------
-    def _plan_admit(
-        self, flow: Flow, planned: Mapping[str, tuple[int, ...]]
-    ) -> tuple[int, ...] | dict[str, Any]:
-        if flow.name in planned:
-            return {
-                "error": f"flow name {flow.name!r} already admitted",
-                "code": ERR_BAD_REQUEST,
-            }
-        try:
-            shards = self.router.shards_for_flow(flow)
-        except KeyError as exc:
-            return {"error": str(exc), "code": ERR_BAD_REQUEST}
-        return shards
-
-    def _account(
-        self, op: ShardOp, payload: Mapping[str, Any], shard: int
-    ) -> None:
-        """Fold one shard-local result into the service bookkeeping."""
-        if op[0] == "request":
-            if "error" in payload:
-                self._counters["errors"] += 1
-                return
+    def _account(self, op: ShardOp, payload: Mapping[str, Any]) -> None:
+        """Fold one engine result into the service bookkeeping."""
+        if "error" in payload:
+            self._counters["errors"] += 1
+        elif op[0] == "request":
             self._counters["offered"] += 1
             if payload["accepted"]:
                 self._counters["accepted"] += 1
-                self._flow_shards[op[1].name] = (shard,)
+                self._admitted[op[1].name] = None
             else:
                 self._counters["rejected"] += 1
-            # Decorate with the service-level routing fields.
-            payload["shards"] = [shard]  # type: ignore[index]
-            payload["cross_shard"] = False  # type: ignore[index]
         elif op[0] == "release":
-            if "error" in payload:
-                self._counters["errors"] += 1
-                return
             self._counters["released"] += 1
-            self._flow_shards.pop(op[1], None)
-
-    def _admit_cross_shard(
-        self,
-        flow: Flow,
-        shards: tuple[int, ...],
-        trace: Mapping[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        """Two-phase accept: tentative per-shard admits, then commit or
-        roll back."""
-        traces = [trace] if trace is not None else None
-        accepted: list[int] = []
-        for sid in shards:
-            self._shards[sid].send_batch([("request", flow)], traces=traces)
-            payload = self._shards[sid].recv_batch()[0]
-            if "error" in payload:
-                self._rollback(flow.name, accepted)
-                # Errored admits count only as errors, never as offered
-                # — same accounting as the shard-local path.
-                self._counters["errors"] += 1
-                out = {"error": f"shard {sid}: {payload['error']}"}
-                if "code" in payload:
-                    out["code"] = payload["code"]
-                return out
-            if not payload["accepted"]:
-                self._rollback(flow.name, accepted)
-                self._counters["offered"] += 1
-                self._counters["cross_shard_offered"] += 1
-                self._counters["rejected"] += 1
-                return ServiceDecision(
-                    accepted=False,
-                    reason=f"shard {sid}: {payload['reason']}",
-                    shards=shards,
-                    cross_shard=True,
-                ).to_payload()
-            accepted.append(sid)
-        self._flow_shards[flow.name] = shards
-        self._counters["offered"] += 1
-        self._counters["cross_shard_offered"] += 1
-        self._counters["accepted"] += 1
-        return ServiceDecision(
-            accepted=True,
-            reason="all deadlines met on every shard",
-            shards=shards,
-            cross_shard=True,
-        ).to_payload()
-
-    def _rollback(self, flow_name: str, shard_ids: Sequence[int]) -> None:
-        if shard_ids:
-            self._counters["rollbacks"] += 1
-            _telemetry.add("service.rollbacks")
-        for sid in shard_ids:
-            self._shards[sid].send_batch([("release", flow_name)])
-            self._shards[sid].recv_batch()
-
-    def _release_cross_shard(
-        self,
-        flow_name: str,
-        shards: tuple[int, ...],
-        trace: Mapping[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        traces = [trace] if trace is not None else None
-        for sid in shards:
-            self._shards[sid].send_batch([("release", flow_name)], traces=traces)
-        failures = []
-        for sid in shards:
-            payload = self._shards[sid].recv_batch()[0]
-            if "error" in payload:
-                failures.append(f"shard {sid}: {payload['error']}")
-        # The service-level view drops the flow either way (a dead
-        # shard's state is gone regardless), but a partial release is
-        # reported as the error it is, not as success.
-        self._flow_shards.pop(flow_name, None)
-        if failures:
-            self._counters["errors"] += 1
-            return {"error": "; ".join(failures), "released": True}
-        self._counters["released"] += 1
-        return {"released": True, "shards": list(shards)}
-
-    def _query(self, flow_name: str) -> dict[str, Any]:
-        shards = self._flow_shards.get(flow_name)
-        if shards is None:
-            return {"admitted": False}
-        # Every touched shard bounds the flow against its own
-        # interferers; the honest service-level bound is the worst one.
-        for sid in shards:
-            self._shards[sid].send_batch([("query", flow_name)])
-        collected = [
-            (sid, self._shards[sid].recv_batch()[0]) for sid in shards
-        ]
-        for sid, shard_payload in collected:
-            if "error" in shard_payload:
-                # Never report a bound computed from a partial view —
-                # a missing shard could be the dominating one.
-                out = {
-                    "error": f"shard {sid}: {shard_payload['error']}",
-                    "admitted": True,
-                    "shards": list(shards),
-                }
-                if "code" in shard_payload:
-                    out["code"] = shard_payload["code"]
-                return out
-        payload: dict[str, Any] = {"admitted": True}
-        worst = None
-        for _, shard_payload in collected:
-            wr = shard_payload.get("worst_response")
-            if wr is not None and (worst is None or wr > worst):
-                worst = wr
-        if worst is not None:
-            payload["worst_response"] = worst
-        payload["shards"] = list(shards)
-        payload["cross_shard"] = len(shards) > 1
-        return payload
+            self._admitted.pop(op[1], None)
 
     def _snapshot(self, path: str | None) -> dict[str, Any]:
         from repro.service.state import (  # cycle-free lazy import
@@ -1833,12 +1331,12 @@ class ShardedAdmissionService:
             service_state_to_dict,
         )
 
-        # Bad paths and dead shard workers must yield an error payload,
-        # not blow up a whole batch after earlier ops already committed.
+        # Bad paths and a dead worker must yield an error payload, not
+        # blow up a whole batch after earlier ops already committed.
         try:
             if path:
                 save_service_state(path, self)
-                return {"path": path, "admitted": len(self._flow_shards)}
+                return {"path": path, "admitted": len(self._admitted)}
             return {"state": service_state_to_dict(self)}
         except (OSError, RuntimeError) as exc:
             return {"error": f"snapshot failed: {exc}"}
@@ -1846,30 +1344,11 @@ class ShardedAdmissionService:
     # ------------------------------------------------------------------
     # State export / import (used by repro.service.state)
     # ------------------------------------------------------------------
-    def export_shard_states(self) -> list[tuple[tuple[Flow, ...], dict]]:
-        """Per-shard ``(flows, jitter entries)`` in shard-id order.
+    def export_state(self) -> tuple[tuple[Flow, ...], dict]:
+        """The engine's ``(admitted flows, jitter-table entries)``."""
+        return self._engine.export_state()
 
-        Exports are pipelined (all shards asked first, then collected)
-        so a worker-backed snapshot stalls for the slowest shard, not
-        the sum of all shards.
-        """
-        for shard in self._shards:
-            shard.begin_export()
-        return [shard.finish_export() for shard in self._shards]
-
-    def import_shard_states(
-        self,
-        states: Sequence[tuple[Sequence[Flow], Mapping]],
-        flow_shards: Mapping[str, Sequence[int]],
-    ) -> None:
-        """Install exported shard states (snapshot restore)."""
-        if len(states) != self.n_shards:
-            raise ValueError(
-                f"{len(states)} shard states for {self.n_shards} shard(s)"
-            )
-        for shard, (flows, jitters) in zip(self._shards, states):
-            shard.restore(flows, jitters)
-        self._flow_shards = {
-            name: tuple(int(s) for s in shards)
-            for name, shards in flow_shards.items()
-        }
+    def import_state(self, flows: Sequence[Flow], jitters: Mapping) -> None:
+        """Install an exported engine state (snapshot restore)."""
+        self._engine.restore(flows, jitters)
+        self._admitted = dict.fromkeys(f.name for f in flows)

@@ -3,41 +3,32 @@
 A *service state document* persists everything needed to rebuild a
 :class:`~repro.service.sharding.ShardedAdmissionService` that issues
 **byte-identical decisions** on a replayed request log: the topology,
-the analysis options, the shard layout, and — per shard — the admitted
-flows plus their converged jitter table.  The document follows the
-schema-version conventions of :mod:`repro.scenario.serialization`
-(integer ``schema_version``, newer-than-supported refused loudly, JSON
-with sorted keys) and reuses its network/flow/options codecs, so the
+the analysis options, and the engine's admitted flows plus their
+converged jitter table.  The document follows the schema-version
+conventions of :mod:`repro.scenario.serialization` (integer
+``schema_version``, newer-than-supported refused loudly, JSON with
+sorted keys) and reuses its network/flow/options codecs, so the
 embedded blocks are exactly the blocks scenario files carry::
 
     {
-      "schema_version": 2,
+      "schema_version": 3,
       "kind": "admission-service-state",
-      "n_shards": 4,
       "workers": false,
-      "replicas": 0,                        # warm standbys per shard (v2)
-      "shard_map": {"sw0": 0, ...},        # explicit switch assignment
+      "replicas": 0,                        # warm standbys (v2)
       "network": {...},                     # repro.io network document
       "analysis": {...},                    # AnalysisOptions fields
-      "flow_shards": {"call0": [0], ...},   # admission-order mapping
-      "shards": [
-        {"flows": [<repro.io flow doc>...],
-         "jitters": [[flow, [resource...], [values...]], ...]},
-        ...
-      ]
+      "flows": [<repro.io flow doc>...],    # admission order
+      "jitters": [[flow, [resource...], [values...]], ...]
     }
 
 Jitter resources are the analysis' :data:`ResourceKey` tuples
 (``("link", N1, N2)`` / ``("in", N)``) flattened to JSON arrays.
 
-Schema v2 adds the ``replicas`` knob (absent = 0; v1 documents stay
-loadable) and the loader gains a **layout override**: passing
-``shard_map=`` / ``n_shards=`` to :func:`service_state_from_dict`
-restores the snapshot into a *different* shard layout by re-routing
-every admitted flow with
-:func:`repro.service.replication.reassign_shard_states` — the same
-helper ``ShardedAdmissionService.rebalance`` uses, which is exactly why
-live rebalancing and snapshot-restore-into-a-new-map are equivalent.
+Schema v2 added the ``replicas`` knob (absent = 0).  Schema v3 holds
+one ``flows`` + ``jitters`` block.  v1 and v2 documents carry
+``n_shards``, ``shard_map``, ``flow_shards`` and one such block per
+shard under ``shards``; they still load when ``n_shards`` is 1, and
+multi-shard ones are refused because multi-shard serving was removed.
 """
 
 from __future__ import annotations
@@ -57,12 +48,11 @@ from repro.scenario.serialization import (
     analysis_options_from_dict,
     analysis_options_to_dict,
 )
-from repro.service.replication import reassign_shard_states
 from repro.service.sharding import ShardedAdmissionService
 
-#: Current service-state schema version (2 added ``replicas`` and the
-#: restore-time shard-layout override; v1 documents remain loadable).
-STATE_VERSION = 2
+#: Current service-state schema version (2 added ``replicas``, 3 went
+#: to one engine block; one-shard v1/v2 documents remain loadable).
+STATE_VERSION = 3
 
 #: Document discriminator (state files are not scenario files).
 STATE_KIND = "admission-service-state"
@@ -91,28 +81,16 @@ def _jitters_from_doc(rows) -> dict:
 
 
 def service_state_to_dict(service: ShardedAdmissionService) -> dict[str, Any]:
-    shards = []
-    for flows, jitters in service.export_shard_states():
-        shards.append(
-            {
-                "flows": [flow_to_dict(f) for f in flows],
-                "jitters": _jitters_to_doc(jitters),
-            }
-        )
+    flows, jitters = service.export_state()
     return {
         "schema_version": STATE_VERSION,
         "kind": STATE_KIND,
-        "n_shards": service.n_shards,
         "workers": service.workers,
         "replicas": service.replicas,
-        "shard_map": service.router.assignment(),
         "network": network_to_dict(service.network),
         "analysis": analysis_options_to_dict(service.options),
-        "flow_shards": {
-            name: list(shards_)
-            for name, shards_ in service.flow_assignment().items()
-        },
-        "shards": shards,
+        "flows": [flow_to_dict(f) for f in flows],
+        "jitters": _jitters_to_doc(jitters),
     }
 
 
@@ -120,8 +98,6 @@ def service_state_from_dict(
     doc: Mapping[str, Any],
     *,
     workers: bool | None = None,
-    shard_map: Mapping[str, int] | None = None,
-    n_shards: int | None = None,
     **service_kwargs: Any,
 ) -> ShardedAdmissionService:
     """Rebuild a service from a state document.
@@ -129,11 +105,7 @@ def service_state_from_dict(
     ``workers`` overrides the snapshotted backend choice (a snapshot
     taken from a worker-backed service restores inline by passing
     ``workers=False``, and vice versa — the state is backend-agnostic).
-    ``shard_map`` / ``n_shards`` override the snapshotted *layout*: the
-    admitted flows are re-routed under the new router (their converged
-    jitter entries travelling with them) before the restore, which is
-    byte-equivalent to live-rebalancing the original service to that
-    layout.  Extra keyword arguments — ``supervise``, ``max_restarts``,
+    Extra keyword arguments — ``supervise``, ``max_restarts``,
     ``journal_limit``, ``replicas``, ``fault_plan``, ``op_timeout``,
     ... — pass straight to the :class:`ShardedAdmissionService`
     constructor, so a restored service can run with full fault
@@ -152,22 +124,29 @@ def service_state_from_dict(
         raise ScenarioError(
             f"not a service-state document (kind={doc.get('kind')!r})"
         )
-    for key in ("network", "n_shards", "shards"):
-        if key not in doc:
-            raise ScenarioError(f"service state: missing {key!r} section")
+    if "network" not in doc:
+        raise ScenarioError("service state: missing 'network' section")
+    block = doc
+    if version < 3:
+        n_shards = doc.get("n_shards")
+        if n_shards != 1:
+            raise ScenarioError(
+                f"service state: schema v{version} document with "
+                f"n_shards={n_shards!r} refused: multi-shard serving was "
+                "removed (only n_shards=1 documents load)"
+            )
+        shards = doc.get("shards")
+        if not isinstance(shards, list) or len(shards) != 1:
+            raise ScenarioError(
+                "service state: n_shards=1 needs exactly one 'shards' block"
+            )
+        block = shards[0]
     network = network_from_dict(doc["network"])
     options = (
         analysis_options_from_dict(doc["analysis"])
         if "analysis" in doc
         else None
     )
-    doc_n_shards = int(doc["n_shards"])
-    shard_docs = doc["shards"]
-    if len(shard_docs) != doc_n_shards:
-        raise ScenarioError(
-            f"service state: {len(shard_docs)} shard blocks for "
-            f"n_shards={doc_n_shards}"
-        )
     effective_workers = (
         doc.get("workers", False) if workers is None else workers
     )
@@ -177,40 +156,15 @@ def service_state_from_dict(
         doc_replicas = int(doc.get("replicas", 0))
         if effective_workers and doc_replicas:
             service_kwargs["replicas"] = doc_replicas
-    relayout = shard_map is not None or n_shards is not None
-    if relayout:
-        if n_shards is None:
-            if not shard_map:
-                raise ScenarioError(
-                    "service state: layout override shard_map is empty"
-                )
-            n_shards = max(int(s) for s in shard_map.values()) + 1
-    else:
-        shard_map = doc.get("shard_map")
-        n_shards = doc_n_shards
     service = ShardedAdmissionService(
         network,
-        n_shards=n_shards,
         options=options,
-        shard_map=shard_map,
         workers=effective_workers,
         **service_kwargs,
     )
     try:
-        states = []
-        for block in shard_docs:
-            flows = tuple(flow_from_dict(f) for f in block.get("flows", []))
-            jitters = _jitters_from_doc(block.get("jitters", []))
-            states.append((flows, jitters))
-        flow_shards: Mapping[str, Any] = {
-            str(name): tuple(int(s) for s in sids)
-            for name, sids in doc.get("flow_shards", {}).items()
-        }
-        if relayout:
-            states, flow_shards = reassign_shard_states(
-                states, flow_shards, service.router
-            )
-        service.import_shard_states(states, flow_shards)
+        flows = tuple(flow_from_dict(f) for f in block.get("flows", []))
+        service.import_state(flows, _jitters_from_doc(block.get("jitters", [])))
     except Exception:
         service.close()
         raise

@@ -123,6 +123,70 @@ class TestParser:
             main(["analyze", str(bad)])
 
 
+def _serve(monkeypatch, argv):
+    """Run ``serve`` with the server loop stubbed out; returns the
+    health of the service it built and the warnings the CLI logged."""
+    import logging
+
+    import repro.service
+
+    built = {}
+
+    def run_server(service, **kwargs):
+        built["health"] = service.health()
+        service.close()
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            warnings.append(record.getMessage())
+
+    monkeypatch.setattr(repro.service, "run_server", run_server)
+    warnings = []
+    handler = Collect(logging.WARNING)
+    logger = logging.getLogger("repro.cli")
+    logger.addHandler(handler)
+    try:
+        assert main(["serve", *argv]) == 0
+    finally:
+        logger.removeHandler(handler)
+    return built["health"], warnings
+
+
+class TestServeSurface:
+    def test_legacy_shards_flag_serves_one_worker_engine(
+        self, monkeypatch, scenario_file
+    ):
+        # The command line of the repo benchmark's fat-tree-tcp workload.
+        health, warnings = _serve(
+            monkeypatch,
+            [scenario_file, "--port", "0", "--shards", "2", "--workers"],
+        )
+        shard, = health["shards"]
+        assert health["workers"] is True and shard["backend"] == "process"
+        assert len(warnings) == 1 and "--shards 2 ignored" in warnings[0]
+
+    def test_one_shard_logs_no_warning(self, monkeypatch, scenario_file):
+        health, warnings = _serve(
+            monkeypatch, [scenario_file, "--port", "0", "--shards", "1"]
+        )
+        assert health["shards"][0]["backend"] == "inline"
+        assert warnings == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rebalance", "--connect", "127.0.0.1:7434", "--shards", "1"],
+            ["replay", "--family", "voip-star", "--shards", "2"],
+        ],
+        ids=["rebalance", "replay-shards"],
+    )
+    def test_removed_surface_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_list_families(self, capsys):
         assert main(["generate", "--list"]) == 0

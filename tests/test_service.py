@@ -1,4 +1,4 @@
-"""The sharded admission service: routing, parity, snapshots, serving."""
+"""The admission service: parity, soundness, snapshots, serving."""
 
 import asyncio
 import json
@@ -14,13 +14,13 @@ from repro.model.gmf import GmfSpec
 from repro.model.network import Network
 from repro.scenario import Scenario, build_scenario
 from repro.service import (
+    ERR_UNAVAILABLE,
     PROTOCOL_VERSION,
     STATE_VERSION,
     AdmissionServer,
     ProtocolError,
     Request,
     ShardedAdmissionService,
-    ShardRouter,
     load_service_state,
     load_trace,
     replay_over_tcp,
@@ -35,7 +35,7 @@ from repro.service import (
     trace_from_scenario,
 )
 from repro.util.units import mbps, ms
-from repro.workloads.topologies import line_network, star_network
+from repro.workloads.topologies import star_network
 from repro.workloads.voip import voip_flow
 
 
@@ -64,7 +64,7 @@ def saturating_scenario():
 
 
 def two_star_network():
-    """Two disjoint stars in one network: a natural 2-shard layout."""
+    """Two disjoint stars in one network."""
     net = Network()
     for sw, hosts in (("sw0", "abcd"), ("sw1", "wxyz")):
         net.add_switch(sw)
@@ -129,7 +129,24 @@ def serial_payloads(network, options, requests):
 def reject_case(kind):
     """A request stream, status queries included, whose serial answers
     reject an admit by ``kind``: the utilisation pre-check, a missed
-    deadline, or a diverging holistic iteration."""
+    deadline, a diverging holistic iteration, or request errors."""
+    if kind == "errors":
+        sc = saturating_scenario()
+        hog = call_flow("hog", ("h0", "sw", "h1"), payload=2_500_000)
+        # The release follows its rejected admit directly, in the same
+        # batch of 8: no status query separates them.
+        head = [
+            Request(op="admit", flow=hog),
+            Request(op="release", flow_name="hog"),
+        ]
+        writes = [
+            Request(op="admit", flow=sc.flows[0]),
+            Request(op="admit", flow=sc.flows[0]),
+            Request(op="release", flow_name="ghost"),
+            Request(op="admit", flow=call_flow("bad", ("h0", "nope", "h1"))),
+            Request(op="release", flow_name=sc.flows[0].name),
+        ]
+        return sc, head + with_status_queries(writes)
     if kind == "precheck":
         sc = saturating_scenario()
         hog = call_flow("hog", ("h0", "sw", "h1"), payload=2_500_000)
@@ -199,56 +216,6 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# Shard router
-# ----------------------------------------------------------------------
-class TestShardRouter:
-    def test_deterministic_across_instances(self):
-        net = two_star_network()
-        a = ShardRouter(net, 4)
-        b = ShardRouter(net, 4)
-        assert a.assignment() == b.assignment()
-        for link in net.links():
-            assert a.shard_of_link(link.src, link.dst) == b.shard_of_link(
-                link.src, link.dst
-            )
-
-    def test_duplex_pairs_colocated(self):
-        net = two_star_network()
-        router = ShardRouter(net, 4)
-        for link in net.links():
-            assert router.shard_of_link(
-                link.src, link.dst
-            ) == router.shard_of_link(link.dst, link.src)
-
-    def test_every_link_owned(self):
-        net = line_network(3, hosts_per_switch=2, speed_bps=mbps(100))
-        router = ShardRouter(net, 3)
-        for link in net.links():
-            assert 0 <= router.shard_of_link(link.src, link.dst) < 3
-
-    def test_explicit_shard_map(self):
-        net = two_star_network()
-        router = ShardRouter(net, 2, shard_map={"sw0": 0, "sw1": 1})
-        assert router.shard_of_switch("sw0") == 0
-        assert router.shard_of_switch("sw1") == 1
-        assert router.shards_for_route(("sw0_a", "sw0", "sw0_b")) == (0,)
-        assert router.shards_for_route(("sw1_w", "sw1", "sw1_x")) == (1,)
-
-    def test_shard_map_validation(self):
-        net = two_star_network()
-        with pytest.raises(ValueError, match="out of range"):
-            ShardRouter(net, 2, shard_map={"sw0": 5})
-        with pytest.raises(ValueError, match="unknown switches"):
-            ShardRouter(net, 2, shard_map={"nope": 0})
-
-    def test_switch_switch_link_owned_by_smaller_name(self):
-        net = line_network(2, hosts_per_switch=1, speed_bps=mbps(100))
-        router = ShardRouter(net, 2, shard_map={"sw0": 1, "sw1": 0})
-        assert router.shard_of_link("sw0", "sw1") == 1
-        assert router.shard_of_link("sw1", "sw0") == 1
-
-
-# ----------------------------------------------------------------------
 # Decision parity with the serial controller
 # ----------------------------------------------------------------------
 class TestParity:
@@ -260,42 +227,18 @@ class TestParity:
         serial = replay_serial(sc.network, trace, sc.options)
         assert serial.rejected > 0, "workload must exercise rejections"
         for batch in (1, 16):
-            with ShardedAdmissionService(sc.network, n_shards=1) as svc:
+            with ShardedAdmissionService(sc.network) as svc:
                 summary = replay_service(svc, trace, batch=batch)
             assert summary.admit_decisions == serial.admit_decisions
-
-    def test_two_shard_local_workload_matches_serial(self):
-        sc = two_star_scenario()
-        trace = trace_from_scenario(
-            sc, n_requests=40, arrival="burst", burst_size=8, hold=10, seed=2
-        )
-        serial = replay_serial(sc.network, trace, sc.options)
-        with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1}
-        ) as svc:
-            summary = replay_service(svc, trace, batch=8)
-            stats = svc.stats()
-        assert summary.admit_decisions == serial.admit_decisions
-        assert all(n > 0 for n in stats["shard_flows"]), (
-            "both shards must end up owning flows"
-        )
-        assert stats["cross_shard_offered"] == 0
 
     def test_worker_backend_matches_inline(self):
         sc = two_star_scenario()
         trace = trace_from_scenario(
             sc, n_requests=24, arrival="poisson", rate=500, hold=8, seed=9
         )
-        with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1}
-        ) as inline:
+        with ShardedAdmissionService(sc.network) as inline:
             a = replay_service(inline, trace, batch=6)
-        with ShardedAdmissionService(
-            sc.network,
-            n_shards=2,
-            shard_map={"sw0": 0, "sw1": 1},
-            workers=True,
-        ) as procs:
+        with ShardedAdmissionService(sc.network, workers=True) as procs:
             b = replay_service(procs, trace, batch=6)
         assert a.admit_decisions == b.admit_decisions
 
@@ -308,17 +251,20 @@ class TestParity:
             ("precheck", "necessary utilisation condition"),
             ("deadline", "exceeds deadline"),
             ("diverged", "diverged"),
+            pytest.param("errors", "is not admitted", id="errors"),
         ],
     )
     def test_served_payloads_equal_serial(self, kind, marker, workers):
-        # Every admit decision and reason, release outcome and queried
-        # bound the service serves equals the serial controller's, floats
-        # compared with ==.
+        # Every admit decision and reason, release outcome, queried
+        # bound and error message the service serves equals the serial
+        # controller's, floats compared with ==.
         sc, requests = reject_case(kind)
         want = serial_payloads(sc.network, sc.options, requests)
-        assert any(marker in p.get("reason", "") for p in want)
+        assert any(
+            marker in p.get("reason", p.get("error", "")) for p in want
+        )
         with ShardedAdmissionService(
-            sc.network, n_shards=1, options=sc.options, workers=workers
+            sc.network, options=sc.options, workers=workers
         ) as svc:
             got = []
             for i in range(0, len(requests), 8):
@@ -344,63 +290,33 @@ class TestParity:
         assert a[0]["accepted"] is False and a[2]["accepted"] is False
         assert "error" not in a[2]
 
-    def test_same_name_hops_shards_within_one_batch(self):
-        # admit x on shard 1, release it, re-admit x on shard 0 — all in
-        # one batch.  Bookkeeping must fold in submission order, not
-        # shard order, leaving x owned by shard 0 only.
-        sc = two_star_scenario()
-        on_sw1 = call_flow("x", ("sw1_w", "sw1", "sw1_x"))
-        on_sw0 = call_flow("x", ("sw0_a", "sw0", "sw0_b"))
-        batch = [
-            Request(op="admit", flow=on_sw1),
-            Request(op="release", flow_name="x"),
-            Request(op="admit", flow=on_sw0),
-        ]
-        with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1}
-        ) as svc:
-            payloads = svc.process_batch(batch)
-            assert [p.get("accepted", p.get("released")) for p in payloads] == [
-                True,
-                True,
-                True,
-            ]
-            assert svc.flow_assignment() == {"x": (0,)}
-            q = svc.query("x")
-            assert q["admitted"] and q["shards"] == [0]
-            svc.release("x")
-            assert svc.flow_assignment() == {}
-            # shard 1 must not secretly retain the released flow
-            assert svc.admit(on_sw1).accepted
-
     def test_dead_worker_degrades_without_desync(self):
-        # Without supervision, killing one shard's worker mid-service
-        # must error that shard's ops, keep the other shard (and its
-        # reply pairing) intact, and keep bookkeeping consistent with
-        # shard state.  (Supervised recovery is covered in
-        # tests/test_service_faults.py.)
+        # Without supervision, killing the worker mid-service must answer
+        # every later engine op with a coded error, keep the reply
+        # pairing (a barrier between them still answers in order), and
+        # keep bookkeeping at the state the worker last confirmed.
+        # (Supervised recovery is covered in tests/test_service_faults.py.)
         sc = two_star_scenario()
         svc = ShardedAdmissionService(
-            sc.network,
-            n_shards=2,
-            shard_map={"sw0": 0, "sw1": 1},
-            workers=True,
-            supervise=False,
+            sc.network, workers=True, supervise=False
         )
         try:
-            svc._shards[1]._proc.terminate()
-            svc._shards[1]._proc.join(timeout=5.0)
-            batch = [
-                Request(op="admit", flow=call_flow("a", ("sw0_a", "sw0", "sw0_b"))),
-                Request(op="admit", flow=call_flow("b", ("sw1_w", "sw1", "sw1_x"))),
-            ]
-            payloads = svc.process_batch(batch)
-            assert payloads[0]["accepted"] is True
-            assert "error" in payloads[1]
-            assert svc.flow_assignment() == {"a": (0,)}
-            # The healthy shard still answers pairable requests.
-            assert svc.query("a")["admitted"] is True
-            assert svc.stats()["errors"] == 1
+            assert svc.admit(
+                call_flow("a", ("sw0_a", "sw0", "sw0_b"))
+            ).accepted
+            svc._engine._proc.terminate()
+            svc._engine._proc.join(timeout=5.0)
+            payloads = svc.process_batch([
+                Request(op="admit",
+                        flow=call_flow("b", ("sw1_w", "sw1", "sw1_x"))),
+                Request(op="health"),
+                Request(op="query", flow_name="a"),
+            ])
+            assert payloads[0]["code"] == ERR_UNAVAILABLE
+            assert payloads[1]["status"] == "degraded"
+            assert payloads[2]["code"] == ERR_UNAVAILABLE
+            assert svc.admitted_names == ("a",)
+            assert svc.stats()["errors"] == 2
         finally:
             svc.close()
 
@@ -418,77 +334,32 @@ class TestParity:
 
 
 # ----------------------------------------------------------------------
-# Cross-shard flows (two-phase accept)
+# Soundness: the admitted set always passes a from-scratch analysis
 # ----------------------------------------------------------------------
-class TestCrossShard:
-    @staticmethod
-    def _line_service():
-        net = line_network(2, hosts_per_switch=2, speed_bps=mbps(10))
-        svc = ShardedAdmissionService(
-            net, n_shards=2, shard_map={"sw0": 0, "sw1": 1}
-        )
-        return net, svc
-
-    def test_accept_registers_on_every_shard(self):
-        net, svc = self._line_service()
-        with svc:
-            crossing = call_flow("x0", ("h0_0", "sw0", "sw1", "h1_0"))
-            decision = svc.admit(crossing)
-            assert decision.accepted and decision.cross_shard
-            assert decision.shards == (0, 1)
-            q = svc.query("x0")
-            assert q["admitted"] and q["shards"] == [0, 1]
-            svc.release("x0")
-            assert svc.query("x0") == {"admitted": False}
-
-    def test_reject_rolls_back_tentative_accepts(self):
-        net, svc = self._line_service()
-        with svc:
-            # Load the sw1 -> h1_0 link (shard 1); a 14 ms crossing
-            # deadline is feasible in isolation (shard 0's view) but
-            # not against this interference (shard 1's view).
-            for i in range(2):
-                assert svc.admit(
-                    call_flow(f"s1_{i}", ("h1_1", "sw1", "h1_0"))
-                ).accepted
-            crossing = call_flow(
-                "x0", ("h0_0", "sw0", "sw1", "h1_0"), deadline=ms(14)
-            )
-            decision = svc.admit(crossing)
-            assert not decision.accepted and decision.cross_shard
-            assert decision.reason.startswith("shard 1:")
-            # Rollback must leave shard 0 clean: the name is reusable.
-            local = call_flow("x0", ("h0_0", "sw0", "h0_1"))
-            assert svc.admit(local).accepted
-            assert svc.query("x0")["shards"] == [0]
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="two-phase accept: a shard never sees the jitter a "
-        "cross-shard flow gathers upstream in another shard",
+class TestSoundness:
+    @pytest.mark.parametrize(
+        "workers", [False, True], ids=["inline", "workers"]
     )
-    def test_admitted_union_passes_from_scratch_analysis(self):
-        # Found by a seeded search over fat-tree/datacenter traces:
-        # request 13 admits rf4@12 across shards 0 and 1, but the
-        # 11-flow union misses a deadline (rf2@2 frame 4: 0.155308 s >
-        # 0.153585 s).  The serial controller rejects that admit.
+    def test_admitted_union_passes_from_scratch_analysis(self, workers):
+        # Found by a seeded search over fat-tree/datacenter traces when
+        # the service split the network into shards that each decided
+        # against their own flows: request 13 admitted rf4@12, after
+        # which rf2@2 frame 4 missed (0.155308 s > 0.153585 s).  The one
+        # engine must reject it, and every admitted set must pass the
+        # oracle's from-scratch holistic analysis.
         sc = build_scenario("fat-tree", utilization=0.8, seed=0)
         trace = trace_from_scenario(sc, n_requests=120, hold=16, seed=0)
+        assert trace.requests[12].flow.name == "rf4@12"
         with ShardedAdmissionService(
-            sc.network, n_shards=2, options=sc.options
+            sc.network, options=sc.options, workers=workers
         ) as svc:
-            for i, req in enumerate(trace.requests[:13]):
-                svc.process_batch([req])
-                union = {
-                    f.name: f
-                    for flows, _ in svc.export_shard_states()
-                    for f in flows
-                }
+            for i, req in enumerate(trace.requests[:40]):
+                payload, = svc.process_batch([req])
+                if i == 12:
+                    assert payload["accepted"] is False
+                flows, _ = svc.export_state()
                 scratch = oracle.holistic_analysis(
-                    sc.network,
-                    [union[name] for name in svc.admitted_names],
-                    sc.options,
+                    sc.network, list(flows), sc.options
                 )
                 assert scratch.converged, f"after request {i + 1}"
                 assert first_violation(scratch.flow_results) is None, (
@@ -512,9 +383,7 @@ class TestSnapshotRestore:
             sc, n_requests=60, arrival="poisson", rate=150, hold=12, seed=11
         )
         warmup, remainder = trace.requests[:30], trace.requests[30:]
-        with ShardedAdmissionService(
-            sc.network, n_shards=1, workers=workers
-        ) as svc:
+        with ShardedAdmissionService(sc.network, workers=workers) as svc:
             svc.process_batch(list(warmup))
             path = tmp_path / "state.json"
             save_service_state(path, svc)
@@ -525,17 +394,18 @@ class TestSnapshotRestore:
 
     def test_snapshot_document_shape(self):
         sc = two_star_scenario()
-        with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1}
-        ) as svc:
+        with ShardedAdmissionService(sc.network) as svc:
             for f in sc.flows[:4]:
                 svc.admit(f)
             doc = service_state_to_dict(svc)
         assert doc["schema_version"] == STATE_VERSION
         assert doc["kind"] == "admission-service-state"
-        assert doc["n_shards"] == 2
-        assert len(doc["shards"]) == 2
-        assert set(doc["flow_shards"]) == {f.name for f in sc.flows[:4]}
+        assert [f["name"] for f in doc["flows"]] == [
+            f.name for f in sc.flows[:4]
+        ]
+        assert {row[0] for row in doc["jitters"]} <= {
+            f.name for f in sc.flows[:4]
+        }
         json.dumps(doc)  # JSON-able throughout
 
     def test_snapshot_protocol_op(self, tmp_path):
@@ -548,7 +418,9 @@ class TestSnapshotRestore:
             )[0]
             assert payload == {"path": path, "admitted": 1}
             inline = svc.process_batch([Request(op="snapshot")])[0]
-        assert inline["state"]["flow_shards"] == {sc.flows[0].name: [0]}
+        assert [f["name"] for f in inline["state"]["flows"]] == [
+            sc.flows[0].name
+        ]
         with load_service_state(path) as restored:
             assert restored.query(sc.flows[0].name)["admitted"]
 
@@ -562,7 +434,7 @@ class TestSnapshotRestore:
             sc, n_requests=40, arrival="poisson", rate=150, hold=12, seed=3
         )
         warmup, remainder = trace.requests[:20], trace.requests[20:]
-        with ShardedAdmissionService(sc.network, n_shards=1) as svc:
+        with ShardedAdmissionService(sc.network) as svc:
             svc.process_batch(list(warmup))
             doc = service_state_to_dict(svc)
             doc["analysis"].update(
@@ -692,7 +564,7 @@ class TestServer:
         serial = replay_serial(sc.network, trace, sc.options)
 
         async def run():
-            svc = ShardedAdmissionService(sc.network, n_shards=1)
+            svc = ShardedAdmissionService(sc.network)
             server = AdmissionServer(svc, port=0, batch_window_s=0.001)
             await server.start()
             try:

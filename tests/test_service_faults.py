@@ -1,7 +1,7 @@
 """Fault tolerance: supervised recovery, fault injection, retry stack.
 
-The contract under test is the ISSUE-7 acceptance bar: with a seeded
-`FaultPlan` killing shard workers mid-trace, the supervised service's
+The contract under test: with a seeded `FaultPlan` killing the
+engine's worker mid-trace, once per incarnation, the supervised service's
 decisions, final state document and query responses are byte-identical
 to the same trace with no faults — and the client-side retry path
 (reconnect, backoff, idempotency keys) preserves that parity over TCP
@@ -100,6 +100,17 @@ class TestFaultPlan:
                 sc.network, fault_plan=FaultPlan.parse("kill:shard=0,at=0")
             )
 
+    def test_faults_must_target_the_one_engine(self):
+        # A kill aimed at a shard that does not exist would never fire.
+        sc = saturating_scenario()
+        with pytest.raises(ValueError, match=r"shard\(s\) \[1\]"):
+            ShardedAdmissionService(
+                sc.network, workers=True,
+                fault_plan=FaultPlan.parse(
+                    "kill:shard=0,at=3;kill:shard=1,at=3"
+                ),
+            )
+
 
 # ----------------------------------------------------------------------
 # Retry policy
@@ -182,10 +193,7 @@ class TestProtocolV2:
 # ----------------------------------------------------------------------
 def _two_star_service(**kwargs):
     sc = two_star_scenario()
-    svc = ShardedAdmissionService(
-        sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-        workers=True, **kwargs,
-    )
+    svc = ShardedAdmissionService(sc.network, workers=True, **kwargs)
     return sc, svc
 
 
@@ -201,8 +209,7 @@ class TestSupervisedRecovery:
 
         def run(plan):
             with ShardedAdmissionService(
-                sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-                workers=True, fault_plan=plan, journal_limit=8,
+                sc.network, workers=True, fault_plan=plan, journal_limit=8,
             ) as svc:
                 summary = replay_service(svc, trace, batch=8)
                 queries = [
@@ -213,7 +220,9 @@ class TestSupervisedRecovery:
             return summary, queries, doc, health
 
         clean, clean_q, clean_doc, clean_h = run(None)
-        plan = FaultPlan.parse("kill:shard=0,at=5;kill:shard=1,at=7")
+        plan = FaultPlan.parse(
+            "kill:shard=0,at=5;kill:shard=0,at=20,incarnation=1"
+        )
         faulted, faulted_q, faulted_doc, faulted_h = run(plan)
 
         assert clean_h["restarts"] == 0
@@ -235,14 +244,16 @@ class TestSupervisedRecovery:
         trace = trace_from_scenario(
             sc, n_requests=30, arrival="poisson", rate=500, hold=6, seed=4
         )
-        plan = FaultPlan.parse("kill:shard=0,at=9;kill:shard=1,at=9")
+        plan = FaultPlan.parse(
+            "kill:shard=0,at=9;kill:shard=0,at=15,incarnation=1"
+        )
         with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-            workers=True, journal_limit=2, fault_plan=plan,
+            sc.network, workers=True, journal_limit=2, fault_plan=plan,
         ) as svc:
             faulted = replay_service(svc, trace, batch=4)
-            for shard_h in svc.health()["shards"]:
-                assert shard_h["journal_len"] <= 2
+            health = svc.health()
+        assert health["restarts"] == 2, "both kills must have fired"
+        assert health["shards"][0]["journal_len"] <= 2
         serial = replay_serial(sc.network, trace, sc.options)
         assert faulted.admit_decisions == serial.admit_decisions
 
@@ -269,11 +280,11 @@ class TestSupervisedRecovery:
             assert health["status"] == "degraded"
             assert health["dead_shards"] == [0]
             assert health["restarts"] == 2
-            # The other shard still serves.
+            # Later ops keep answering the coded error, without a hang.
             assert svc.process_batch(
                 [Request(op="admit",
                          flow=call_flow("b", ("sw1_w", "sw1", "sw1_x")))]
-            )[0]["accepted"]
+            )[0]["code"] == ERR_UNAVAILABLE
         finally:
             svc.close()
 
@@ -307,9 +318,9 @@ class TestSupervisedRecovery:
             supervise=False,
             fault_plan=FaultPlan.parse("hang:shard=0,at=0"),
         )
-        shard = svc._shards[0]
-        shard.send_batch(
-            [("request", call_flow("a", ("sw0_a", "sw0", "sw0_b")))]
+        shard = svc._engine
+        shard._conn.send(
+            ("batch", [("request", call_flow("a", ("sw0_a", "sw0", "sw0_b")))])
         )
         time.sleep(0.2)  # let the worker reach the hang
         assert shard._proc.is_alive()
@@ -319,30 +330,25 @@ class TestSupervisedRecovery:
         assert not shard._proc.is_alive()
 
     def test_explicit_restore_resets_recovery_recipe(self):
-        # After import_shard_states, a crash must recover to the
-        # *restored* state, not replay pre-restore history.
+        # After import_state, a crash must recover to the *restored*
+        # state, not replay pre-restore history.
         sc = two_star_scenario()
-        with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-            workers=True,
-        ) as donor:
+        with ShardedAdmissionService(sc.network, workers=True) as donor:
             assert donor.admit(
                 call_flow("keep", ("sw0_a", "sw0", "sw0_b"))
             ).accepted
-            states = donor.export_shard_states()
-            flow_shards = donor.flow_assignment()
+            flows, jitters = donor.export_state()
         sc2, svc = _two_star_service()
         try:
             assert svc.admit(
                 call_flow("gone", ("sw0_c", "sw0", "sw0_d"))
             ).accepted
-            svc.import_shard_states(states, flow_shards)
-            svc._shards[0]._proc.terminate()
+            svc.import_state(flows, jitters)
+            svc._engine._proc.terminate()
             q = svc.query("keep")
             assert q["admitted"] is True
-            inline_names = {f.name for f in states[0][0]}
-            assert "gone" not in inline_names
-            assert "gone" not in svc.admitted_names
+            assert svc.query("gone") == {"admitted": False}
+            assert svc.admitted_names == ("keep",)
         finally:
             svc.close()
 
@@ -359,26 +365,24 @@ async def _serve(svc, **server_kwargs):
 class TestTcpFaults:
     def test_dead_worker_degrades_over_tcp(self):
         # Satellite: the dead-worker degradation path end-to-end over
-        # TCP — ordered, coded error responses; healthy shard serves.
+        # TCP — ordered, coded error responses; barrier ops still serve.
         sc = two_star_scenario()
 
         async def run():
             svc = ShardedAdmissionService(
-                sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-                workers=True, supervise=False,
+                sc.network, workers=True, supervise=False,
             )
             server = await _serve(svc)
             try:
-                svc._shards[1]._proc.terminate()
-                svc._shards[1]._proc.join(timeout=5.0)
+                svc._engine._proc.terminate()
+                svc._engine._proc.join(timeout=5.0)
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
                 from repro.service import encode_line
 
                 reqs = [
-                    Request(op="admit", id=0,
-                            flow=call_flow("a", ("sw0_a", "sw0", "sw0_b"))),
+                    Request(op="stats", id=0),
                     Request(op="admit", id=1,
                             flow=call_flow("b", ("sw1_w", "sw1", "sw1_x"))),
                     Request(op="health", id=2),
@@ -398,12 +402,12 @@ class TestTcpFaults:
 
         ok_doc, dead_doc, health_doc = asyncio.run(run())
         assert [d["id"] for d in (ok_doc, dead_doc, health_doc)] == [0, 1, 2]
-        assert ok_doc["ok"] and ok_doc["accepted"]
+        assert ok_doc["ok"] and ok_doc["admitted"] == 0
         assert not dead_doc["ok"]
         assert dead_doc["code"] == ERR_UNAVAILABLE
         assert is_retryable(dead_doc)
         assert health_doc["status"] == "degraded"
-        assert health_doc["dead_shards"] == [1]
+        assert health_doc["dead_shards"] == [0]
         assert health_doc["server"]["queue_depth"] == 0
 
     def test_chaos_replay_with_retries_matches_serial(self):
@@ -417,13 +421,13 @@ class TestTcpFaults:
         )
         serial = replay_serial(sc.network, trace, sc.options)
         plan = FaultPlan.parse(
-            "kill:shard=0,at=5;kill:shard=1,at=7;drop_conn:at=11"
+            "kill:shard=0,at=5;kill:shard=0,at=20,incarnation=1;"
+            "drop_conn:at=11"
         )
 
         async def run():
             svc = ShardedAdmissionService(
-                sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-                workers=True, fault_plan=plan,
+                sc.network, workers=True, fault_plan=plan,
             )
             server = await _serve(svc, fault_plan=plan)
             try:

@@ -1,12 +1,10 @@
-"""Replicated shards: journal-shipped standbys, failover, rebalancing.
+"""Replicated engine: journal-shipped standby, failover, state schema.
 
-The contract under test is the ISSUE-10 acceptance bar: with a warm
-standby per shard fed by the primary's journal (ship-on-commit), killing
-a primary at *any* op index yields decisions, query responses and an
-exported state document byte-identical to a fault-free run — promotion
-never loses a committed op and never invents one.  The same transfer
-recipe must make ``rebalance`` equivalent to restoring a snapshot into
-a service built with the new layout.
+The contract under test: with a warm standby fed by the primary's
+journal (ship-on-commit), killing a primary at *any* op index yields
+decisions, query responses and an exported state document
+byte-identical to a fault-free run — promotion never loses a committed
+op and never invents one.
 """
 
 import asyncio
@@ -17,20 +15,15 @@ import pytest
 
 from repro.io import ScenarioError
 from repro.service import (
-    ERR_BAD_REQUEST,
+    STATE_VERSION,
     AdmissionServer,
     ConnectError,
     FaultPlan,
-    FaultSpec,
     ProtocolError,
-    Request,
     ShardedAdmissionService,
-    ShardRouter,
     connect_with_backoff,
-    reassign_shard_states,
     replay_service,
     request_from_dict,
-    request_to_dict,
     service_state_from_dict,
     service_state_to_dict,
     trace_from_scenario,
@@ -39,16 +32,13 @@ from repro.service.faults import DURING_PROMOTION, FaultError
 from test_service import call_flow, saturating_scenario, two_star_scenario
 
 
-TWO_STAR_MAP = {"sw0": 0, "sw1": 1}
-
-
 def _run_two_star(trace, *, plan=None, replicas=0, batch=8, **kwargs):
-    """One replay under the standard two-star layout; returns the full
-    comparison surface (decisions, queries, state doc, health)."""
+    """One worker-backed replay on the two-star network; returns the
+    full comparison surface (decisions, queries, state doc, health)."""
     sc = two_star_scenario()
     with ShardedAdmissionService(
-        sc.network, n_shards=2, shard_map=TWO_STAR_MAP, workers=True,
-        replicas=replicas, fault_plan=plan, **kwargs,
+        sc.network, workers=True, replicas=replicas, fault_plan=plan,
+        **kwargs,
     ) as svc:
         summary = replay_service(svc, trace, batch=batch)
         queries = [svc.query(name) for name in sorted(svc.admitted_names)]
@@ -154,7 +144,8 @@ class TestConnectError:
 # ----------------------------------------------------------------------
 class TestWarmFailover:
     def test_failover_byte_identical_with_counters(self):
-        # The headline: both primaries killed mid-trace; promotions are
+        # The headline: the primary killed twice mid-trace, the second
+        # time as the promoted standby (incarnation 1); promotions are
         # warm (failovers, no cold restores) and the entire observable
         # surface equals the fault-free run's.
         sc = two_star_scenario()
@@ -165,7 +156,9 @@ class TestWarmFailover:
         clean, clean_q, clean_doc, clean_h = _run_two_star(
             trace, replicas=1
         )
-        plan = FaultPlan.parse("kill:shard=0,at=5;kill:shard=1,at=7")
+        plan = FaultPlan.parse(
+            "kill:shard=0,at=5;kill:shard=0,at=20,incarnation=1"
+        )
         faulted, faulted_q, faulted_doc, faulted_h = _run_two_star(
             trace, plan=plan, replicas=1
         )
@@ -186,8 +179,8 @@ class TestWarmFailover:
         )
 
     def test_kill_sweep_every_op_is_lossless(self):
-        # The property test: killing the shard-0 primary at ANY op
-        # index k gives byte-identical results.  Full sweep at seed 0;
+        # The property test: killing the primary at ANY op index k
+        # gives byte-identical results.  Full sweep at seed 0;
         # spot checks at seeds 1-2 (and without a standby) below.
         sc = two_star_scenario()
         trace = trace_from_scenario(
@@ -241,8 +234,7 @@ class TestWarmFailover:
     def test_replica_health_and_stats_surface(self):
         sc = two_star_scenario()
         with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map=TWO_STAR_MAP, workers=True,
-            replicas=1,
+            sc.network, workers=True, replicas=1,
         ) as svc:
             assert svc.admit(
                 call_flow("a", ("sw0_a", "sw0", "sw0_b"))
@@ -250,11 +242,11 @@ class TestWarmFailover:
             health = svc.health()
             stats = svc.stats()
         assert health["replicas"] == 1
-        for shard_h in health["shards"]:
-            assert shard_h["standby_alive"] is True
-            assert shard_h["replication_lag_ops"] >= 0
-            assert shard_h["cold_restores"] == shard_h["restarts"]
-        assert stats["stats_version"] == 4
+        shard_h, = health["shards"]
+        assert shard_h["standby_alive"] is True
+        assert shard_h["replication_lag_ops"] >= 0
+        assert shard_h["cold_restores"] == shard_h["restarts"]
+        assert stats["stats_version"] == 5
         for key in ("replicas", "failovers", "failover_s_total",
                     "cold_restores"):
             assert key in stats
@@ -271,13 +263,13 @@ class TestReplicationChaos:
         )
 
     def test_standby_killed_then_repaired_before_primary_dies(self):
-        # The standby dies early; the primary notices on the next ship
-        # and spawns a replacement, so the later primary kill still
-        # promotes warm.
+        # The standby dies early; the primary notices on a later ship
+        # and spawns a replacement, so the later primary kill (two
+        # batches on) still promotes warm.
         sc = two_star_scenario()
         trace = self._trace(sc)
         clean = _run_two_star(trace, replicas=1)
-        plan = FaultPlan.parse("kill_standby:shard=0,at=1;kill:shard=0,at=14")
+        plan = FaultPlan.parse("kill_standby:shard=0,at=1;kill:shard=0,at=30")
         faulted = _run_two_star(trace, plan=plan, replicas=1)
         assert faulted[0].admit_decisions == clean[0].admit_decisions
         assert faulted[1] == clean[1]
@@ -318,9 +310,13 @@ class TestReplicationChaos:
         sc = two_star_scenario()
         trace = self._trace(sc)
         clean = _run_two_star(trace, replicas=1)
+        # The first standby (incarnation 1) dies at its op 2.  After the
+        # kill at op 15 incarnation 2 serves either way: the repaired
+        # standby promoted, or the cold respawn if the dead standby was
+        # not yet replaced.  The second kill lands on it.
         plan = FaultPlan.parse(
-            "kill_standby:shard=1,at=2;drop_journal:shard=0,at=8;"
-            "kill:shard=0,at=15;kill:shard=1,at=12"
+            "kill_standby:shard=0,at=2;drop_journal:shard=0,at=8;"
+            "kill:shard=0,at=15;kill:shard=0,at=20,incarnation=2"
         )
         faulted = _run_two_star(trace, plan=plan, replicas=1)
         assert faulted[0].admit_decisions == clean[0].admit_decisions
@@ -334,171 +330,27 @@ class TestReplicationChaos:
         sc = two_star_scenario()
         trace = self._trace(sc)
         clean = _run_two_star(trace, replicas=1)
-        plan = FaultPlan.parse("kill:shard=0,at=21;kill:shard=1,at=17")
+        plan = FaultPlan.parse(
+            "kill:shard=0,at=17;kill:shard=0,at=30,incarnation=1"
+        )
         faulted = _run_two_star(
             trace, plan=plan, replicas=1, journal_limit=4
         )
         assert faulted[0].admit_decisions == clean[0].admit_decisions
         assert faulted[2] == clean[2]
+        assert faulted[3]["failovers"] == 2
         assert faulted[3]["cold_restores"] == 0
-
-
-# ----------------------------------------------------------------------
-# Rebalancing
-# ----------------------------------------------------------------------
-class TestRebalance:
-    def _replayed_service(self, sc, trace, **kwargs):
-        svc = ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map=TWO_STAR_MAP, **kwargs
-        )
-        replay_service(svc, trace, batch=8)
-        return svc
-
-    def test_rebalance_equals_snapshot_restore(self):
-        # The equivalence claim: live rebalance to a new map produces
-        # exactly the state a snapshot restored into that map produces.
-        sc = two_star_scenario()
-        trace = trace_from_scenario(
-            sc, n_requests=30, arrival="burst", burst_size=6, hold=8,
-            seed=3,
-        )
-        swapped = {"sw0": 1, "sw1": 0}
-        with self._replayed_service(sc, trace) as svc:
-            before = service_state_to_dict(svc)
-            result = svc.rebalance(swapped)
-            live_doc = service_state_to_dict(svc)
-            live_queries = [
-                svc.query(name) for name in sorted(svc.admitted_names)
-            ]
-        assert result["rebalanced"] and result["n_shards"] == 2
-        with service_state_from_dict(before, shard_map=swapped) as restored:
-            restored_doc = service_state_to_dict(restored)
-            restored_queries = [
-                restored.query(name)
-                for name in sorted(restored.admitted_names)
-            ]
-        assert live_doc == restored_doc
-        assert live_queries == restored_queries
-        assert live_doc["shard_map"] == swapped
-
-    def test_rebalance_shrink_matches_native_layout(self):
-        # Shrinking to one shard mid-life must equal having served the
-        # whole trace on one shard from the start.
-        sc = two_star_scenario()
-        trace = trace_from_scenario(
-            sc, n_requests=30, arrival="burst", burst_size=6, hold=8,
-            seed=3,
-        )
-        with self._replayed_service(sc, trace) as svc:
-            svc.rebalance(n_shards=1)
-            shrunk_doc = service_state_to_dict(svc)
-            assert svc.stats()["rebalances"] == 1
-        with ShardedAdmissionService(sc.network, n_shards=1) as native:
-            replay_service(native, trace, batch=8)
-            native_doc = service_state_to_dict(native)
-        assert shrunk_doc == native_doc
-
-    def test_rebalance_with_worker_backends_and_replicas(self):
-        sc = two_star_scenario()
-        trace = trace_from_scenario(
-            sc, n_requests=20, arrival="burst", burst_size=4, hold=6,
-            seed=1,
-        )
-        with self._replayed_service(
-            sc, trace, workers=True, replicas=1
-        ) as svc:
-            inline_doc = None
-            with self._replayed_service(sc, trace) as ref:
-                ref.rebalance({"sw0": 1, "sw1": 0})
-                inline_doc = service_state_to_dict(ref)
-            svc.rebalance({"sw0": 1, "sw1": 0})
-            doc = service_state_to_dict(svc)
-            health = svc.health()
-        # Worker-backed rebalance agrees with the inline one on
-        # everything but the backend flag.
-        assert doc["shard_map"] == inline_doc["shard_map"]
-        assert doc["shards"] == inline_doc["shards"]
-        assert doc["flow_shards"] == inline_doc["flow_shards"]
-        assert health["replicas"] == 1
-        for shard_h in health["shards"]:
-            assert shard_h["standby_alive"] is True
-
-    def test_rebalance_refuses_cross_shard_admits(self):
-        flow = call_flow("x", ("sw0_a", "sw0", "sw0_b"))
-        sc = two_star_scenario()
-        router = ShardRouter(sc.network, 2, shard_map=TWO_STAR_MAP)
-        with pytest.raises(ValueError, match="cross-shard"):
-            reassign_shard_states(
-                [((flow,), {}), ((flow,), {})], {"x": (0, 1)}, router
-            )
-        with pytest.raises(ValueError, match="no shard state"):
-            reassign_shard_states([((), {}), ((), {})], {"ghost": (0,)},
-                                  router)
-
-    def test_rebalance_validation(self):
-        sc = two_star_scenario()
-        with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map=TWO_STAR_MAP
-        ) as svc:
-            with pytest.raises(ValueError, match="shard_map or n_shards"):
-                svc.rebalance()
-
-    def test_rebalance_via_protocol_is_a_barrier_op(self):
-        sc = two_star_scenario()
-        with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map=TWO_STAR_MAP
-        ) as svc:
-            assert svc.admit(
-                call_flow("a", ("sw0_a", "sw0", "sw0_b"))
-            ).accepted
-            payloads = svc.process_batch([
-                Request(op="admit", id=0,
-                        flow=call_flow("b", ("sw1_w", "sw1", "sw1_x"))),
-                Request(op="rebalance", id=1, n_shards=1),
-                Request(op="query", id=2, flow_name="a"),
-            ])
-            assert payloads[0]["accepted"]
-            assert payloads[1]["rebalanced"] and payloads[1]["n_shards"] == 1
-            assert payloads[2]["admitted"] is True
-            assert svc.n_shards == 1
-            # A bad target layout is a coded request error, not a crash.
-            bad = svc.process_batch([
-                Request(op="rebalance", id=3,
-                        shard_map={"no-such-switch": 0}),
-            ])[0]
-            assert not bad.get("rebalanced", False)
-            assert bad["code"] == ERR_BAD_REQUEST
-            assert svc.n_shards == 1, "failed rebalance changes nothing"
 
 
 # ----------------------------------------------------------------------
 # Protocol v3
 # ----------------------------------------------------------------------
 class TestProtocolV3:
-    def test_rebalance_round_trip(self):
-        req = Request(op="rebalance", id=7, shard_map={"sw0": 1, "sw1": 0},
-                      n_shards=2)
-        back = request_from_dict(request_to_dict(req))
-        assert back.op == "rebalance"
-        assert back.shard_map == {"sw0": 1, "sw1": 0}
-        assert back.n_shards == 2
-
-    def test_rebalance_needs_a_target(self):
-        with pytest.raises(ProtocolError, match="shard_map"):
-            Request(op="rebalance")
-        with pytest.raises(ProtocolError, match="n_shards"):
-            Request(op="rebalance", n_shards=0)
-
-    def test_malformed_shard_map_refused(self):
-        with pytest.raises(ProtocolError, match="shard_map"):
-            request_from_dict(
-                {"v": 3, "id": 1, "op": "rebalance", "shard_map": "sw0=0"}
-            )
-        with pytest.raises(ProtocolError, match="shard_map"):
-            request_from_dict(
-                {"v": 3, "id": 1, "op": "rebalance",
-                 "shard_map": {"sw0": "zero"}}
-            )
+    def test_rebalance_request_refused(self):
+        # v4 removed the verb; a v3 client's rebalance is a bad request.
+        with pytest.raises(ProtocolError, match="unknown op"):
+            request_from_dict({"v": 3, "id": 1, "op": "rebalance",
+                               "n_shards": 1})
 
     def test_older_requests_still_accepted(self):
         assert request_from_dict({"v": 1, "id": 1, "op": "stats"}).op \
@@ -508,8 +360,25 @@ class TestProtocolV3:
 
 
 # ----------------------------------------------------------------------
-# State schema v2
+# State schema: v3, and the one-shard v1/v2 documents that still load
 # ----------------------------------------------------------------------
+def _legacy(doc, version, n_shards=1):
+    """``doc`` in the schema v1/v2 layout: one block per shard."""
+    legacy = {k: v for k, v in doc.items() if k not in ("flows", "jitters")}
+    empty = {"flows": [], "jitters": []}
+    legacy.update(
+        schema_version=version,
+        n_shards=n_shards,
+        shard_map={},
+        flow_shards={f["name"]: [0] for f in doc["flows"]},
+        shards=[{"flows": doc["flows"], "jitters": doc["jitters"]}]
+        + [empty] * (n_shards - 1),
+    )
+    if version == 1:
+        legacy.pop("replicas")
+    return legacy
+
+
 class TestStateV2:
     def _doc(self):
         sc = saturating_scenario()
@@ -520,18 +389,16 @@ class TestStateV2:
     def test_v2_records_replicas(self):
         sc = two_star_scenario()
         with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map=TWO_STAR_MAP, workers=True,
-            replicas=1,
+            sc.network, workers=True, replicas=1,
         ) as svc:
             doc = service_state_to_dict(svc)
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == STATE_VERSION
         assert doc["replicas"] == 1
 
     def test_restore_honours_snapshotted_replicas(self):
         sc = two_star_scenario()
         with ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map=TWO_STAR_MAP, workers=True,
-            replicas=1,
+            sc.network, workers=True, replicas=1,
         ) as donor:
             donor.admit(call_flow("keep", ("sw0_a", "sw0", "sw0_b")))
             doc = service_state_to_dict(donor)
@@ -544,16 +411,20 @@ class TestStateV2:
             assert inline.query("keep")["admitted"] is True
 
     def test_v1_documents_stay_loadable(self):
-        doc = self._doc()
-        doc["schema_version"] = 1
-        doc.pop("replicas")
-        with service_state_from_dict(doc) as svc:
+        with service_state_from_dict(_legacy(self._doc(), 1)) as svc:
             assert svc.replicas == 0
             assert len(svc.admitted_names) == 1
 
+    def test_one_shard_v2_loads_and_multi_shard_refused(self):
+        doc = self._doc()
+        with service_state_from_dict(_legacy(doc, 2)) as svc:
+            assert service_state_to_dict(svc) == doc
+        with pytest.raises(ScenarioError, match="multi-shard serving"):
+            service_state_from_dict(_legacy(doc, 2, n_shards=2))
+
     def test_newer_schema_refused(self):
         doc = self._doc()
-        doc["schema_version"] = 3
+        doc["schema_version"] = STATE_VERSION + 1
         with pytest.raises(ScenarioError, match="newer"):
             service_state_from_dict(doc)
 
@@ -565,8 +436,7 @@ class TestGracefulShutdown:
     def test_service_shutdown_writes_flight_records(self, tmp_path):
         sc = two_star_scenario()
         svc = ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map=TWO_STAR_MAP, workers=True,
-            replicas=1, flight_dir=str(tmp_path),
+            sc.network, workers=True, replicas=1, flight_dir=str(tmp_path),
         )
         assert svc.admit(call_flow("a", ("sw0_a", "sw0", "sw0_b"))).accepted
         svc.shutdown()
@@ -574,9 +444,9 @@ class TestGracefulShutdown:
             json.loads(p.read_text())["reason"]
             for p in tmp_path.glob("*.json")
         )
-        assert reasons.count("clean_shutdown") == 2, "one per primary"
-        assert reasons.count("clean_shutdown_standby") == 2, \
-            "one per live standby"
+        assert reasons.count("clean_shutdown") == 1, "one for the primary"
+        assert reasons.count("clean_shutdown_standby") == 1, \
+            "one for the live standby"
 
     def test_server_shutdown_drains_before_closing(self):
         sc = saturating_scenario()

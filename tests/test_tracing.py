@@ -66,10 +66,7 @@ def _tracing_disabled_by_default():
 
 def _two_star_service(**kwargs):
     sc = two_star_scenario()
-    svc = ShardedAdmissionService(
-        sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-        workers=True, **kwargs,
-    )
+    svc = ShardedAdmissionService(sc.network, workers=True, **kwargs)
     return sc, svc
 
 
@@ -347,9 +344,7 @@ class TestEndToEnd:
         tracing.enable_tracing(proc="server")
 
         async def run():
-            svc = ShardedAdmissionService(
-                sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-            )
+            svc = ShardedAdmissionService(sc.network)
             server = await _serve(svc)
             try:
                 reader, writer = await asyncio.open_connection(
@@ -436,10 +431,13 @@ class TestEndToEnd:
             sc, n_requests=40, arrival="burst", burst_size=8, hold=10,
             seed=2,
         )
-        plan = FaultPlan.parse("kill:shard=0,at=5;kill:shard=1,at=7")
+        # Each kill lands after its incarnation answered a whole batch,
+        # so every incarnation ships spans before it dies.
+        plan = FaultPlan.parse(
+            "kill:shard=0,at=10;kill:shard=0,at=24,incarnation=1"
+        )
         svc = ShardedAdmissionService(
-            sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-            workers=True, fault_plan=plan, journal_limit=8,
+            sc.network, workers=True, fault_plan=plan, journal_limit=8,
         )
         try:
             replay_service(svc, trace, batch=8)
@@ -447,12 +445,10 @@ class TestEndToEnd:
             spans = svc.metrics()["trace_spans"]
         finally:
             svc.close()
-        for shard in ("shard0", "shard1"):
-            incs = {s["inc"] for s in spans if s["proc"] == shard}
-            assert {0, 1} <= incs, f"{shard}: both incarnations must record"
+        incs = {s["inc"] for s in spans if s["proc"] == "shard0"}
+        assert {0, 1, 2} <= incs, "every incarnation must record"
         recoveries = [s for s in spans if s["name"] == "shard.recovery"]
-        assert len(recoveries) == 2
-        assert all(r["inc"] == 1 for r in recoveries)
+        assert sorted(r["inc"] for r in recoveries) == [1, 2]
         # Replacement-incarnation op spans re-ran under the original
         # (replay-minted) trace ids of the in-flight requests.
         respawned = [
@@ -472,7 +468,9 @@ class TestEndToEnd:
             for ev in doc["traceEvents"]
             if ev["ph"] == "M" and ev["name"] == "process_name"
         }
-        assert "shard0" in labels and "shard0 (incarnation 1)" in labels
+        assert {
+            "shard0", "shard0 (incarnation 1)", "shard0 (incarnation 2)"
+        } <= labels
 
     def test_decisions_identical_with_tracing_on(self):
         """Tracing is observation-only: same decisions, bit for bit."""
@@ -483,9 +481,7 @@ class TestEndToEnd:
         )
 
         def run():
-            svc = ShardedAdmissionService(
-                sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-            )
+            svc = ShardedAdmissionService(sc.network)
             try:
                 return replay_service(svc, trace, batch=8).admit_decisions
             finally:
@@ -515,14 +511,15 @@ class TestMetricsUnderFaults:
             sc, n_requests=60, arrival="burst", burst_size=6, hold=10,
             seed=3,
         )
-        plan = FaultPlan.parse("kill:shard=0,at=5;kill:shard=1,at=9")
+        plan = FaultPlan.parse(
+            "kill:shard=0,at=5;kill:shard=0,at=25,incarnation=1"
+        )
 
         async def run():
             from repro.service.replay import _request_over_tcp, replay_over_tcp
 
             svc = ShardedAdmissionService(
-                sc.network, n_shards=2, shard_map={"sw0": 0, "sw1": 1},
-                workers=True, fault_plan=plan, journal_limit=8,
+                sc.network, workers=True, fault_plan=plan, journal_limit=8,
             )
             server = await _serve(svc)
             polls = []

@@ -108,6 +108,27 @@ def test_simulator_event_throughput_fat_tree(benchmark):
     assert trace.count_completed() > 0
 
 
+def test_simulator_rotation_throughput_fat_tree(benchmark):
+    """The same fabric and flows in rotation mode, the pessimistic
+    fixed-``CIRC`` execution: most events are idle task slots, which the
+    rotation driver runs in place while each is the next event."""
+    benchmark.extra_info["scale"] = "single-pod"
+    net = fat_tree_network(
+        spines=2, leaves=4, hosts_per_leaf=2, speed_bps=mbps(100)
+    )
+    flows = random_flow_set(
+        net, n_flows=12, total_utilization=0.4, seed=11
+    )
+
+    def run():
+        return simulate(
+            net, flows, config=SimConfig(duration=0.5, switch_mode="rotation")
+        )
+
+    trace = benchmark(run)
+    assert trace.count_completed() > 0
+
+
 # ----------------------------------------------------------------------
 # Datacenter axis: one admission decision at 10^4 / 10^5 admitted flows
 # ----------------------------------------------------------------------

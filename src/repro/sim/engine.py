@@ -26,6 +26,16 @@ payload slots), heapify of the same records yields the same pop order
 as N pushes, and the dispatch loop batches all pops sharing a timestamp
 under a single horizon check.  Traces are bit-identical to the
 closure-based engine.
+
+While :meth:`EventEngine.run` is dispatching, the engine exposes the
+loop's horizon as ``_until`` (``-inf`` outside ``run`` and under a
+``max_events`` budget).  A handler that knows its follow-up event is
+strictly earlier than every pending one and within that horizon may run
+it in place instead of pushing and popping it (the rotation driver's
+idle slots, :mod:`repro.sim.swnode`): it advances ``_now`` and adds one
+to ``_events_processed`` per such event, so ``events_processed`` still
+counts it.  ``sim.heap_peak`` can read lower, because those events never
+enter the heap.
 """
 
 from __future__ import annotations
@@ -61,6 +71,8 @@ class EventEngine:
         self._seq = 0
         self._now = 0.0
         self._events_processed = 0
+        # Horizon of the running dispatch loop (see the module docstring).
+        self._until = -math.inf
 
     @property
     def now(self) -> float:
@@ -195,6 +207,9 @@ class EventEngine:
         # copies pay).
         reg = _telemetry.REGISTRY
         peak = len(heap) if reg is not None else 0
+        # A budget must count every event on the heap path, so budgeted
+        # runs expose no horizon to in-place handlers.
+        self._until = until if max_events is None else -math.inf
         try:
             if max_events is None and reg is None:
                 # Unbudgeted loop (the standard full run): no per-event
@@ -248,6 +263,7 @@ class EventEngine:
                         if not heap or heap[0][0] != when:
                             break
         finally:
+            self._until = -math.inf
             self._events_processed += processed
             if reg is not None and processed:
                 reg.observe("sim.heap_peak", peak)

@@ -167,6 +167,9 @@ class Simulator:
     simulate action).
     """
 
+    #: Class of the simulated switches the topology build creates.
+    switch_class = SimSwitch
+
     def __init__(
         self,
         network: Network,
@@ -285,7 +288,7 @@ class Simulator:
                         deliver=lambda frame: None,
                     )
 
-            sw = SimSwitch(
+            sw = self.switch_class(
                 self.engine,
                 click,
                 route_fn=make_route_fn(node.name, self._route_tables[node.name]),

@@ -22,14 +22,17 @@ the NIC transmit FIFO, but only when that FIFO is empty (cost
 ``CSEND``).  Work is claimed at dispatch time and its downstream effect
 applies at completion (tasks are non-preemptive).
 
-Implementation note: the :class:`EventDriver` dispatch rotation is the
-simulator's hottest loop (one work-probe per task per dispatch).  For
-the paper's round-robin ticket configuration it runs over a prebuilt
-per-task table binding each task's queue containers directly, probing
-them inline instead of through ``task_has_work``; the probe order,
+Implementation note: both drivers dispatch over a prebuilt per-task
+probe table binding each task's queue containers directly, probing them
+inline instead of through ``task_has_work``; the probe order,
 predicates and claims are exactly those of the method-based path (which
-remains in use for weighted-stride configurations and the rotation
-driver), so traces are unchanged.
+remains in use for weighted-stride configurations), so traces are
+unchanged.  The rotation driver additionally runs a slot in place
+instead of scheduling it when the slot is the engine's next event (see
+:class:`RotationDriver`).  ``tests/oracle.py`` keeps a per-slot
+rotation driver that schedules every slot as an event, and
+``tests/test_sim_equivalence.py`` checks the two against each other bit
+for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ RouteFn = Callable[[QueuedFrame], tuple[str, int]]
 class SimSwitch:
     """One simulated switch: queues + processors + egress transmitters."""
 
+    #: Processor driver class per switch mode (filled in below the
+    #: driver classes).
+    driver_classes: dict[str, type["ProcessorDriverBase"]] = {}
+
     def __init__(
         self,
         engine: EventEngine,
@@ -60,7 +67,7 @@ class SimSwitch:
         mode: str = "event",
         idle_cost: float = 0.0,
     ):
-        if mode not in ("event", "rotation"):
+        if mode not in self.driver_classes:
             raise ValueError(f"unknown switch mode {mode!r}")
         missing = set(click.interfaces) - set(transmitters)
         if missing:
@@ -71,7 +78,7 @@ class SimSwitch:
         self.transmitters = dict(transmitters)
         self.frames_forwarded = 0
 
-        driver_cls = EventDriver if mode == "event" else RotationDriver
+        driver_cls = self.driver_classes[mode]
         self.drivers: list[ProcessorDriverBase] = []
         per_proc = click.n_interfaces // click.config.n_processors
         for p in range(click.config.n_processors):
@@ -108,8 +115,9 @@ class SimSwitch:
             itf: (click.tx_fifo[itf], self.transmitters[itf])
             for itf in click.interfaces
         }
-        # Event drivers register their per-task completion handlers
-        # once the switch's lookup tables above exist.
+        # Drivers build their probe tables and register their per-task
+        # completion handlers once the switch's lookup tables above
+        # exist.
         for driver in self.drivers:
             finish = getattr(driver, "bind_completions", None)
             if finish is not None:
@@ -144,7 +152,8 @@ class SimSwitch:
         driver.wake()
 
     # ------------------------------------------------------------------
-    # Task work predicates and actions (shared by both drivers)
+    # Task work predicates and actions (the method path: weighted-stride
+    # dispatch and timed idle rotations)
     # ------------------------------------------------------------------
     def task_has_work(self, task: SwitchTask, at: float) -> bool:
         if task.kind is TaskKind.INGRESS:
@@ -200,15 +209,6 @@ class SimSwitch:
         fifo = self.click.tx_fifo[interface]
         return fifo.pop() if fifo else None
 
-    def has_backlog(self, interfaces: tuple[str, ...]) -> bool:
-        """Any pending work on this processor's interfaces?"""
-        for itf in interfaces:
-            if self.click.rx_fifo[itf]:
-                return True
-            if self.click.output_queue[itf]:
-                return True
-        return False
-
     def reset(self) -> None:
         """Drain all state for a fresh run on the same topology."""
         self.click.reset()
@@ -249,7 +249,8 @@ class ProcessorDriverBase:
         # the claim sites.  ``_pending == 0`` proves no task has work
         # (claimability additionally needs an empty tx FIFO, so the
         # converse does not hold) — the event driver uses it to sleep
-        # in O(1) instead of probing a provably empty rotation.
+        # in O(1) instead of probing a provably empty rotation, the
+        # rotation driver as its no-backlog disarm test.
         self._pending = 0
 
     #: Class-level default so callers can guard ``wake()`` with a plain
@@ -525,6 +526,18 @@ class RotationDriver(ProcessorDriverBase):
     are skipped analytically (no events), but the *phase* is preserved,
     so a frame arriving just after its task's slot start waits almost a
     full ``CIRC`` — the worst case the analysis charges per frame.
+
+    Slots dispatch over a per-task probe table (see
+    :meth:`bind_completions`).  When the slot after an idle slot or a
+    completion is strictly earlier than every pending event and within
+    the running loop's horizon, it is exactly the event the engine
+    would pop next, so the driver runs it in place instead of pushing
+    and popping it; a chain of idle slots (a task waiting behind a busy
+    transmitter, or the idle rotation before the processor disarms)
+    then costs no heap traffic at all.  Each slot run in place still
+    counts one event in ``events_processed`` and one ``dispatches``;
+    ``sim.heap_peak`` can read lower, because those slots never enter
+    the heap.
     """
 
     def __init__(self, engine, switch, interfaces, *, idle_cost: float, scheduler=None):
@@ -552,7 +565,95 @@ class RotationDriver(ProcessorDriverBase):
         self._armed = False
         self._idle_slots = 0
         self._k_slot = engine.register_handler(self._slot)
-        self._k_complete_slot = engine.register_handler(self._complete_slot)
+        # Built by bind_completions once the switch's tables exist.
+        self._probe: list[tuple] = []
+
+    def bind_completions(self) -> None:
+        """Build the probe table, one row per task:
+
+        ``(is_ingress, a, b, cost, complete_kind, next_idx, delta)`` —
+        the task's queue containers as in the event driver's table, its
+        cost, the engine kind of its completion handler, the next
+        task's index, and the distance from this slot's start to the
+        next one's (the offset difference, wrapping at the period:
+        computed once, with the exact expressions a per-slot driver
+        evaluates).  Each completion handler has the task's effect
+        targets and its ``next_idx`` and ``delta`` bound in.
+        """
+        engine = self.engine
+        switch = self.switch
+        click = switch.click
+        offsets = self.offsets
+        n = len(self.tasks)
+        self._probe = []
+        for idx, task in enumerate(self.tasks):
+            itf = task.interface
+            nxt = (idx + 1) % n
+            delta = (
+                offsets[nxt] - offsets[idx]
+                if nxt > idx
+                else self.period - offsets[idx] + offsets[nxt]
+            )
+            if task.kind is TaskKind.INGRESS:
+                kind = engine.register_handler(
+                    self._make_ingress_complete(switch, nxt, delta)
+                )
+                row = (True, click.rx_fifo[itf]._items, None)
+            else:
+                kind = engine.register_handler(
+                    self._make_egress_complete(switch, itf, nxt, delta)
+                )
+                row = (
+                    False,
+                    click.output_queue[itf]._heap,
+                    click.tx_fifo[itf]._items,
+                )
+            self._probe.append((*row, task.cost, kind, nxt, delta))
+
+    def _make_ingress_complete(self, switch: SimSwitch, nxt: int, delta: float):
+        route_fn = switch.route_fn
+        out_of = switch._out_of
+        engine = self.engine
+        resume = self._resume
+
+        def complete(frame: QueuedFrame, start: float) -> None:
+            out_itf, priority = route_fn(frame)
+            try:
+                out_push, out_driver = out_of[out_itf]
+            except KeyError:
+                raise KeyError(
+                    f"switch {switch.click.name!r}: routed to unknown "
+                    f"interface {out_itf!r}"
+                ) from None
+            # Classified in place, as in the event driver: the claimed
+            # frame is uniquely owned.
+            d = frame.__dict__
+            d["priority"] = priority
+            d["enqueued_at"] = engine._now
+            out_push(frame)
+            out_driver._pending += 1
+            if not out_driver._running:
+                out_driver.wake()
+            resume(nxt, start + delta)
+
+        return complete
+
+    def _make_egress_complete(
+        self, switch: SimSwitch, itf: str, nxt: int, delta: float
+    ):
+        fifo, tx = switch._tx_of[itf]
+        resume = self._resume
+
+        def complete(frame: QueuedFrame, start: float) -> None:
+            switch.frames_forwarded += 1
+            # See SimSwitch.complete_work.
+            if tx.busy:
+                fifo.push(frame)
+            else:
+                tx._transmit(frame)
+            resume(nxt, start + delta)
+
+        return complete
 
     # ------------------------------------------------------------------
     def wake(self) -> None:
@@ -585,39 +686,75 @@ class RotationDriver(ProcessorDriverBase):
                 best_idx = idx
         self.engine.schedule_call(best_time, self._k_slot, best_idx, best_time)
 
-    def _slot(self, idx: int, start: float) -> None:
-        task = self.tasks[idx]
-        self.dispatches += 1
-        if self.switch.task_has_work(task, start):
-            self._idle_slots = 0
-            frame = self.switch.claim_work(task)
-            self._pending -= 1
-            self.busy_time += task.cost
-            done = start + task.cost
-            self.engine.schedule_call(
-                done, self._k_complete_slot, frame, (task, idx, start)
-            )
-        else:
-            self._idle_slots += 1
-            self._after_slot(idx, start)
+    def _resume(self, idx: int, start: float) -> None:
+        """After a completion: run slot ``idx`` at ``start`` in place if
+        it is the engine's next event, else schedule it.
 
-    def _complete_slot(self, frame: QueuedFrame, slot: tuple) -> None:
-        task, idx, start = slot
-        self.switch.complete_work(task, frame)
-        self._after_slot(idx, start)
-
-    def _after_slot(self, idx: int, start: float) -> None:
-        # Disarm after a full idle rotation with no backlog; phase is
-        # recovered analytically on the next wake().
-        if self._idle_slots >= len(self.tasks) and not self.switch.has_backlog(
-            self.interfaces
+        (No disarm test: the slot that just completed claimed a frame,
+        so the idle-slot count is 0.)
+        """
+        engine = self.engine
+        heap = engine._heap
+        if engine._now <= start <= engine._until and (
+            not heap or start < heap[0][0]
         ):
-            self._armed = False
-            return
-        nxt_idx = (idx + 1) % len(self.tasks)
-        nxt_start = start + (
-            self.offsets[nxt_idx] - self.offsets[idx]
-            if nxt_idx > idx
-            else self.period - self.offsets[idx] + self.offsets[nxt_idx]
-        )
-        self.engine.schedule_call(nxt_start, self._k_slot, nxt_idx, nxt_start)
+            engine._now = start
+            engine._events_processed += 1
+            self._slot(idx, start)
+        else:
+            engine.schedule_call(start, self._k_slot, idx, start)
+
+    def _slot(self, idx: int, start: float) -> None:
+        """Run slot ``idx`` at ``start``, then every following idle slot
+        that is the engine's next event, in place.
+
+        A slot at ``start`` is the next event iff its record ``(start,
+        seq)`` would sort first: ``start`` is strictly earlier than the
+        heap head (a fresh record's sequence number loses every tie),
+        not earlier than the clock (``schedule_call`` would clamp it
+        there), and within the running loop's horizon.
+        """
+        engine = self.engine
+        heap = engine._heap
+        until = engine._until
+        probe = self._probe
+        n = len(probe)
+        dispatches = self.dispatches
+        idle = self._idle_slots
+        while True:
+            is_ingress, a, b, cost, k_complete, nxt, delta = probe[idx]
+            dispatches += 1
+            if is_ingress:
+                # rx FIFO head arrived by the slot start?
+                has = a and a[0].enqueued_at <= start
+            else:
+                # output-queue head arrived and tx FIFO empty?
+                has = a and a[0][2].enqueued_at <= start and not b
+            if has:
+                idle = 0
+                frame = a.popleft() if is_ingress else heappop(a)[2]
+                self._pending -= 1
+                self.busy_time += cost
+                engine.schedule_call(start + cost, k_complete, frame, start)
+                break
+            idle += 1
+            if idle >= n and self._pending == 0:
+                # A full idle rotation with no backlog: disarm; the
+                # phase is recovered analytically on the next wake().
+                self._armed = False
+                break
+            idx = nxt
+            start += delta
+            if engine._now <= start <= until and (
+                not heap or start < heap[0][0]
+            ):
+                engine._now = start
+                engine._events_processed += 1
+                continue
+            engine.schedule_call(start, self._k_slot, idx, start)
+            break
+        self.dispatches = dispatches
+        self._idle_slots = idle
+
+
+SimSwitch.driver_classes = {"event": EventDriver, "rotation": RotationDriver}

@@ -453,8 +453,10 @@ def write_flight_record(
     ``spans`` the parent's recent span records (the last ``max_spans``
     are kept); ``registry`` the parent-process registry snapshot and
     ``shard_telemetry`` the dead shard's last-known merged snapshot.
-    The file name is deterministic per (shard, restart, reason), so a
-    retried recovery overwrites its own document rather than littering.
+    The file name is deterministic per (shard, incarnation, restart,
+    reason).  Every worker process, primary or standby, is a new
+    incarnation, so successive failovers keep separate documents even
+    when a warm promotion leaves the restart count unchanged.
     """
     from datetime import datetime, timezone
 
@@ -478,7 +480,8 @@ def write_flight_record(
     if extra:
         doc["extra"] = dict(extra)
     path = directory / (
-        f"flight_shard{int(shard)}_r{int(restarts)}_{reason}.json"
+        f"flight_shard{int(shard)}_i{int(incarnation)}_r{int(restarts)}"
+        f"_{reason}.json"
     )
     path.write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -17,11 +17,16 @@ equivalence suites can compare the two with ``==`` on floats:
 * :class:`ColdAdmissionController` — re-analyses each tentative set
   from scratch: no utilisation pre-check, no warm start, no caches;
 * :class:`ReferenceSimulator` / :func:`simulate` — one scheduled event
-  per fragment release and per-delivery updates of record objects.
+  per fragment release and per-delivery updates of record objects, on
+  switches whose rotation-mode processors schedule every slot as an
+  event and go through the switch's ``task_has_work`` / ``claim_work``
+  / ``complete_work`` methods (:class:`ReferenceRotationDriver`).
 
 The oracle shares the equation layer with production (packetization,
 the ``LinkDemand`` demand-bound functions, the stage equations and the
 Fig. 6 walk); what it replaces are the shortcuts taken around them.
+The event-mode processor driver is shared too: its O(1) sleep skips
+the probe dispatches a method-path reference would count.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.model.flow import Flow
 from repro.model.network import Network
 from repro.sim.release import EagerRelease, SpreadJitterPolicy
 from repro.sim.simulator import SimConfig, Simulator
+from repro.sim.swnode import ProcessorDriverBase, SimSwitch
 from repro.sim.trace import PacketRecord, SimulationTrace
 from repro.switch.queues import QueuedFrame
 
@@ -185,14 +191,143 @@ class ColdAdmissionController:
 # ----------------------------------------------------------------------
 # Simulation
 # ----------------------------------------------------------------------
+class ReferenceRotationDriver(ProcessorDriverBase):
+    """Pessimistic execution: a fixed rotation anchored at boot.
+
+    Every task's slot recurs with period ``CIRC`` regardless of load;
+    a task serves at most one frame per slot, and only frames enqueued
+    before the slot starts.  While a processor has no backlog its slots
+    are skipped analytically (no events), but the *phase* is preserved,
+    so a frame arriving just after its task's slot start waits almost a
+    full ``CIRC`` — the worst case the analysis charges per frame.
+    """
+
+    def __init__(self, engine, switch, interfaces, *, idle_cost: float, scheduler=None):
+        super().__init__(
+            engine, switch, interfaces, idle_cost=idle_cost, scheduler=scheduler
+        )
+        if scheduler is not None and not scheduler.is_round_robin():
+            raise ValueError(
+                "rotation (pessimistic) mode models the paper's "
+                "round-robin configuration; weighted stride tickets "
+                "require switch_mode='event'"
+            )
+        self.offsets: list[float] = []
+        acc = 0.0
+        for task in self.tasks:
+            self.offsets.append(acc)
+            acc += task.cost
+        self.period = acc  # == CIRC of this processor's partition
+        if self.period <= 0.0:
+            raise ValueError(
+                "rotation mode needs positive task costs (the fixed "
+                "rotation has period CIRC = sum of costs); use "
+                "switch_mode='event' for zero-cost switches"
+            )
+        self._armed = False
+        self._idle_slots = 0
+        self._k_slot = engine.register_handler(self._slot)
+        self._k_complete_slot = engine.register_handler(self._complete_slot)
+
+    # ------------------------------------------------------------------
+    def wake(self) -> None:
+        if self._armed:
+            return
+        self._armed = True
+        self._idle_slots = 0
+        self._arm_next_slot()
+
+    def reset(self) -> None:
+        self._armed = False
+        self._idle_slots = 0
+        self.dispatches = 0
+        self.busy_time = 0.0
+        self._pending = 0
+
+    def _arm_next_slot(self) -> None:
+        """Schedule the next slot boundary at or after 'now'."""
+        now = self.engine._now
+        best_time = None
+        best_idx = None
+        for idx, off in enumerate(self.offsets):
+            # Smallest m with m*period + off >= now (strictly: allow ==).
+            m = max(0, -(-(now - off) // self.period)) if self.period > 0 else 0
+            t = m * self.period + off
+            if t < now - 1e-15:
+                t += self.period
+            if best_time is None or t < best_time - 1e-15:
+                best_time = t
+                best_idx = idx
+        self.engine.schedule_call(best_time, self._k_slot, best_idx, best_time)
+
+    def _slot(self, idx: int, start: float) -> None:
+        task = self.tasks[idx]
+        self.dispatches += 1
+        if self.switch.task_has_work(task, start):
+            self._idle_slots = 0
+            frame = self.switch.claim_work(task)
+            self._pending -= 1
+            self.busy_time += task.cost
+            done = start + task.cost
+            self.engine.schedule_call(
+                done, self._k_complete_slot, frame, (task, idx, start)
+            )
+        else:
+            self._idle_slots += 1
+            self._after_slot(idx, start)
+
+    def _complete_slot(self, frame: QueuedFrame, slot: tuple) -> None:
+        task, idx, start = slot
+        self.switch.complete_work(task, frame)
+        self._after_slot(idx, start)
+
+    def _after_slot(self, idx: int, start: float) -> None:
+        # Disarm after a full idle rotation with no backlog; phase is
+        # recovered analytically on the next wake().
+        if self._idle_slots >= len(self.tasks) and not self.switch.has_backlog(
+            self.interfaces
+        ):
+            self._armed = False
+            return
+        nxt_idx = (idx + 1) % len(self.tasks)
+        nxt_start = start + (
+            self.offsets[nxt_idx] - self.offsets[idx]
+            if nxt_idx > idx
+            else self.period - self.offsets[idx] + self.offsets[nxt_idx]
+        )
+        self.engine.schedule_call(nxt_start, self._k_slot, nxt_idx, nxt_start)
+
+
+class ReferenceSwitch(SimSwitch):
+    """A switch whose rotation-mode processors are the per-slot
+    reference driver, with the queue scan it disarms on."""
+
+    driver_classes = {
+        **SimSwitch.driver_classes,
+        "rotation": ReferenceRotationDriver,
+    }
+
+    def has_backlog(self, interfaces: tuple[str, ...]) -> bool:
+        """Any pending work on this processor's interfaces?"""
+        for itf in interfaces:
+            if self.click.rx_fifo[itf]:
+                return True
+            if self.click.output_queue[itf]:
+                return True
+        return False
+
+
 class ReferenceSimulator(Simulator):
     """The seed simulator: per-release scheduling, per-delivery records.
 
-    Reuses the production topology build and replaces the injection and
-    accounting hooks.  Records are appended to the trace as releases
-    are scheduled, so the production finalisation (which materialises
-    records from the flat arrays this class leaves empty) adds nothing.
+    Reuses the production topology build (on :class:`ReferenceSwitch`
+    switches) and replaces the injection and accounting hooks.  Records
+    are appended to the trace as releases are scheduled, so the
+    production finalisation (which materialises records from the flat
+    arrays this class leaves empty) adds nothing.
     """
+
+    switch_class = ReferenceSwitch
 
     def _make_deliver(self, dst_name: str, from_itf: str):
         if self.network.node(dst_name).is_switch:

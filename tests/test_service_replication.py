@@ -178,6 +178,35 @@ class TestWarmFailover:
             clean_doc, sort_keys=True
         )
 
+    def test_successive_failovers_keep_separate_flight_records(
+        self, tmp_path
+    ):
+        # Warm promotion does not count as a restart, so the two deaths
+        # below share a restart count; the incarnation in the file name
+        # keeps the second worker_death record from replacing the first.
+        sc = two_star_scenario()
+        trace = trace_from_scenario(
+            sc, n_requests=40, arrival="burst", burst_size=8, hold=10,
+            seed=2,
+        )
+        plan = FaultPlan.parse(
+            "kill:shard=0,at=5;kill:shard=0,at=20,incarnation=1"
+        )
+        *_, health = _run_two_star(
+            trace, plan=plan, replicas=1, flight_dir=str(tmp_path)
+        )
+        assert health["failovers"] == 2 and health["restarts"] == 0
+        deaths = [
+            doc
+            for doc in (
+                json.loads(p.read_text())
+                for p in sorted(tmp_path.glob("flight_*.json"))
+            )
+            if doc["reason"] == "worker_death"
+        ]
+        assert len(deaths) == 2
+        assert sorted(doc["incarnation"] for doc in deaths) == [0, 1]
+
     def test_kill_sweep_every_op_is_lossless(self):
         # The property test: killing the primary at ANY op index k
         # gives byte-identical results.  Full sweep at seed 0;

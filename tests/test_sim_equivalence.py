@@ -14,12 +14,18 @@ freshly-built state.
 These tests are the executable form of that claim, mirroring
 ``test_engine_equivalence.py`` for the analysis engine: across **every
 registered scenario family**, both switch modes, and finite NIC FIFOs
-(loss!), the production trace must be bit-identical (``==`` on floats,
-no tolerance) to the oracle's per-packet reference run; a rebound
-simulator — production or oracle — must reproduce a fresh build; and
-the campaign's batched simulate action must return byte-identical
-payloads to the plain one.  (The ``fast_backend`` in test names is the
-production simulator.)
+(loss!), the production trace and per-switch processor statistics must
+be bit-identical (``==`` on floats, no tolerance) to the oracle's
+per-packet reference run; a rebound simulator — production or oracle —
+must reproduce a fresh build; and the campaign's batched simulate
+action must return byte-identical payloads to the plain one.  (The
+``fast_backend`` in test names is the production simulator.)
+
+In rotation mode the oracle also has its own processor driver, which
+schedules every slot as an event: production's probe-table driver, which
+runs a slot in place when it is the engine's next event, is checked
+against it, including where that in-place chain must stop (horizons,
+event budgets, cross-processor enqueues, drops, zero-length slots).
 """
 
 import hashlib
@@ -35,7 +41,9 @@ from repro.scenario.campaign import (
     action_simulate_batched,
 )
 from repro.scenario.registry import REGISTRY, build_scenario, scenario_grid
-from repro.sim.simulator import SimConfig, Simulator, simulate
+from repro.model.network import SwitchConfig
+from repro.sim.simulator import SimConfig, Simulator
+from repro.sim.stats import collect_stats
 from repro.util.units import mbps
 from repro.workloads.generator import random_flow_set
 from repro.workloads.topologies import line_network
@@ -92,6 +100,15 @@ def trace_hash(trace) -> str:
     ).hexdigest()
 
 
+def switch_stats(sim):
+    """The processor counters of every switch after a run."""
+    return [
+        (s.name, s.dispatches, s.busy_time, s.frames_forwarded,
+         s.frames_dropped)
+        for s in collect_stats(sim).switches
+    ]
+
+
 def scenario_for(family: str):
     scenario = build_scenario(family)
     return replace(
@@ -100,11 +117,13 @@ def scenario_for(family: str):
 
 
 def run_pair(network, flows, cfg):
-    """Production and oracle traces of the same run."""
-    return (
-        simulate(network, flows, config=cfg),
-        oracle.simulate(network, flows, cfg),
-    )
+    """Production and oracle traces of the same run, after checking
+    that their per-switch statistics agree."""
+    fast = Simulator(network, flows, cfg)
+    ref = oracle.ReferenceSimulator(network, flows, cfg)
+    fast_trace, ref_trace = fast.run(), ref.run()
+    assert switch_stats(fast) == switch_stats(ref)
+    return fast_trace, ref_trace
 
 
 # ----------------------------------------------------------------------
@@ -142,15 +161,133 @@ def test_fast_backend_bit_identical_priority_sources():
     assert_traces_bit_identical(fast, ref)
 
 
-def test_fast_backend_smoke_hashes():
+@pytest.mark.parametrize("mode", ["event", "rotation"])
+def test_fast_backend_smoke_hashes(mode):
     """One scenario per family, production vs oracle trace hash — the
     CI sim-equivalence smoke step runs exactly this test."""
     for family in sorted(REGISTRY.names()):
         scenario = scenario_for(family)
         if not scenario.flows:
             continue
-        fast, ref = run_pair(scenario.network, scenario.flows, scenario.sim)
+        cfg = replace(scenario.sim, switch_mode=mode)
+        fast, ref = run_pair(scenario.network, scenario.flows, cfg)
         assert trace_hash(fast) == trace_hash(ref), family
+
+
+# ----------------------------------------------------------------------
+# Rotation mode: the in-place slot chain stops exactly where the heap
+# would
+# ----------------------------------------------------------------------
+def _line_flows(n_flows=5, utilization=0.6, seed=9, **net_kwargs):
+    net = line_network(2, speed_bps=mbps(100), **net_kwargs)
+    return net, random_flow_set(
+        net, n_flows=n_flows, total_utilization=utilization, seed=seed
+    )
+
+
+def _assert_rotation_matches_oracle(net, flows, cfg, drive=None):
+    """Run production (optionally driven by ``drive(sim)`` before the
+    final ``run()``) against one plain oracle run; compare trace hashes
+    and per-switch statistics.  Returns both simulators."""
+    cfg = replace(cfg, switch_mode="rotation")
+    fast = Simulator(net, flows, cfg)
+    ref = oracle.ReferenceSimulator(net, flows, cfg)
+    if drive is not None:
+        drive(fast)
+    assert trace_hash(fast.run()) == trace_hash(ref.run())
+    assert switch_stats(fast) == switch_stats(ref)
+    return fast, ref
+
+
+def test_rotation_in_place_slots_skip_the_heap():
+    """The in-place path actually runs: same events, fewer pushes."""
+    net, flows = _line_flows(hosts_per_switch=2)
+    fast, ref = _assert_rotation_matches_oracle(
+        net, flows, SimConfig(duration=0.2)
+    )
+    assert fast.engine.events_processed == ref.engine.events_processed
+    assert fast.engine._seq < ref.engine._seq
+
+
+def test_rotation_split_run_matches_one_run():
+    """A run cut at arbitrary horizons resumes exactly: no in-place
+    slot runs past the horizon it was dispatched under."""
+    net, flows = _line_flows(hosts_per_switch=2)
+
+    def split(sim):
+        for t in (0.0123, 0.05, 0.1):
+            sim.engine.run(until=t)
+            assert sim.engine.now <= t
+
+    _assert_rotation_matches_oracle(
+        net, flows, SimConfig(duration=0.2), drive=split
+    )
+
+
+def test_rotation_event_budget_counts_every_slot():
+    """Under ``max_events`` every slot goes through the heap, so the
+    budget stops production and oracle at the same event."""
+    net, flows = _line_flows(hosts_per_switch=2)
+    cfg = SimConfig(duration=0.2, switch_mode="rotation")
+    ref = oracle.ReferenceSimulator(net, flows, cfg)
+    ref.engine.run(max_events=5000)
+    at_budget = (ref.engine.events_processed, ref.engine.now,
+                 ref.engine.pending())
+
+    def budget(sim):
+        sim.engine.run(max_events=5000)
+        assert (sim.engine.events_processed, sim.engine.now,
+                sim.engine.pending()) == at_budget
+
+    _assert_rotation_matches_oracle(net, flows, cfg, drive=budget)
+
+
+def test_rotation_two_processor_switch():
+    """Completions enqueue onto the other processor's output queues."""
+    net, flows = _line_flows(
+        n_flows=6, hosts_per_switch=3,
+        switch_config=SwitchConfig(n_processors=2),
+    )
+    fast, _ = _assert_rotation_matches_oracle(
+        net, flows, SimConfig(duration=0.2)
+    )
+    crossings = [
+        (flow.name, sw)
+        for flow in flows
+        for sw in flow.intermediate_switches()
+        if fast.switches[sw]._driver_of[flow.prec(sw)]
+        is not fast.switches[sw]._driver_of[flow.succ(sw)]
+    ]
+    assert crossings, "no flow crosses processors"
+
+
+def test_rotation_finite_fifo_drops():
+    """Capacity-1 NIC FIFOs at total utilisation 3.0.  (Seed 3: at the
+    finite-FIFO test's seed 5 no switch FIFO overflows; its incomplete
+    packets are cut by the drain horizon.)"""
+    net, flows = _line_flows(
+        n_flows=6, utilization=3.0, seed=3, hosts_per_switch=2
+    )
+    fast, _ = _assert_rotation_matches_oracle(
+        net, flows, SimConfig(duration=0.2, nic_fifo_capacity=1)
+    )
+    assert collect_stats(fast).total_drops > 0
+
+
+def test_rotation_priority_sources():
+    net, flows = _line_flows(hosts_per_switch=2)
+    _assert_rotation_matches_oracle(
+        net, flows, SimConfig(duration=0.2, source_discipline="priority")
+    )
+
+
+def test_rotation_zero_length_slots():
+    """``c_send = 0``: the slot after an egress task starts at the same
+    instant, so simultaneous events must keep their heap order."""
+    net, flows = _line_flows(
+        hosts_per_switch=2, switch_config=SwitchConfig(c_send=0.0)
+    )
+    _assert_rotation_matches_oracle(net, flows, SimConfig(duration=0.2))
 
 
 # ----------------------------------------------------------------------

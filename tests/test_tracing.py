@@ -269,7 +269,7 @@ class TestFlightRecorder:
         assert doc["journal"]["len"] == 7
         assert len(doc["spans"]) == 1
         assert doc["registry"]["counters"]["c"] == 1.0
-        assert "flight_shard1_r2_worker_death.json" in path
+        assert "flight_shard1_i0_r2_worker_death.json" in path
 
     def test_keeps_only_last_n_spans(self, tmp_path):
         spans = [

@@ -21,6 +21,20 @@ per link, from which every stage's interference set is gathered, and
 the per-stage memo of :mod:`repro.core.pipeline`.  The test oracle
 (``tests/oracle.py``) subclasses the context to bypass both and sum
 per-flow demand objects instead, as the seed engine did.
+
+A memo entry holds a stage's inputs (jitters), its results and, for a
+converged corrected-model stage, its fixed points
+(:func:`fixed_point_record`): every busy period and instance queuing
+time with the constant its update adds.  They let the pipeline reuse
+a stage whose inputs have only grown.  The recurrences are monotone,
+so the stored least fixed points bound the new ones from below, and a
+stored value that still satisfies its recurrence under the new inputs
+is the new least fixed point; the pipeline checks exactly that, bit
+for bit, before replaying the results.  Entries keep only the fixed
+points: the check reads the participants' static demand rows from the
+link's matrix, which is built once per link version, and
+:meth:`AnalysisContext.invalidate_link` drops a link's entries together
+with its matrix when its flow set changes.
 """
 
 from __future__ import annotations
@@ -37,6 +51,23 @@ from repro.model.network import Network
 
 #: ``("link", N1, N2)`` or ``("in", N)``.
 ResourceKey = tuple
+
+
+def fixed_point_record(over_all, over_others) -> tuple | None:
+    """A converged stage's fixed points, as the stage memo keeps them.
+
+    ``over_all`` and ``over_others`` are ``(c, x)`` pairs: least fixed
+    points ``x = c + F(x)`` of the stage's summed demand ``F`` over all
+    its participants, or over all of them but the analysed flow, with
+    ``c`` the constant the update adds (an own backlog, the blocking
+    term).  Returns two flat tuples ``(c1, x1, c2, x2, ...)``, or None
+    when a solve diverged (``x`` is None): such a stage is recomputed.
+    """
+    flat_all = tuple([v for pair in over_all for v in pair])
+    flat_others = tuple([v for pair in over_others for v in pair])
+    if None in flat_all or None in flat_others:
+        return None
+    return flat_all, flat_others
 
 
 def link_resource(n1: str, n2: str) -> ResourceKey:
@@ -520,18 +551,26 @@ class AnalysisContext:
     # Stage memo (core/pipeline.py)
     # ------------------------------------------------------------------
     def stage_memo_get(self, flow_name: str, resource: ResourceKey):
-        """Cached ``(inputs, stage results)`` of a flow at a resource."""
+        """Cached ``(inputs, stage results, fixed points)`` of a flow at
+        a resource; the fixed points are a :func:`fixed_point_record`
+        or None."""
         per_resource = self._stage_cache.get(resource)
         if per_resource is None:
             return None
         return per_resource.get(flow_name)
 
     def stage_memo_put(
-        self, flow_name: str, resource: ResourceKey, inputs, results
+        self,
+        flow_name: str,
+        resource: ResourceKey,
+        inputs,
+        results,
+        fixed_points,
     ) -> None:
         self._stage_cache.setdefault(resource, {})[flow_name] = (
             inputs,
             results,
+            fixed_points,
         )
 
     def circ(self, node: str) -> float:

@@ -27,11 +27,14 @@ sorted-window tables stacked into padded matrices — and
 :meth:`LinkDemandMatrix.subset` gathers each stage's
 :class:`InterferenceSet` from it.  Sets of :data:`_VECTORIZE_THRESHOLD`
 or more interferers answer the summed query with a handful of
-vectorised numpy operations; smaller ones loop over the per-flow scalar
-methods.  The vectorised values come from exactly the same precomputed
-arrays and are accumulated in the same left-to-right order as the
-scalar sums, so the results are bit-identical — the test oracle sums
-per flow, and the engine-equivalence suite compares the two with ``==``.
+vectorised numpy operations; smaller ones run the fused scalar kernels
+(:func:`fused_mx_sum`, :func:`fused_nx_sum`, :func:`fused_mixed_sum`)
+over the flows' :data:`DemandRow` entries, which the stage memo's
+fixed-point check (``core/pipeline.py``) reuses.  The vectorised and
+fused values come from exactly the same precomputed arrays and are
+accumulated in the same left-to-right order as the per-flow sums, so
+the results are bit-identical — the test oracle sums per flow, and the
+engine-equivalence suite compares the two with ``==``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from math import floor
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +91,9 @@ class LinkDemand:
     _nmax_prefix: np.ndarray | None = field(
         repr=False, compare=False, default=None
     )
+    #: The profile's :data:`DemandRow`, shared by every named view of
+    #: one spec class (see :func:`build_link_demand`).
+    _row: "DemandRow | None" = field(repr=False, compare=False, default=None)
 
     # ------------------------------------------------------------------
     # Full-cycle sums (Eqs. 4-6)
@@ -271,29 +278,11 @@ class LinkDemand:
         Including a boundary window is conservative (the demand bound
         can only grow), so the nudge is sound.
         """
-        return t * (1.0 + 1e-12) + 1e-18
-
-    @cached_property
-    def _win_lists(self) -> tuple[list[float], list[float], list[int]]:
-        """Python-list copies of the sorted window tables.
-
-        Scalar fast path: a single-instant ``mx``/``nx`` query costs one
-        :func:`bisect.bisect_right` over these lists instead of a numpy
-        ``searchsorted`` dispatch (~10x per-call overhead for the short
-        arrays involved).  ``tolist`` preserves every float bit, and
-        ``bisect_right`` performs the same comparisons as
-        ``searchsorted(..., side="right")``, so the scalar and
-        vectorised answers stay bit-identical.
-        """
-        return (
-            self._win_t.tolist(),
-            self._cmax_prefix.tolist(),
-            self._nmax_prefix.tolist(),
-        )
+        return t * _NUDGE + 1e-18
 
     def _best_c_within(self, t: float) -> float:
         """Max ``CSUM(k1,k2)`` over windows with ``TSUM(k1,k2) <= t``."""
-        win_t, cmax, _ = self._win_lists
+        _, _, _, win_t, cmax, _ = self._row
         idx = bisect_right(win_t, self._boundary(t))
         if idx == 0:
             return 0.0
@@ -301,11 +290,25 @@ class LinkDemand:
 
     def _best_n_within(self, t: float) -> int:
         """Max ``NSUM(k1,k2)`` over windows with ``TSUM(k1,k2) <= t``."""
-        win_t, _, nmax = self._win_lists
+        _, _, _, win_t, _, nmax = self._row
         idx = bisect_right(win_t, self._boundary(t))
         if idx == 0:
             return 0
         return nmax[idx - 1]
+
+
+#: ``(TSUM, CSUM, NSUM, window lengths, CSUM prefix maxima, NSUM prefix
+#: maxima)`` of one profile, the window tables as sorted Python lists.
+#: The scalar kernels below run on it: a single-instant query costs one
+#: :func:`bisect.bisect_right` instead of a numpy ``searchsorted``
+#: dispatch (~10x per-call overhead for the short arrays involved).
+#: ``tolist`` preserves every float bit, and ``bisect_right`` performs
+#: the same comparisons as ``searchsorted(..., side="right")``, so the
+#: scalar and vectorised answers stay bit-identical.
+DemandRow = tuple[float, float, int, list[float], list[float], list[int]]
+
+#: Relative part of :meth:`LinkDemand._boundary`'s nudge.
+_NUDGE = 1.0 + 1e-12
 
 
 def build_link_demand(
@@ -372,7 +375,7 @@ def _cached_link_demand(
     cmax_prefix = np.maximum.accumulate(win_c[order])
     nmax_prefix = np.maximum.accumulate(win_n[order])
 
-    return LinkDemand(
+    profile = LinkDemand(
         flow_name="",
         c=c,
         n_eth=n_eth,
@@ -382,14 +385,127 @@ def _cached_link_demand(
         _cmax_prefix=cmax_prefix,
         _nmax_prefix=nmax_prefix,
     )
+    return replace(
+        profile,
+        _row=(
+            profile.tsum,
+            profile.csum,
+            profile.nsum,
+            win_t_sorted.tolist(),
+            cmax_prefix.tolist(),
+            nmax_prefix.tolist(),
+        ),
+    )
+
+
+# ----------------------------------------------------------------------
+# Fused scalar kernels
+# ----------------------------------------------------------------------
+# Each evaluates one summed demand query over a sequence of
+# :data:`DemandRow` with per-term jitter shifts, splitting each term's
+# query time into whole cycles and a remainder once and bisecting its
+# window list once, so ``mx`` and ``nx`` of a term share the work.
+# Every per-term value is the same float expression as the per-flow
+# methods (:meth:`LinkDemand.mx_work` / :meth:`LinkDemand.nx`, through
+# ``_split_cycles``, ``_boundary`` and ``_best_*_within``), and float
+# totals are reduced by builtin :func:`sum` over the per-term values in
+# row order, like the per-flow sums they replace: CPython 3.12's
+# ``sum`` compensates float rounding, so matching the order alone would
+# not keep the totals bit-identical on every interpreter.
+def fused_mx_sum(
+    rows: Sequence[DemandRow], shifts: Sequence[float], t: float
+) -> float:
+    """``sum_j mx_work_j(t + shift_j)`` (corrected Eq. 11)."""
+    nudge = _NUDGE
+    bisect = bisect_right
+    vals = []
+    append = vals.append
+    for (tsum, csum, _, win_t, cmax, _), e in zip(rows, shifts):
+        s = t + e
+        if s < 0.0:
+            append(0.0)
+            continue
+        cycles = floor(s / tsum)
+        rem = s - cycles * tsum
+        if rem >= tsum:
+            cycles += 1
+            rem = 0.0
+        elif rem < 0.0:
+            rem = 0.0
+        idx = bisect(win_t, rem * nudge + 1e-18)
+        append(cycles * csum + (cmax[idx - 1] if idx else 0.0))
+    return sum(vals)
+
+
+def fused_nx_sum(
+    rows: Sequence[DemandRow], shifts: Sequence[float], t: float
+) -> int:
+    """``sum_j nx_j(t + shift_j)`` (Eq. 13), an exact integer."""
+    nudge = _NUDGE
+    bisect = bisect_right
+    total = 0
+    for (tsum, _, nsum, win_t, _, nmax), e in zip(rows, shifts):
+        s = t + e
+        if s < 0.0:
+            continue
+        cycles = floor(s / tsum)
+        rem = s - cycles * tsum
+        if rem >= tsum:
+            cycles += 1
+            rem = 0.0
+        elif rem < 0.0:
+            rem = 0.0
+        idx = bisect(win_t, rem * nudge + 1e-18)
+        total += cycles * nsum + (nmax[idx - 1] if idx else 0)
+    return total
+
+
+def fused_mixed_sum(
+    rows: Sequence[DemandRow],
+    shifts: Sequence[float],
+    t: float,
+    circ: float,
+) -> float:
+    """``sum_j mx_work_j(t + shift_j) + circ * nx_j(t + shift_j)``."""
+    nudge = _NUDGE
+    bisect = bisect_right
+    vals = []
+    append = vals.append
+    for (tsum, csum, nsum, win_t, cmax, nmax), e in zip(rows, shifts):
+        s = t + e
+        if s < 0.0:
+            append(0.0)
+            continue
+        cycles = floor(s / tsum)
+        rem = s - cycles * tsum
+        if rem >= tsum:
+            cycles += 1
+            rem = 0.0
+        elif rem < 0.0:
+            rem = 0.0
+        idx = bisect(win_t, rem * nudge + 1e-18)
+        mx = cycles * csum + (cmax[idx - 1] if idx else 0.0)
+        nx = cycles * nsum + (nmax[idx - 1] if idx else 0)
+        append(mx + nx * circ)
+    return sum(vals)
 
 
 #: Below this many interferers the vectorised path costs more in numpy
-#: dispatch than it saves; fall back to the scalar per-flow queries
-#: (both paths are bit-identical, so the switch is purely a perf knob).
-#: The scalar queries run on the bisect-based ``LinkDemand._win_lists``
-#: fast path — numpy-free per call — which moves the measured
-#: crossover from ~6 interferers (``np.searchsorted`` per flow) to ~20.
+#: dispatch than it saves; fall back to the fused scalar kernels (both
+#: paths are bit-identical, so the switch is purely a perf knob).  The
+#: per-flow bisect put the crossover at ~20 interferers, up from ~6 for
+#: a ``np.searchsorted`` per flow.  The fused kernels moved it again.
+#: One ``mixed_sum`` query on the busiest link of the 80-flow input of
+#: ``test_dense_stages_match_seed_engine``, mean over 20 random subsets
+#: per size, three runs on a noisy 2-vCPU container, fused vs
+#: vectorised: 8 interferers 5-7 vs 27-34 us, 16: 9-12 vs 28-35 us,
+#: 20: 9-14 vs 24-35 us, 24: 10-16 vs 21-33 us, 32: 12-19 vs 22-36 us;
+#: on a 200-flow input, 48: 18 vs 24 us and 64: 24 vs 26 us.  The whole
+#: dense analysis takes 171 ms at 20 and 118 ms at 48.  The constant
+#: still stays at 20: no benchmark workload has a stage that large
+#: (``datacenter-hier`` peaks at 18 interferers), so no A/B can confirm
+#: a move, and the dense test's stages (at most 34 interferers) must
+#: keep reaching the vectorised path.
 _VECTORIZE_THRESHOLD = 20
 
 
@@ -400,9 +516,11 @@ class InterferenceSet:
     shifts are fixed for the whole stage) and queried at every iterate
     of every busy-period / queuing-time fixed point of the stage.
 
-    Constructed directly, a set loops over the per-flow scalar methods,
-    which answer each single-instant ``mx``/``nx`` via a pure-Python
-    bisect over :attr:`LinkDemand._win_lists`.  Sets built by
+    Constructed directly, a set runs the fused scalar kernels
+    (:func:`fused_mx_sum` and friends) over its interferers'
+    :data:`DemandRow` entries: one cycle split and one pure-Python
+    bisect per term and query.  The printed-model (``strict``) ``mx``
+    keeps the per-flow :meth:`LinkDemand.mx` loop.  Sets built by
     :meth:`from_arrays` (large stages, gathered by
     :meth:`LinkDemandMatrix.subset`) hold the interferers'
     sorted-window tables as +inf-padded matrices; a query then costs
@@ -435,6 +553,7 @@ class InterferenceSet:
         self.shifts = tuple(float(s) for s in shifts)
         self.strict = strict
         self._vectorized = False
+        self.rows = tuple([d._row for d in self.demands])
 
     @classmethod
     def from_arrays(
@@ -548,9 +667,7 @@ class InterferenceSet:
                 return sum(
                     d.mx(t + e) for d, e in zip(self.demands, self.shifts)
                 )
-            return sum(
-                d.mx_work(t + e) for d, e in zip(self.demands, self.shifts)
-            )
+            return fused_mx_sum(self.rows, self.shifts, t)
         s = t + self._shift_arr
         cycles, rem, cbest, _ = self._gather(s)
         if self.strict:
@@ -563,9 +680,7 @@ class InterferenceSet:
     def nx_sum(self, t: float) -> int:
         """Exact integer sum of ``nx`` over the set at ``t+shift``."""
         if not self._vectorized:
-            return sum(
-                d.nx(t + e) for d, e in zip(self.demands, self.shifts)
-            )
+            return fused_nx_sum(self.rows, self.shifts, t)
         s = t + self._shift_arr
         cycles, _, _, nbest = self._gather(s)
         vals = (cycles * self._nsums + nbest).astype(np.int64)
@@ -581,10 +696,7 @@ class InterferenceSet:
                     d.mx(t + e) + d.nx(t + e) * circ
                     for d, e in zip(self.demands, self.shifts)
                 )
-            return sum(
-                d.mx_work(t + e) + d.nx(t + e) * circ
-                for d, e in zip(self.demands, self.shifts)
-            )
+            return fused_mixed_sum(self.rows, self.shifts, t, circ)
         s = t + self._shift_arr
         cycles, rem, cbest, nbest = self._gather(s)
         if self.strict:
@@ -611,10 +723,15 @@ class LinkDemandMatrix:
     per-flow Python packing loop.  Below the vectorisation threshold it
     returns a plain scalar-path set over the shared per-flow profiles;
     both are bit-identical to summing the profiles one by one.
+
+    :attr:`rows` holds every flow's :data:`DemandRow` in the same
+    order: references to the per-class rows, so the stage memo's
+    fixed-point check (``core/pipeline.py``) reads them without copying.
     """
 
     __slots__ = (
         "demands",
+        "rows",
         "_index",
         "_tsums",
         "_csums",
@@ -626,6 +743,7 @@ class LinkDemandMatrix:
 
     def __init__(self, demands: Sequence[LinkDemand]):
         self.demands = tuple(demands)
+        self.rows = tuple([d._row for d in self.demands])
         n = len(self.demands)
         self._index = {d.flow_name: i for i, d in enumerate(self.demands)}
         if len(self._index) != n:
@@ -654,6 +772,12 @@ class LinkDemandMatrix:
 
     def __len__(self) -> int:
         return len(self.demands)
+
+    def rows_of(self, names: Sequence[str]) -> tuple[DemandRow, ...]:
+        """The :data:`DemandRow` entries of the named flows, in order."""
+        rows = self.rows
+        index = self._index
+        return tuple([rows[index[name]] for name in names])
 
     def subset(
         self,

@@ -34,7 +34,11 @@ from __future__ import annotations
 
 import math
 
-from repro.core.context import AnalysisContext, link_resource
+from repro.core.context import (
+    AnalysisContext,
+    fixed_point_record,
+    link_resource,
+)
 from repro.core.results import StageKind, StageResult, diverged_stage
 from repro.model.flow import Flow
 from repro.util.fixed_point import LinearLowerBound, solve_cached
@@ -51,11 +55,17 @@ def first_hop_utilization(ctx: AnalysisContext, n1: str, n2: str) -> float:
     )
 
 
-def first_hop_stage(ctx: AnalysisContext, flow: Flow) -> list[StageResult]:
+def first_hop_stage(
+    ctx: AnalysisContext, flow: Flow, fixed_points: list | None = None
+) -> list[StageResult]:
     """``R_i^{k,link(S, succ(tau_i, S))}`` (Eq. 19) for every frame ``k``.
 
     Returns diverged stages (response ``inf``) when Eq. 20 fails or the
     fixed points exceed the context's divergence horizon.
+
+    When ``fixed_points`` is a list, a corrected-model stage that ran its
+    fixed points appends their
+    :func:`~repro.core.context.fixed_point_record` to it.
     """
     src = flow.source
     dst = flow.succ(src)
@@ -173,6 +183,15 @@ def first_hop_stage(ctx: AnalysisContext, flow: Flow) -> list[StageResult]:
                 busy_period=busy,
                 n_instances=q_max,
                 converged=True,
+            )
+        )
+    if fixed_points is not None and not strict:
+        # Eq. 15 busy periods over all flows, Eq. 17 queuing times over
+        # the others with the own-cycle backlog as constant.
+        fixed_points.append(
+            fixed_point_record(
+                [(0.0, busy) for busy in busy_cache.values()],
+                w_cache.items(),
             )
         )
     return results

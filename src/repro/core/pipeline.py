@@ -21,16 +21,60 @@ Stages per route ``S -> W1 -> ... -> Wm -> D`` (Fig. 6 loop):
 
 A route with no switch (``S -> D``) degenerates to the first hop alone
 (the paper's Fig. 6 loop body never runs for it; see DESIGN.md).
+
+Stage memo
+----------
+A stage is a pure function of the flow set and of its *inputs*: this
+flow's per-frame jitters at the resource and every participant's
+``extra_j`` there.  The flow set is fixed per memo entry (the context
+drops a resource's entries when a flow joins or leaves its link), so
+the context keeps, per flow and resource, the inputs, results and
+fixed points of the stage's last run, and the walk reuses them in two
+cases:
+
+* a **hit**: the inputs are unchanged, so a rerun would return the
+  stored results bit for bit;
+* a **verified miss**: no input is smaller than at the stored run (the
+  holistic iteration and an admit's warm start only raise jitters),
+  and every stored fixed point reproduces itself bit for bit under the
+  new jitter shifts.  Every fixed point is the least solution of
+  ``x = c + F(x)`` above a seed that only the flow's own demand sets,
+  and ``F`` sums demand staircases that are monotone in the time and
+  in every shift.  Grown inputs make the new ``F`` dominate the old
+  one pointwise, so the new least fixed point is no smaller than the
+  stored one; a stored value that reproduces is a fixed point of the
+  new update, so the least one is no larger.  Each reproduced value is
+  therefore the new least fixed point.  Unchanged busy periods keep
+  the instance counts, so every queuing time and response is
+  unchanged too, and the stored results are exact.
+
+The check (:func:`_fixed_points_hold`) runs before any stage setup: it
+evaluates each stored fixed point once with the fused demand kernels
+of :mod:`repro.core.demand` over the participants' demand rows, which
+the link's :class:`~repro.core.demand.LinkDemandMatrix` holds.  It
+comes after the stage's own divergence short-circuits, which must
+still see an infinite participant jitter.  Printed-model
+(``strict_paper``) stages store no fixed points and are recomputed on
+every miss.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from typing import Sequence
 
 from repro import telemetry as _telemetry
 from repro.core.context import AnalysisContext, ingress_resource, link_resource
+from repro.core.demand import fused_mixed_sum, fused_mx_sum, fused_nx_sum
 from repro.core.first_hop import first_hop_stage
-from repro.core.results import FlowResult, FrameResult, StageResult
+from repro.core.results import (
+    FlowResult,
+    FrameResult,
+    StageKind,
+    StageResult,
+    diverged_stage,
+)
 from repro.core.switch_egress import egress_stage
 from repro.core.switch_ingress import ingress_stage
 from repro.model.flow import Flow
@@ -55,7 +99,7 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
     jsum = [float(j) for j in spec.jitters]
     stages: list[list[StageResult]] = [[] for _ in range(n)]
 
-    def run_stage(resource, participants, stage) -> None:
+    def run_stage(resource, participants, stage, kind, link) -> None:
         """Set this flow's jitters at ``resource``, analyse all frames,
         and advance RSUM/JSUM by the responses.
 
@@ -64,14 +108,16 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
 
         ``participants`` are the flows whose jitters at ``resource`` the
         stage analysis reads (its only inputs that vary over the
-        context's lifetime, besides this flow's own jitters).  The
-        stage is replayed from the context's memo whenever those inputs
-        are unchanged since its last run: the analysis is a pure
-        function of them, so the cached results are exactly what a
-        rerun would return.
+        context's lifetime, besides this flow's own jitters); their
+        demand sits on ``link``.  The stage is replayed from the
+        context's memo whenever those inputs are unchanged since its
+        last run (a hit), or when they have only grown and every fixed
+        point the memo kept still holds under them (a verified miss;
+        see :func:`_fixed_points_hold`).  Otherwise ``stage`` runs.
         """
         ctx.jitters.set(flow.name, resource, jsum)
-        inputs = (tuple(jsum), ctx.extras(participants, resource))
+        extras = ctx.extras(participants, resource)
+        inputs = (tuple(jsum), extras)
         hit = ctx.stage_memo_get(flow.name, resource)
         reg = _telemetry.REGISTRY
         if hit is not None and hit[0] == inputs:
@@ -81,17 +127,24 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
         else:
             if reg is not None:
                 reg.add("engine.stage_memo.misses")
-            results = stage()
-            ctx.stage_memo_put(flow.name, resource, inputs, results)
+            if hit is not None and _fixed_points_hold(
+                ctx, flow, kind, link, participants, inputs, hit
+            ):
+                if reg is not None:
+                    reg.add("engine.stage_memo.verified")
+                results, fixed = hit[1], hit[2]
+            else:
+                recorded: list = []
+                results = stage(recorded)
+                fixed = recorded[0] if recorded else None
+            ctx.stage_memo_put(flow.name, resource, inputs, results, fixed)
         for k in range(n):
             result = results[k]
             if math.isinf(jsum[k]) and not math.isinf(result.response):
                 # An upstream stage diverged for this frame but the
                 # stage analysis (e.g. with jitter modelling disabled)
                 # did not see it; short-circuit the frame.
-                from repro.core.results import diverged_stage
-
-                result = diverged_stage(_stage_kind_for(resource), resource)
+                result = diverged_stage(kind, resource)
             stages[k].append(result)
             rsum[k] += result.response
             jsum[k] += result.response
@@ -104,7 +157,9 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
         run_stage(
             link_resource(src, route[1]),
             ctx.flows_on_link(src, route[1]),
-            lambda: first_hop_stage(ctx, flow),
+            lambda fixed: first_hop_stage(ctx, flow, fixed),
+            StageKind.FIRST_HOP,
+            (src, route[1]),
         )
     else:
         n1, n2 = src, route[1]
@@ -114,17 +169,23 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
                 run_stage(
                     link_resource(n1, n2),
                     ctx.flows_on_link(n1, n2),
-                    lambda: first_hop_stage(ctx, flow),
+                    lambda fixed: first_hop_stage(ctx, flow, fixed),
+                    StageKind.FIRST_HOP,
+                    (n1, n2),
                 )
             run_stage(
                 ingress_resource(n2),
                 ctx.flows_on_link(n1, n2),
-                lambda _n=n2: ingress_stage(ctx, flow, _n),
+                lambda fixed, _n=n2: ingress_stage(ctx, flow, _n, fixed),
+                StageKind.INGRESS,
+                (n1, n2),
             )
             run_stage(
                 link_resource(n2, n3),
                 (*ctx.hep(flow, n2, n3), flow),
-                lambda _n=n2: egress_stage(ctx, flow, _n),
+                lambda fixed, _n=n2: egress_stage(ctx, flow, _n, fixed),
+                StageKind.EGRESS,
+                (n2, n3),
             )
             n1, n2 = n2, n3
 
@@ -140,10 +201,69 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
     return FlowResult(flow_name=flow.name, frames=frames)
 
 
-def _stage_kind_for(resource) -> "StageKind":
-    from repro.core.results import StageKind
+def _fixed_points_hold(
+    ctx: AnalysisContext,
+    flow: Flow,
+    kind: StageKind,
+    link: tuple[str, str],
+    participants: Sequence[Flow],
+    inputs: tuple,
+    entry: tuple,
+) -> bool:
+    """Whether a stage's memo ``entry`` is also its exact result under
+    ``inputs``: no input is smaller than the entry's, and every stored
+    fixed point reproduces itself bit for bit under the new jitter
+    shifts (the module docstring says why that suffices).
 
-    return StageKind.INGRESS if resource[0] == "in" else StageKind.EGRESS
+    The stage's own divergence short-circuits come first: an infinite
+    participant jitter must reach the stage (the kernels cannot split
+    an infinite time into cycles), and a stage that failed its
+    utilisation check, or whose solve diverged, stored no fixed points.
+    Utilisations only change with the participant set, which drops the
+    entry (:meth:`~repro.core.context.AnalysisContext.invalidate_link`).
+    """
+    record = entry[2]
+    if record is None:
+        return False
+    jitters, extras = inputs
+    if math.inf in extras:
+        return False
+    old_jitters, old_extras = entry[0]
+    if not (
+        all(map(operator.ge, extras, old_extras))
+        and all(map(operator.ge, jitters, old_jitters))
+    ):
+        return False
+    names = [f.name for f in participants]
+    rows = ctx.link_matrix(*link).rows_of(names)
+    own = names.index(flow.name)
+    over_all, over_others = record
+    if kind is StageKind.FIRST_HOP:
+        update = fused_mx_sum
+    elif kind is StageKind.INGRESS:
+        circ = ctx.circ_task(link[1], link[0])
+
+        def update(rows, shifts, t):
+            return circ * fused_nx_sum(rows, shifts, t)
+
+    else:
+        circ = ctx.circ_task(*link)
+
+        def update(rows, shifts, t):
+            return fused_mixed_sum(rows, shifts, t, circ)
+
+    for i in range(0, len(over_all), 2):
+        x = over_all[i + 1]
+        if over_all[i] + update(rows, extras, x) != x:
+            return False
+    if over_others:
+        rows = rows[:own] + rows[own + 1:]
+        extras = extras[:own] + extras[own + 1:]
+        for i in range(0, len(over_others), 2):
+            x = over_others[i + 1]
+            if over_others[i] + update(rows, extras, x) != x:
+                return False
+    return True
 
 
 def analyze_flow_frame(ctx: AnalysisContext, flow: Flow, frame: int) -> FrameResult:

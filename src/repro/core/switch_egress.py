@@ -33,7 +33,11 @@ from __future__ import annotations
 
 import math
 
-from repro.core.context import AnalysisContext, link_resource
+from repro.core.context import (
+    AnalysisContext,
+    fixed_point_record,
+    link_resource,
+)
 from repro.core.results import StageKind, StageResult, diverged_stage
 from repro.model.flow import Flow
 from repro.util.fixed_point import (
@@ -58,9 +62,17 @@ def egress_utilization(ctx: AnalysisContext, flow: Flow, node: str) -> float:
 
 
 def egress_stage(
-    ctx: AnalysisContext, flow: Flow, node: str
+    ctx: AnalysisContext,
+    flow: Flow,
+    node: str,
+    fixed_points: list | None = None,
 ) -> list[StageResult]:
-    """``R_i^{k,link(N, succ(tau_i, N))}`` (Eq. 33) for every frame."""
+    """``R_i^{k,link(N, succ(tau_i, N))}`` (Eq. 33) for every frame.
+
+    When ``fixed_points`` is a list, a corrected-model stage that ran its
+    fixed points appends their
+    :func:`~repro.core.context.fixed_point_record` to it.
+    """
     nxt = flow.succ(node)
     resource = link_resource(node, nxt)
     # The egress task refilling this link belongs to the outgoing
@@ -125,6 +137,7 @@ def egress_stage(
 
     # max over q of (w(q) - q*TSUM_i); per-frame completion added below.
     base = -math.inf
+    queue_points = []
     for q in range(q_max):
         if strict:
             own_backlog = q * dem_i.csum  # Eq. 30/31 as printed
@@ -147,6 +160,7 @@ def egress_stage(
         except FixedPointDiverged:
             return [diverged_stage(StageKind.EGRESS, resource)] * n
         base = max(base, w_q - q * tsum_i)
+        queue_points.append((mft + own_backlog, w_q))
 
     prop = ctx.network.prop(node, nxt)
     results: list[StageResult] = []
@@ -166,6 +180,11 @@ def egress_stage(
                 n_instances=q_max,
                 converged=True,
             )
+        )
+    if fixed_points is not None and not strict:
+        # Eq. 29 over the flow and its hep set, Eq. 31 over hep alone.
+        fixed_points.append(
+            fixed_point_record([(mft, busy)], queue_points)
         )
     return results
 

@@ -31,7 +31,11 @@ from __future__ import annotations
 
 import math
 
-from repro.core.context import AnalysisContext, ingress_resource
+from repro.core.context import (
+    AnalysisContext,
+    fixed_point_record,
+    ingress_resource,
+)
 from repro.core.results import StageKind, StageResult, diverged_stage
 from repro.model.flow import Flow
 from repro.util.fixed_point import LinearLowerBound, solve_cached
@@ -54,11 +58,19 @@ def ingress_utilization(ctx: AnalysisContext, node: str, prev: str) -> float:
 
 
 def ingress_stage(
-    ctx: AnalysisContext, flow: Flow, node: str
+    ctx: AnalysisContext,
+    flow: Flow,
+    node: str,
+    fixed_points: list | None = None,
 ) -> list[StageResult]:
     """``R_i^{k,in(N)}`` (Eq. 26) for every frame ``k``: from all
     Ethernet frames of the frame received at switch ``node`` until all
-    are enqueued in the priority queue of the outgoing interface."""
+    are enqueued in the priority queue of the outgoing interface.
+
+    When ``fixed_points`` is a list, a corrected-model stage that ran its
+    fixed points appends their
+    :func:`~repro.core.context.fixed_point_record` to it.
+    """
     prev = flow.prec(node)
     resource = ingress_resource(node)
     # The ingress task serving this flow belongs to the incoming
@@ -179,6 +191,15 @@ def ingress_stage(
                 busy_period=busy,
                 n_instances=q_max,
                 converged=True,
+            )
+        )
+    if fixed_points is not None and not strict:
+        # Eq. 22 busy periods over all flows, Eq. 24 queuing times over
+        # the others with the own backlog as constant.
+        fixed_points.append(
+            fixed_point_record(
+                [(0.0, busy) for busy in busy_cache.values()],
+                w_cache.items(),
             )
         )
     return results

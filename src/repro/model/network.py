@@ -203,6 +203,8 @@ class Network:
         # queries lean on them for every switch.
         self._neighbors: dict[str, set[str]] = {}
         self._incoming: dict[str, set[str]] = {}
+        # (switch, interface) -> circ_task; cleared by the builders.
+        self._circ_task: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -213,6 +215,7 @@ class Network:
         self._nodes[node.name] = node
         self._neighbors[node.name] = set()
         self._incoming[node.name] = set()
+        self._circ_task.clear()
         return node
 
     def add_endhost(self, name: str) -> Node:
@@ -243,6 +246,7 @@ class Network:
         self._links[key] = link
         self._neighbors[src].add(dst)
         self._incoming[dst].add(src)
+        self._circ_task.clear()
         return link
 
     def add_duplex_link(
@@ -327,12 +331,23 @@ class Network:
 
         Equals :meth:`circ` for the paper's round-robin configuration;
         with weighted stride tickets (extension) it is the per-interface
-        bound of :meth:`SwitchConfig.service_bound`.
+        bound of :meth:`SwitchConfig.service_bound`.  Memoised: every
+        ingress and egress stage run asks for it, and computing it sorts
+        the node's interfaces.
         """
-        node = self.node(name)
-        if node.switch is None:
-            raise ValueError(f"node {name!r} is not a switch; CIRC is undefined")
-        return node.switch.service_bound(self.interfaces_of(name), interface)
+        key = (name, interface)
+        value = self._circ_task.get(key)
+        if value is None:
+            node = self.node(name)
+            if node.switch is None:
+                raise ValueError(
+                    f"node {name!r} is not a switch; CIRC is undefined"
+                )
+            value = node.switch.service_bound(
+                self.interfaces_of(name), interface
+            )
+            self._circ_task[key] = value
+        return value
 
     def describe(self) -> str:
         """Multi-line human-readable summary of the topology."""

@@ -2,15 +2,19 @@
 
 Production (``src/repro``) has one path per layer, built for speed:
 certified-floor fixed points, the holistic worklist, the per-stage
-memo, flat per-link demand arrays, the admission pre-check and warm
-starts, and the simulator's precomputed injection with flat accounting.
+memo and its verified reuse of stored fixed points under grown inputs,
+flat per-link demand arrays with fused scalar kernels, the admission
+pre-check and warm starts, and the simulator's precomputed injection
+with flat accounting.
 This module keeps the plain implementations the seed shipped, so the
 equivalence suites can compare the two with ``==`` on floats:
 
 * :class:`OracleContext` — per-flow demand objects summed one flow at a
   time (:class:`ScalarInterference`), certificates that certify nothing
   (so :func:`repro.util.fixed_point.iterate_fixed_point` runs plain
-  Picard from the seed), and every stage recomputed on every walk;
+  Picard from the seed), and every stage recomputed on every walk (it
+  never returns a memo entry, so neither an exact-input hit nor a
+  verified reuse can happen);
 * :func:`sweep` / :func:`holistic_analysis` — the Sec. 3.5 iteration
   re-analysing every flow every round, converged when a round-start
   snapshot and the table agree within the tolerance;
@@ -104,7 +108,7 @@ class OracleContext(AnalysisContext):
     def stage_memo_get(self, flow_name, resource):
         return None
 
-    def stage_memo_put(self, flow_name, resource, inputs, results):
+    def stage_memo_put(self, flow_name, resource, inputs, results, fixed_points):
         pass
 
 

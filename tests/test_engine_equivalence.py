@@ -2,13 +2,16 @@
 
 Production analyses a flow set through one path of exactness-preserving
 shortcuts: the certified-floor fixed-point solver, the dependency-aware
-holistic worklist, the per-stage input memo, and stage interference
-sets gathered from flat per-link demand arrays (vectorised for stages
+holistic worklist, the per-stage input memo with its verified reuse of
+stored fixed points, and stage interference sets gathered from flat
+per-link demand arrays (fused scalar kernels, vectorised for stages
 with many interferers); the admission controller adds a utilisation
 pre-check, shared demand profiles and warm-started jitter tables.  The
 floor never lifts an iterate past the least fixed point, the worklist
 skips only flows that would reproduce their result bit for bit, the
-memo replays a stage only when its exact inputs are unchanged, the flat
+memo replays a stage only when its exact inputs are unchanged or when
+they have only grown and every stored fixed point reproduces itself
+bit for bit under them (then it is still the least one), the flat
 gather reads the same window arrays in the same summation order, and a
 warm start seeds the monotone iteration below the new fixed point.
 
@@ -20,10 +23,11 @@ star / tree / multi-pod topologies, production (the ``all`` engine)
 must return the oracle's bounds and round count **bit-identically**
 (``==`` on floats, no tolerance).  The sweep also puts each production
 layer alone on top of the oracle — ``accelerated`` (certificates),
-``worklist``, ``memoized``, ``flat`` (the flat-array gather) — so a
-mismatch names the layer that moved the bit.  A dense input drives
-stages past the vectorisation threshold, and the admission tests hold
-production controllers against the oracle's cold controller.
+``worklist``, ``memoized`` (the memo, verified reuse included),
+``flat`` (the flat-array gather) — so a mismatch names the layer that
+moved the bit.  A dense input drives stages past the vectorisation
+threshold, and the admission tests hold production controllers against
+the oracle's cold controller.
 """
 
 from functools import lru_cache
@@ -31,6 +35,7 @@ from functools import lru_cache
 import pytest
 
 import oracle
+from repro import telemetry
 from repro.core.admission import AdmissionController
 from repro.core.context import AnalysisContext, AnalysisOptions
 from repro.core.demand import InterferenceSet
@@ -164,9 +169,16 @@ def assert_bit_identical(a, b):
 @pytest.mark.parametrize("utilization", [0.3, 0.85])
 def test_fast_engine_matches_seed_engine(engine, topology, seed, utilization):
     """Property sweep: production, and each of its layers alone on top
-    of the oracle, == the oracle's seed engine."""
+    of the oracle, == the oracle's seed engine.  A converged memoized
+    run must also have reused stored fixed points under grown inputs,
+    not only replayed unchanged ones."""
     net, flows, reference = _case(topology, seed, utilization)
-    assert_bit_identical(_run(engine, net, flows), reference)
+    with telemetry.capture() as reg:
+        result = _run(engine, net, flows)
+    assert_bit_identical(result, reference)
+    if engine == "memoized" and reference.converged:
+        counters = reg.snapshot()["counters"]
+        assert counters.get("engine.stage_memo.verified", 0) > 0
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["corrected", "strict"])

@@ -180,18 +180,32 @@ def test_envelope_fast_reject_matches_reference():
 # ----------------------------------------------------------------------
 # The property test: arbitrary admit/release interleavings
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("case", [0, 1, 2, "ring3", "ring4", "ring5"])
+@pytest.mark.parametrize(
+    "case",
+    [0, 1, 2, "ring3", "ring4", "ring5", "ring3-35", "ring4-4", "ring5-20"],
+)
 def test_interleaving_matches_from_scratch_after_every_step(case):
     """Decisions match the reference controller and the jitter table and
     bounds match a from-scratch analysis after **every** step.  Integer
     cases are 2-pod fat trees seeded with that number; ``ring<n>`` is
-    :func:`_ring_scenario` on ``n`` switches."""
+    :func:`_ring_scenario` on ``n`` switches, seeded 0 or with the
+    ``-<seed>`` suffix.
+
+    The seeded rings pin the stage memo's verified reuse
+    (``core/pipeline.py``).  On ``ring3-35`` and ``ring4-4`` a stage's
+    inputs drop after a release, and its stored fixed points still hold
+    under the lower inputs without being the least ones: reuse without
+    the dominance check leaves a non-least table at steps 10 and 8.  On
+    ``ring5-20`` a participant's jitter turns infinite after its stage
+    was memoised, which must reach the stage's divergence
+    short-circuit, not the demand kernels."""
     if isinstance(case, int):
         seed = case
         net, flows = _small_scenario(seed)
     else:
-        seed = 0
-        net, flows = _ring_scenario(int(case[len("ring"):]), seed)
+        ring, _, suffix = case.partition("-")
+        seed = int(suffix or 0)
+        net, flows = _ring_scenario(int(ring[len("ring"):]), seed)
     options = AnalysisOptions()
     hier = HierarchicalAdmissionController(net, options)
     ref = AdmissionController(net, options)
@@ -200,27 +214,29 @@ def test_interleaving_matches_from_scratch_after_every_step(case):
     live: list[str] = []
     steps = 0
 
-    while pending or (live and steps < 60):
-        steps += 1
-        release = live and (not pending or rng.random() < 0.35)
-        if release:
-            name = live.pop(rng.randrange(len(live)))
-            hier.release(name)
-            ref.release(name)
-        else:
-            flow = pending.pop(rng.randrange(len(pending)))
-            dh = hier.request(flow)
-            dr = ref.request(flow)
-            assert dh.accepted == dr.accepted, (
-                f"{flow.name}: hier={dh.reason!r} ref={dr.reason!r}"
-            )
-            if dh.accepted:
-                live.append(flow.name)
+    with telemetry.capture() as reg:
+        while pending or (live and steps < 60):
+            steps += 1
+            release = live and (not pending or rng.random() < 0.35)
+            if release:
+                name = live.pop(rng.randrange(len(live)))
+                hier.release(name)
+                ref.release(name)
+            else:
+                flow = pending.pop(rng.randrange(len(pending)))
+                dh = hier.request(flow)
+                dr = ref.request(flow)
+                assert dh.accepted == dr.accepted, (
+                    f"{flow.name}: hier={dh.reason!r} ref={dr.reason!r}"
+                )
+                if dh.accepted:
+                    live.append(flow.name)
 
-        assert [f.name for f in ref.admitted_flows] == [
-            f.name for f in hier.admitted_flows
-        ]
-        _assert_matches_from_scratch(hier, net, options)
+            assert [f.name for f in ref.admitted_flows] == [
+                f.name for f in hier.admitted_flows
+            ]
+            _assert_matches_from_scratch(hier, net, options)
+    assert reg.snapshot()["counters"]["engine.stage_memo.verified"] > 0
 
 
 #: Preloaded rings whose release lowers the least fixed point through a

@@ -142,14 +142,21 @@ def test_fast_backend_bit_identical_per_family(family, mode):
 
 
 def test_fast_backend_bit_identical_finite_fifo_overload():
-    """Loss regime: tiny NIC FIFOs under heavy load drop fragments in
-    both backends at exactly the same points."""
-    net = line_network(2, hosts_per_switch=2, speed_bps=mbps(100))
+    """Loss regime: capacity-1 NIC FIFOs at total utilisation 3.0 drop
+    fragments in both backends at exactly the same points.  The links
+    run at 1 Gbit/s: at 100 Mbit/s no seed from 0 to 39 overflows a
+    FIFO in event mode, and the incomplete packets are cut by the drain
+    horizon instead."""
+    net = line_network(2, hosts_per_switch=2, speed_bps=mbps(1000))
     flows = random_flow_set(net, n_flows=6, total_utilization=3.0, seed=5)
     cfg = SimConfig(duration=0.2, nic_fifo_capacity=1)
-    fast, ref = run_pair(net, flows, cfg)
+    fast_sim = Simulator(net, flows, cfg)
+    ref_sim = oracle.ReferenceSimulator(net, flows, cfg)
+    fast, ref = fast_sim.run(), ref_sim.run()
+    assert switch_stats(fast_sim) == switch_stats(ref_sim)
     assert_traces_bit_identical(fast, ref)
     # The scenario must actually exercise loss to be meaningful.
+    assert collect_stats(fast_sim).total_drops > 0
     assert fast.count_incomplete() > 0
 
 

@@ -22,19 +22,22 @@ the per-stage memo of :mod:`repro.core.pipeline`.  The test oracle
 (``tests/oracle.py``) subclasses the context to bypass both and sum
 per-flow demand objects instead, as the seed engine did.
 
-A memo entry holds a stage's inputs (jitters), its results and, for a
+A memo entry holds a stage's participants (the flows whose demand and
+jitters it read), its inputs (jitters), its results and, for a
 converged corrected-model stage, its fixed points
 (:func:`fixed_point_record`): every busy period and instance queuing
-time with the constant its update adds.  They let the pipeline reuse
-a stage whose inputs have only grown.  The recurrences are monotone,
-so the stored least fixed points bound the new ones from below, and a
-stored value that still satisfies its recurrence under the new inputs
-is the new least fixed point; the pipeline checks exactly that, bit
-for bit, before replaying the results.  Entries keep only the fixed
-points: the check reads the participants' static demand rows from the
-link's matrix, which is built once per link version, and
-:meth:`AnalysisContext.invalidate_link` drops a link's entries together
-with its matrix when its flow set changes.
+time with the constant its update adds.  An entry recorded over other
+participants than the stage has now is treated as absent, so no
+flow-set change needs to drop anything: a stage's results are a
+function of its participants and inputs alone (plus static link
+data).  The fixed points let the pipeline reuse a stage whose inputs
+have only grown.  The recurrences are monotone, so the stored least
+fixed points bound the new ones from below, and a stored value that
+still satisfies its recurrence under the new inputs is the new least
+fixed point; the pipeline checks exactly that, bit for bit, before
+replaying the results.  Entries keep only the fixed points: the check
+reads the participants' static demand rows from the link's matrix,
+which is rebuilt whenever the link's flow tuple is replaced.
 """
 
 from __future__ import annotations
@@ -93,10 +96,13 @@ class AnalysisOptions:
     Attributes
     ----------
     strict_paper:
-        Use the paper's equations exactly as printed (see DESIGN.md OCR
-        table): remainder fragments cost ``rem+304`` bits, and the
-        ingress/egress own-flow terms assume one Ethernet frame per UDP
-        packet.  Default False = documented sound reconstruction.
+        Use the paper's equations exactly as printed: remainder
+        fragments cost ``rem+304`` bits (the OCR note of
+        :mod:`repro.core.packetization`), and the ingress/egress
+        own-flow terms assume one Ethernet frame per UDP packet (the
+        reconstruction notes of :mod:`repro.core.switch_ingress` and
+        :mod:`repro.core.switch_egress`).  Default False = documented
+        sound reconstruction.
     use_jitter:
         When False, all generalized jitters are treated as zero
         (ablation E8: quantifies how much the jitter propagation
@@ -190,6 +196,10 @@ class JitterTable:
             )
         key = (flow_name, resource)
         old = self._table.get(key)
+        if jit == old:
+            # Rewriting the stored value: nothing to undo, no delta, no
+            # changed key, and the cached extra is still right.
+            return
         if self._undo is not None and key not in self._undo:
             self._undo[key] = old if old is not None else self._MISSING
         if old is None:
@@ -396,17 +406,17 @@ class AnalysisContext:
         ] = _shared_demand_cache if _shared_demand_cache is not None else {}
         self._link_flows_cache: dict[tuple[str, str], tuple[Flow, ...]] = {}
         self._hep_cache: dict[tuple[str, str, str], tuple[Flow, ...]] = {}
-        # resource -> {flow name -> (jitter inputs, stage results)}; see
-        # core/pipeline.py.  Never shared across contexts:
-        # the cached results embed the flow *set* (interferer demand
-        # tables), which with_flows changes.  Keyed resource-first so a
-        # mutable context (core/hierarchy.py) can invalidate everything
-        # a flow-set change at one link touches in O(1).
-        self._stage_cache: dict[ResourceKey, dict[str, tuple]] = {}
-        # (n1, n2) -> (version, LinkDemandMatrix); versions only move in
-        # mutable subclasses (the flow set of a base context is fixed).
-        self._matrix_cache: dict[tuple[str, str], tuple[int, object]] = {}
-        self._link_versions: dict[tuple[str, str], int] = {}
+        # flow name -> {resource -> (inputs, results, fixed points,
+        # participants)}; see core/pipeline.py.  Never shared across
+        # contexts.  An entry is valid exactly while its stage has the
+        # recorded participants (stage_memo_get), so flow-set changes
+        # drop nothing; a mutable context pops a leaving flow's entries
+        # to free them.
+        self._stage_cache: dict[str, dict[ResourceKey, tuple]] = {}
+        # (n1, n2) -> (flows_on_link tuple, LinkDemandMatrix); valid
+        # while flows_on_link still returns that very tuple (a mutable
+        # context replaces it on every flow-set change of the link).
+        self._matrix_cache: dict[tuple[str, str], tuple[tuple, object]] = {}
 
     # ------------------------------------------------------------------
     # Flow / topology queries
@@ -499,37 +509,24 @@ class AnalysisContext:
         """The :class:`~repro.core.demand.LinkDemandMatrix` of a link.
 
         Built lazily from the link's flows in context order and cached
-        against the link's flow-set version (bumped by the mutable
-        context on admit/release of a flow using the link).
+        against the :meth:`flows_on_link` tuple it was built from: the
+        cache holds that tuple, so a replacement (a mutable context
+        builds a new one on every flow-set change of the link) can never
+        be mistaken for it.
         """
         from repro.core.demand import LinkDemandMatrix
 
         key = (n1, n2)
-        version = self._link_versions.get(key, 0)
+        flows_seq = self.flows_on_link(n1, n2)
         hit = self._matrix_cache.get(key)
-        if hit is not None and hit[0] == version:
+        if hit is not None and hit[0] is flows_seq:
             return hit[1]
-        matrix = LinkDemandMatrix(
-            [self.demand(f, n1, n2) for f in self.flows_on_link(n1, n2)]
-        )
-        self._matrix_cache[key] = (version, matrix)
+        matrix = LinkDemandMatrix([self.demand(f, n1, n2) for f in flows_seq])
+        self._matrix_cache[key] = (flows_seq, matrix)
         reg = _telemetry.REGISTRY
         if reg is not None:
             reg.add("engine.flat_arrays.rebuilds")
         return matrix
-
-    def invalidate_link(self, n1: str, n2: str) -> None:
-        """Note a flow-set change on a link (mutable contexts).
-
-        Bumps the link's matrix version and drops the stage memos whose
-        participant set the change touched: every stage analysed at the
-        link's output-queue resource (first hop and egress share it)
-        and at the downstream ingress resource.
-        """
-        key = (n1, n2)
-        self._link_versions[key] = self._link_versions.get(key, 0) + 1
-        self._stage_cache.pop(link_resource(n1, n2), None)
-        self._stage_cache.pop(ingress_resource(n2), None)
 
     def interference(
         self,
@@ -550,27 +547,46 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     # Stage memo (core/pipeline.py)
     # ------------------------------------------------------------------
-    def stage_memo_get(self, flow_name: str, resource: ResourceKey):
-        """Cached ``(inputs, stage results, fixed points)`` of a flow at
-        a resource; the fixed points are a :func:`fixed_point_record`
-        or None."""
-        per_resource = self._stage_cache.get(resource)
-        if per_resource is None:
+    def stage_memo_get(
+        self,
+        flow_name: str,
+        resource: ResourceKey,
+        participants: Sequence[Flow],
+    ):
+        """Cached ``(inputs, stage results, fixed points, participants)``
+        of a flow at a resource, or None.
+
+        An entry recorded over other ``participants`` than the stage's
+        current ones is treated as absent: the stage read different
+        flows, so neither its results nor its fixed points say anything
+        about the current stage.  The fixed points are a
+        :func:`fixed_point_record` or None.
+        """
+        per_flow = self._stage_cache.get(flow_name)
+        if per_flow is None:
             return None
-        return per_resource.get(flow_name)
+        entry = per_flow.get(resource)
+        if entry is None:
+            return None
+        recorded = entry[3]
+        if recorded is not participants and recorded != participants:
+            return None
+        return entry
 
     def stage_memo_put(
         self,
         flow_name: str,
         resource: ResourceKey,
+        participants: Sequence[Flow],
         inputs,
         results,
         fixed_points,
     ) -> None:
-        self._stage_cache.setdefault(resource, {})[flow_name] = (
+        self._stage_cache.setdefault(flow_name, {})[resource] = (
             inputs,
             results,
             fixed_points,
+            participants,
         )
 
     def circ(self, node: str) -> float:

@@ -225,7 +225,7 @@ class LinkDemand:
         ``w = 0`` a capped ``MX`` charges zero interference from
         packets arriving together with the analysed one, yielding the
         spurious fixed point "no queuing at all".  The analyses use
-        this uncapped bound unless ``strict_paper`` is set (DESIGN.md).
+        this uncapped bound unless ``strict_paper`` is set.
         """
         if t < 0.0:
             return 0.0

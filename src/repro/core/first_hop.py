@@ -12,7 +12,7 @@ The analysis is a busy-period exploration:
 * Eq. 15 — the busy period ``t`` is the least fixed point of the total
   demand ``sum_j MX(tau_j, S, succ, t + extra_j)`` (the seed printed in
   Eq. 14 is 0, a degenerate fixed point; we seed with the analysed
-  frame's own transmission time ``C_i^k`` — see DESIGN.md);
+  frame's own transmission time ``C_i^k``);
 * Eq. 17 — for each instance ``q`` of frame ``k`` in the busy period,
   the queuing time ``w(q)`` is the least fixed point of ``q * CSUM_i``
   (own previous cycles) plus all other flows' demand;

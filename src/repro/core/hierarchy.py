@@ -13,9 +13,10 @@ as a readers map; this module makes the *flow set itself* incremental
 so one admission touches only the candidate's dependency cone:
 
 * :class:`MutableAnalysisContext` — an analysis context whose flow set
-  mutates in place: per-link flow lists, ``hep`` caches, jitter-table
-  registration, stage memos and the flat per-link demand matrices all
-  update per admit/release instead of being rebuilt from the full set;
+  mutates in place: per-link flow lists, ``hep`` caches and jitter-table
+  registration update per admit/release instead of being rebuilt from
+  the full set, and the flat per-link demand matrices and stage memos
+  check themselves against the flows they were built over;
 * :class:`DemandEnvelopes` — cached per-resource necessary-condition
   utilisations; the fast-reject of a request checks only the
   candidate's route (every other resource kept its previously sub-unit
@@ -25,9 +26,9 @@ so one admission touches only the candidate's dependency cone:
   :class:`PodShard` bookkeeping plus the incremental admit/release
   engine.
 
-The controller is also the online service's engine: every shard of
+The controller is also the online service's engine: each server of
 :mod:`repro.service.sharding` runs one, so a served request pays for
-its change set instead of a re-analysis of the shard's admitted set.
+its change set instead of a re-analysis of the admitted set.
 The locality argument does not need pods.  On a network without
 ``p{i}_`` node prefixes every node is in the core tier, the pod shards
 are only bookkeeping, and the readers map alone confines the work.
@@ -121,8 +122,12 @@ class MutableAnalysisContext(AnalysisContext):
       the whole set per link;
     * ``hep`` results are cached per link so an admit/release drops
       only the touched links' entries;
-    * :meth:`AnalysisContext.invalidate_link` bumps the flat demand
-      matrices and stage memos of exactly the touched resources.
+    * a touched link gets a new ``flows_on_link`` tuple, which retires
+      its flat demand matrix (cached against the old tuple); stage
+      memos need no drop at all, since an entry recorded over other
+      participants than a stage's current ones is never returned
+      (:meth:`AnalysisContext.stage_memo_get`).  Removing a flow pops
+      its own entries only to free them.
     """
 
     def __init__(
@@ -181,6 +186,7 @@ class MutableAnalysisContext(AnalysisContext):
                 del self.flows[i]
                 break
         self.jitters.remove_flow(flow_name)
+        self._stage_cache.pop(flow_name, None)
         for link in flow.links():
             entry = self._link_index.get(link, [])
             for i, f in enumerate(entry):
@@ -192,7 +198,6 @@ class MutableAnalysisContext(AnalysisContext):
     def _touch_link(self, link: tuple[str, str]) -> None:
         self._link_flows_cache.pop(link, None)
         self._hep_by_link.pop(link, None)
-        self.invalidate_link(*link)
 
 
 class DemandEnvelopes:
@@ -349,9 +354,9 @@ class HierarchicalAdmissionController:
     the serial one the whole network).  Per-request work is
     proportional to the candidate's dependency cone instead of the
     admitted-set size — milliseconds at 10^5 admitted flows.  It is the
-    engine of every service shard (:mod:`repro.service.sharding`); on a
-    network without pods (see :class:`PodMap`) its pod shards are only
-    bookkeeping.
+    engine of each admission server (:mod:`repro.service.sharding`); on
+    a network without pods (see :class:`PodMap`) its pod shards are
+    only bookkeeping.
 
     ``request``/``release``/``admitted_flows``/``export_state``/
     ``restore`` mirror the reference API; :meth:`preload` bulk-admits a

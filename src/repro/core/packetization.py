@@ -21,7 +21,7 @@ Wire-format constants (paper values)::
     -> max wire size       1538 bytes = 12304 bits
     -> transport data/frame 1480 bytes = 11840 bits
 
-**OCR note** (see DESIGN.md): the printed remainder-fragment cost adds
+**OCR note**: the printed remainder-fragment cost adds
 only 304 bits (Ethernet overhead) to the leftover transport bits; a real
 last fragment also carries its own 160-bit IP header and is padded to the
 64-byte Ethernet minimum.  The corrected model is the default;

@@ -20,17 +20,28 @@ Stages per route ``S -> W1 -> ... -> Wm -> D`` (Fig. 6 loop):
   ``link(Wj, next)`` (Sec. 3.4).
 
 A route with no switch (``S -> D``) degenerates to the first hop alone
-(the paper's Fig. 6 loop body never runs for it; see DESIGN.md).
+(the paper's Fig. 6 loop body never runs for it).
 
 Stage memo
 ----------
-A stage is a pure function of the flow set and of its *inputs*: this
-flow's per-frame jitters at the resource and every participant's
-``extra_j`` there.  The flow set is fixed per memo entry (the context
-drops a resource's entries when a flow joins or leaves its link), so
-the context keeps, per flow and resource, the inputs, results and
-fixed points of the stage's last run, and the walk reuses them in two
-cases:
+A stage reads only these inputs: the analysed flow, its per-frame
+jitters at the resource, its *participants* in order (their demand
+rows) and every participant's ``extra_j`` there.  Beyond those it reads
+only static link data (``circ_task``, the link speed, ``MFT``), and its
+utilisation check sums over the same participants.  The participants
+are every flow on the link for the first hop (Sec. 3.2), every flow on
+the incoming link ``link(prec, N)`` for the ingress at ``N``
+(Sec. 3.3), and the flow with its ``hep`` set for the egress
+(Sec. 3.4, Eq. 2).  The context keeps, per flow and resource, the
+participants, inputs, results and fixed points of the stage's last
+run.  An entry recorded over other participants is treated as absent
+(:meth:`~repro.core.context.AnalysisContext.stage_memo_get`), so a
+flow-set change forces a re-solve only of the stages it entered or
+left, and no entry ever needs to be dropped.  That one comparison guards both
+reuse cases, and it runs before the dominance check below, which
+zips the old and new inputs and would silently truncate to the
+shorter tuple.  Over the same participants the walk reuses an entry
+in two cases:
 
 * a **hit**: the inputs are unchanged, so a rerun would return the
   stored results bit for bit;
@@ -106,19 +117,19 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
         Fig. 6 lines 8/13/17: the jitter at a resource is the JSUM
         accumulated *before* the resource.
 
-        ``participants`` are the flows whose jitters at ``resource`` the
-        stage analysis reads (its only inputs that vary over the
-        context's lifetime, besides this flow's own jitters); their
-        demand sits on ``link``.  The stage is replayed from the
-        context's memo whenever those inputs are unchanged since its
-        last run (a hit), or when they have only grown and every fixed
-        point the memo kept still holds under them (a verified miss;
-        see :func:`_fixed_points_hold`).  Otherwise ``stage`` runs.
+        ``participants`` are the flows whose demand and jitters at
+        ``resource`` the stage analysis reads, in order; their demand
+        sits on ``link``.  The stage is replayed from the context's
+        memo when its last run had the same participants and either
+        the same inputs (a hit) or inputs that have only grown since,
+        under which every fixed point the memo kept still holds (a
+        verified miss; see :func:`_fixed_points_hold`).  Otherwise
+        ``stage`` runs.
         """
         ctx.jitters.set(flow.name, resource, jsum)
         extras = ctx.extras(participants, resource)
         inputs = (tuple(jsum), extras)
-        hit = ctx.stage_memo_get(flow.name, resource)
+        hit = ctx.stage_memo_get(flow.name, resource, participants)
         reg = _telemetry.REGISTRY
         if hit is not None and hit[0] == inputs:
             if reg is not None:
@@ -137,7 +148,9 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
                 recorded: list = []
                 results = stage(recorded)
                 fixed = recorded[0] if recorded else None
-            ctx.stage_memo_put(flow.name, resource, inputs, results, fixed)
+            ctx.stage_memo_put(
+                flow.name, resource, participants, inputs, results, fixed
+            )
         for k in range(n):
             result = results[k]
             if math.isinf(jsum[k]) and not math.isinf(result.response):
@@ -215,12 +228,14 @@ def _fixed_points_hold(
     fixed point reproduces itself bit for bit under the new jitter
     shifts (the module docstring says why that suffices).
 
-    The stage's own divergence short-circuits come first: an infinite
-    participant jitter must reach the stage (the kernels cannot split
-    an infinite time into cycles), and a stage that failed its
-    utilisation check, or whose solve diverged, stored no fixed points.
-    Utilisations only change with the participant set, which drops the
-    entry (:meth:`~repro.core.context.AnalysisContext.invalidate_link`).
+    ``entry`` was recorded over ``participants`` (the memo returns no
+    other), so the old and new inputs pair up one to one.  The stage's
+    own divergence short-circuits come first: an infinite participant
+    jitter must reach the stage (the kernels cannot split an infinite
+    time into cycles), and a stage that failed its utilisation check,
+    or whose solve diverged, stored no fixed points.  Utilisations
+    only change with the participant set, and an entry over other
+    participants never gets here.
     """
     record = entry[2]
     if record is None:

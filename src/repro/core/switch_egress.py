@@ -17,7 +17,7 @@ been received by the successor node.  Three effects combine:
 Applicability (Eqs. 34/35): the combined utilisation of the flow and its
 ``hep`` set on the link must be below 1.
 
-**Reconstruction note** (DESIGN.md): as printed, the flow's own Ethernet
+**Reconstruction note**: as printed, the flow's own Ethernet
 frames pay no CIRC self-suspension; the default model charges
 ``NSUM_i * CIRC`` per previous cycle and ``nframes_i^k * CIRC`` for the
 analysed packet, because the egress task serves the flow's own frames

@@ -14,7 +14,7 @@ flows sharing the *same incoming link* ``link(prec(tau_i, N), N)``, and
 is counted in Ethernet frames via ``NX`` (Eq. 13), each weighted by
 ``CIRC(N)``.
 
-**Reconstruction note** (DESIGN.md): the printed own-flow terms
+**Reconstruction note**: the printed own-flow terms
 (``q x CIRC`` in Eq. 23, a single ``+CIRC`` in Eq. 25) are only sound
 when every UDP packet is one Ethernet frame.  The default model accounts
 for all ``NSUM_i`` Ethernet frames of the flow's previous cycles and all

@@ -2,10 +2,11 @@
 
 Production (``src/repro``) has one path per layer, built for speed:
 certified-floor fixed points, the holistic worklist, the per-stage
-memo and its verified reuse of stored fixed points under grown inputs,
-flat per-link demand arrays with fused scalar kernels, the admission
-pre-check and warm starts, and the simulator's precomputed injection
-with flat accounting.
+memo (entries valid while their stage keeps the participants they
+were recorded over) and its verified reuse of stored fixed points
+under grown inputs, flat per-link demand arrays with fused scalar
+kernels, the admission pre-check and warm starts, and the simulator's
+precomputed injection with flat accounting.
 This module keeps the plain implementations the seed shipped, so the
 equivalence suites can compare the two with ``==`` on floats:
 
@@ -105,10 +106,12 @@ class OracleContext(AnalysisContext):
             [self.demand(j, n1, n2) for j in flows_seq], shifts, strict=strict
         )
 
-    def stage_memo_get(self, flow_name, resource):
+    def stage_memo_get(self, flow_name, resource, participants):
         return None
 
-    def stage_memo_put(self, flow_name, resource, inputs, results, fixed_points):
+    def stage_memo_put(
+        self, flow_name, resource, participants, inputs, results, fixed_points
+    ):
         pass
 
 

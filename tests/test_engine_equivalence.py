@@ -9,9 +9,10 @@ with many interferers); the admission controller adds a utilisation
 pre-check, shared demand profiles and warm-started jitter tables.  The
 floor never lifts an iterate past the least fixed point, the worklist
 skips only flows that would reproduce their result bit for bit, the
-memo replays a stage only when its exact inputs are unchanged or when
-they have only grown and every stored fixed point reproduces itself
-bit for bit under them (then it is still the least one), the flat
+memo replays a stage only over the participants it was recorded over,
+and only when its exact inputs are unchanged or when they have only
+grown and every stored fixed point reproduces itself bit for bit
+under them (then it is still the least one), the flat
 gather reads the same window arrays in the same summation order, and a
 warm start seeds the monotone iteration below the new fixed point.
 

@@ -3,10 +3,10 @@
 The holistic analysis *is* the admission controller (Sec. 3.5), so the
 product metric is how fast a stream of requests drains — not how fast a
 single offline analysis runs.  This benchmark feeds N pre-generated
-flows one by one through a fresh :class:`AdmissionController` and
-measures the whole sequence: per-request context construction, demand
-profile reuse, warm-started holistic re-analysis, and the accept
-bookkeeping all land in the measured region.
+flows one by one through a fresh :class:`AdmissionController` (the
+incremental engine every server runs) and measures the whole sequence:
+the route pre-check, the changed-set solve warm from the admitted
+table, and the accept bookkeeping all land in the measured region.
 
 ``test_admission_sequential[64]`` is the headline number tracked in
 ``BENCH_scaling.json`` (see ``run_bench.py``).
@@ -53,8 +53,8 @@ def test_admission_churn(benchmark, n_flows):
     """Admit N flows, then release/re-admit the last one repeatedly.
 
     Models the steady-state of an online controller: a mostly-stable
-    admitted set with churn at the margin.  Exercises the release
-    (cold-start) path and the demand-cache eviction/rebuild cycle.
+    admitted set with churn at the margin.  Exercises the release (cone
+    reset) path and the retired demand-profile store.
     """
     net, flows = _workload(n_flows)
     ctrl = AdmissionController(net)

@@ -1,4 +1,5 @@
-"""E8: ablations of the OCR-reconstruction choices (DESIGN.md table)."""
+"""E8: ablations of the OCR-reconstruction choices (see
+:mod:`repro.experiments.ablation`)."""
 
 from repro.experiments.ablation import run_ablation
 

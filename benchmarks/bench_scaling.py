@@ -4,8 +4,8 @@ Not a paper table — engineering due diligence for an admission
 controller that must run online: analysis cost vs flow count, GMF cycle
 length and route length, plus simulator event throughput, and the
 datacenter axis — a single admission decision, and a single release,
-against 10^4/10^5 already-admitted flows through the hierarchical
-controller (``core/hierarchy.py``).
+against 10^4/10^5 already-admitted flows through the incremental
+admission engine (``core/hierarchy.py``).
 
 Every benchmark tags ``benchmark.extra_info["scale"]`` with its scale
 label (``single-pod`` for the historical cases, ``datacenter-1e4`` /
@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro.core.context import AnalysisOptions
-from repro.core.hierarchy import HierarchicalAdmissionController
+from repro.core.admission import AdmissionController
 from repro.core.holistic import holistic_analysis
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
@@ -172,16 +172,16 @@ _SCALE_CASES = {
 #: Preloaded controllers, one per scale, shared across rounds and
 #: tests in this process (preloading 10^5 flows takes minutes; the
 #: benchmark measures the *admission decision*, not the preload).
-_scale_controllers: dict[str, tuple[HierarchicalAdmissionController, float]] = {}
+_scale_controllers: dict[str, tuple[AdmissionController, float]] = {}
 
 
-def _controller_at_scale(scale: str) -> tuple[HierarchicalAdmissionController, float]:
+def _controller_at_scale(scale: str) -> tuple[AdmissionController, float]:
     if scale not in _scale_controllers:
         import gc
         import time
 
         net, flows = datacenter_flows(**_SCALE_CASES[scale])
-        ctrl = HierarchicalAdmissionController(net, AnalysisOptions())
+        ctrl = AdmissionController(net, AnalysisOptions())
         start = time.perf_counter()
         ctrl.preload(flows)
         _scale_controllers[scale] = (ctrl, time.perf_counter() - start)
@@ -258,7 +258,7 @@ def test_admission_at_scale(benchmark, scale):
     The probe is the dominant admission type of the scenario (a
     rack-local mouse); its cost is the interference closure of the two
     host links it touches — independent of the admitted-set size, which
-    is the hierarchical controller's O(changed-set) claim.  Each round
+    is the engine's O(changed-set) claim.  Each round
     admits a fresh probe and leaves it admitted (releases are timed by
     :func:`test_release_at_scale`); the handful of extra rack-local
     mice left behind is noise against the preloaded set.

@@ -7,7 +7,7 @@ cold recovery (respawn, restore, journal replay);
 ``test_service_recovery_replicated`` prices warm failover to a
 journal-fed standby, which replays only the ship lag.
 
-Decisions are asserted identical to a serial
+Decisions are asserted identical to a fresh in-process
 :class:`~repro.core.admission.AdmissionController` drain of the same
 trace, so every trajectory entry measures the same admitted work.
 """
@@ -70,7 +70,7 @@ TRACE = trace_from_scenario(
     hold=12,
     seed=0,
 )
-# The parity reference: what a serial controller decides on this trace.
+# The parity reference: what a fresh in-process engine decides on this trace.
 SERIAL = replay_serial(SCENARIO.network, TRACE, SCENARIO.options)
 
 
@@ -84,7 +84,7 @@ def test_service_recovery(benchmark):
 
     The supervisor respawns the dead worker and restores its exact
     state (baseline snapshot + op journal), so the decisions still
-    match the serial reference; the cost of that resilience — respawn,
+    match the in-process reference; the cost of that resilience — respawn,
     restore, journal replay — is what this case prices.
     """
     from repro.service import FaultPlan

@@ -1,9 +1,10 @@
 """Benchmark configuration.
 
-Each ``bench_e*.py`` regenerates one experiment of EXPERIMENTS.md: the
-benchmark measures the computation and the captured table is printed at
-the end of the run so ``pytest benchmarks/ --benchmark-only -s`` shows
-exactly the rows the paper's worked examples / claims correspond to.
+Each ``bench_e*.py`` regenerates one experiment of
+:mod:`repro.experiments` (E1-E9): the benchmark measures the
+computation and the captured table is printed at the end of the run so
+``pytest benchmarks/ --benchmark-only -s`` shows exactly the rows the
+paper's worked examples / claims correspond to.
 
 When ``REPRO_BENCH_TELEMETRY_OUT`` names a file, every test runs under
 a fresh :mod:`repro.telemetry` capture and the per-test snapshots are
@@ -56,7 +57,7 @@ def report():
 def pytest_terminal_summary(terminalreporter):
     if not _reports:
         return
-    terminalreporter.section("experiment tables (EXPERIMENTS.md)")
+    terminalreporter.section("experiment tables (repro.experiments)")
     for name, text in _reports:
         terminalreporter.write_line(f"\n--- {name} ---")
         for line in text.splitlines():

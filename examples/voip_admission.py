@@ -3,12 +3,15 @@
 
 A network operator owns an edge network (a 2-level switch tree) and
 offers delay-guaranteed VoIP: every call direction must arrive within
-20 ms.  Calls request admission one by one; the controller re-runs the
-holistic GMF analysis (Sec. 3.5) and accepts a call only if *all*
-admitted flows still meet their deadlines.
+20 ms.  Calls request admission one by one; the controller decides
+each against the holistic GMF fixed point (Sec. 3.5) of the admitted
+calls plus the candidate, re-solving only the calls the candidate
+shares a resource with, and accepts a call only if *all* admitted flows
+still meet their deadlines.
 
 The script admits calls until the first rejection, prints the
-admission trace, and shows what the rejection diagnosis looks like.
+admission trace, shows what the rejection diagnosis looks like, and
+prints the admitted set's bounds from ``controller.last_analysis``.
 
 Run:  python examples/voip_admission.py
 """

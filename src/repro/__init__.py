@@ -39,8 +39,10 @@ Validate against the discrete-event simulator::
     trace = simulate(net, [video], duration=5.0)
     trace.worst_response("video") <= result.response("video")
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-reproduced tables/figures.
+The subpackage docstrings are the system inventory (start at
+:mod:`repro.core`, which maps modules onto the paper's Section 3), and
+``python -m repro.experiments.runner`` regenerates the reproduced
+tables and figures (indexed in :mod:`repro.experiments`).
 """
 
 from repro.model import (

@@ -42,9 +42,9 @@ controller into a network service::
 ``replay`` builds a reproducible request stream from any scenario
 family plus an arrival process (poisson / burst / recorded churn) and
 drives either an in-process service or a live server;
-``--check-serial`` re-runs the stream through a plain serial
-:class:`~repro.core.admission.AdmissionController` and verifies the
-decisions match request for request.
+``--check-serial`` feeds the stream one request at a time to a fresh
+in-process :class:`~repro.core.admission.AdmissionController` and
+verifies the decisions match request for request.
 
 Observability (the :mod:`repro.telemetry` subsystem) closes the loop
 from measured runs to regression gates::
@@ -937,7 +937,7 @@ def cmd_replay(args) -> int:
         if serial.admit_decisions == summary.admit_decisions:
             print(
                 f"serial parity: OK ({summary.offered} decisions identical "
-                "to the serial controller)"
+                "to a fresh in-process engine's)"
             )
         else:
             diverged = sum(
@@ -1471,7 +1471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-serial",
         action="store_true",
-        help="verify decisions against a serial AdmissionController",
+        help="verify decisions against a fresh in-process engine fed one "
+        "request at a time",
     )
     p.add_argument(
         "--metrics-out",

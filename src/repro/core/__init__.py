@@ -11,7 +11,8 @@ Modules map one-to-one onto the paper's Section 3:
 * :mod:`repro.core.switch_egress` — Sec. 3.4, Eqs. 28-35;
 * :mod:`repro.core.pipeline` — the Fig. 6 end-to-end algorithm;
 * :mod:`repro.core.holistic` — Sec. 3.5 holistic jitter fixed point;
-* :mod:`repro.core.admission` — the admission controller built on it;
+* :mod:`repro.core.admission` — the admission controller built on it
+  (implemented incrementally in :mod:`repro.core.hierarchy`);
 * :mod:`repro.core.utilization` — the convergence conditions (Eqs. 20,
   34, 35);
 * :mod:`repro.core.context` / :mod:`repro.core.results` — the analysis

@@ -332,21 +332,6 @@ class JitterTable:
             self._keys_by_flow.setdefault(name, set()).add(resource)
             self._extra_cache.pop(name, None)
 
-    def warm_start_from(self, other: "JitterTable") -> None:
-        """Seed entries from a converged table of a *subset* flow set.
-
-        Admission hot path: the admitted flows' converged jitters are a
-        sound starting point for the tentative (superset) analysis —
-        adding a flow only increases interference, so the old least
-        fixed point lies below the new one and the monotone iteration
-        started from it converges to the same result, in fewer rounds.
-        """
-        for (name, resource), jit in other._table.items():
-            if name in self._specs:
-                self._table[(name, resource)] = jit
-                self._keys_by_flow.setdefault(name, set()).add(resource)
-                self._extra_cache.pop(name, None)
-
     def extra(self, flow_name: str, resource: ResourceKey) -> float:
         """``extra_j(N, i)``: the largest per-frame jitter at the resource."""
         per_flow = self._extra_cache.get(flow_name)
@@ -381,8 +366,6 @@ class AnalysisContext:
         network: Network,
         flows: Sequence[Flow],
         options: AnalysisOptions | None = None,
-        *,
-        _shared_demand_cache: dict | None = None,
     ):
         from repro.model.routing import validate_route  # cycle-free import
 
@@ -398,12 +381,12 @@ class AnalysisContext:
         # Keyed by name first so an admission release/rejection evicts a
         # flow's profiles in O(1) instead of scanning the whole cache.
         # The flow object is kept for a value check (identity fast
-        # path): the cache may be structurally shared across contexts
-        # (admission hot path), and a released name could later be
-        # reused by a different flow.
+        # path): retired profiles are reinstalled on re-admission
+        # (install_demands), and a released name could later be reused
+        # by a different flow.
         self._demand_cache: dict[
             str, dict[tuple[str, str], tuple[Flow, LinkDemand]]
-        ] = _shared_demand_cache if _shared_demand_cache is not None else {}
+        ] = {}
         self._link_flows_cache: dict[tuple[str, str], tuple[Flow, ...]] = {}
         self._hep_cache: dict[tuple[str, str, str], tuple[Flow, ...]] = {}
         # flow name -> {resource -> (inputs, results, fixed points,
@@ -641,24 +624,8 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     # Derived contexts
     # ------------------------------------------------------------------
-    def with_flows(
-        self, flows: Sequence[Flow], *, share_demand_cache: bool = False
-    ) -> "AnalysisContext":
-        """A fresh context for a different flow set (admission control).
-
-        The jitter table and flow-set-dependent caches are always fresh.
-        With ``share_demand_cache`` the per-(flow, link) demand profiles
-        — which depend only on the flow and the link, not on the flow
-        set — are structurally shared with this context, so an online
-        admission controller only builds profiles for the candidate
-        flow.  Entries are value-checked against the flow, so a reused
-        name can never serve a stale profile.
-        """
-        return AnalysisContext(
-            self.network,
-            flows,
-            self.options,
-            _shared_demand_cache=(
-                self._demand_cache if share_demand_cache else None
-            ),
-        )
+    # Nothing in src/ calls this; perfbench's spans.ADMISSION wraps it.
+    def with_flows(self, flows: Sequence[Flow]) -> "AnalysisContext":
+        """A fresh context for a different flow set: a fresh jitter
+        table and fresh caches."""
+        return AnalysisContext(self.network, flows, self.options)

@@ -1,16 +1,17 @@
-"""Datacenter-scale admission: hierarchical pods, O(changed-set) updates.
+"""The admission engine: O(changed-set) incremental re-analysis.
 
-The classic :class:`~repro.core.admission.AdmissionController` re-runs
-the holistic analysis over the *whole* admitted set per request.  That
-is exact, but at datacenter scale (10^5 flows over a multi-pod fat
-tree) even a warm-started confirming sweep touches every flow, so a
-single admit costs seconds.  The key structural fact of such a topology
-is locality: a flow's analysis depends only on the jitters of flows it
-shares resources with, and almost all flows of a pod share nothing with
-other pods except the pod-boundary uplinks.  The holistic worklist
-engine (``core/holistic.py``) already encodes that dependency structure
-as a readers map; this module makes the *flow set itself* incremental
-so one admission touches only the candidate's dependency cone:
+Sec. 3.5 of the paper makes the holistic analysis an admission
+controller: a flow is accepted exactly when the holistic fixed point of
+the admitted set plus the candidate converges and every frame of every
+flow still meets its deadline.  Re-running that analysis over the whole
+admitted set per request is exact, but at datacenter scale (10^5 flows
+over a multi-pod fat tree) even a warm-started confirming sweep touches
+every flow, so a single admit costs seconds.  A flow's analysis depends
+only on the jitters of the flows it shares resources with; the holistic
+worklist engine (``core/holistic.py``) already encodes that dependency
+structure as a readers map, and this module makes the *flow set itself*
+incremental, so one request touches only the candidate's dependency
+cone:
 
 * :class:`MutableAnalysisContext` — an analysis context whose flow set
   mutates in place: per-link flow lists, ``hep`` caches and jitter-table
@@ -18,28 +19,21 @@ so one admission touches only the candidate's dependency cone:
   the full set, and the flat per-link demand matrices and stage memos
   check themselves against the flows they were built over;
 * :class:`DemandEnvelopes` — cached per-resource necessary-condition
-  utilisations; the fast-reject of a request checks only the
-  candidate's route (every other resource kept its previously sub-unit
-  envelope), and the core tier's view of a pod is exactly these
-  envelope entries on its boundary links;
-* :class:`HierarchicalAdmissionController` — per-pod
-  :class:`PodShard` bookkeeping plus the incremental admit/release
-  engine.
-
-The controller is also the online service's engine: each server of
-:mod:`repro.service.sharding` runs one, so a served request pays for
-its change set instead of a re-analysis of the admitted set.
-The locality argument does not need pods.  On a network without
-``p{i}_`` node prefixes every node is in the core tier, the pod shards
-are only bookkeeping, and the readers map alone confines the work.
+  utilisations; the pre-check of a request reads only the candidate's
+  route (every other resource kept its previously sub-unit envelope);
+* :class:`AdmissionController` — the incremental admit/release engine
+  over one shared jitter table.  :mod:`repro.core.admission` is its
+  public import path, and each server of :mod:`repro.service.sharding`
+  runs one.  (The module keeps its older name because the benchmark's
+  span wrappers look up :func:`analyze_flow` here.)
 
 Exactness
 ---------
-Decisions and converged jitter tables are bit-identical to the
-serial controller's and to a from-scratch analysis by the seed engine
-of ``tests/oracle.py`` (asserted by ``tests/test_hierarchy.py``;
-``tests/test_service.py`` checks the served payloads against the
-serial controller):
+Decisions and converged jitter tables are bit-identical to those of a
+from-scratch analysis of the admitted set: ``tests/test_hierarchy.py``
+checks them after every step against the seed engine of
+``tests/oracle.py``, and the decisions against the oracle's serial
+controller, which re-runs the analysis over the whole tentative set:
 
 * **admit** seeds the worklist with the candidate plus every flow whose
   stage participant set the candidate joined (derived from the same
@@ -81,15 +75,9 @@ import heapq
 import math
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro import telemetry as _telemetry
-from repro.core.admission import (
-    AdmissionDecision,
-    first_violation,
-    observed_request,
-)
 from repro.core.context import (
     AnalysisContext,
     AnalysisOptions,
@@ -100,11 +88,17 @@ from repro.core.context import (
 from repro.core.first_hop import first_hop_utilization
 from repro.core.holistic import JITTER_TOLERANCE, flow_read_set
 from repro.core.pipeline import analyze_flow
-from repro.core.results import FlowResult, HolisticResult
+from repro.core.results import (
+    AdmissionDecision,
+    FlowResult,
+    HolisticResult,
+    first_violation,
+)
 from repro.core.switch_ingress import ingress_utilization
 from repro.model.flow import Flow, hep_flows
 from repro.model.network import Network
 from repro.model.routing import validate_route
+from repro.telemetry import tracing as _tracing
 
 
 class MutableAnalysisContext(AnalysisContext):
@@ -203,14 +197,13 @@ class MutableAnalysisContext(AnalysisContext):
 class DemandEnvelopes:
     """Cached necessary-condition utilisations per route resource.
 
-    The reference fast-reject sweeps the whole network
+    A full check sweeps the whole network
     (:func:`~repro.core.utilization.network_convergence_report`); an
-    incremental controller only needs the candidate's route — every
-    other resource kept its previously sub-unit utilisation.  Entries
-    are computed by the *same* functions in the same summation order as
-    the stage applicability checks and cached until a flow-set change
-    on the underlying link drops them.  The core tier's "pod-boundary
-    demand envelope" view is exactly these entries on boundary links.
+    admission request only needs the candidate's route — every other
+    resource kept its previously sub-unit utilisation.  Entries are
+    computed by the *same* functions in the same summation order as the
+    stage applicability checks and cached until a flow-set change on
+    the underlying link drops them.
 
     Note the link entry doubles as the worst egress-applicability value
     (Eqs. 34/35 plus own demand) over the link's flows: the
@@ -282,86 +275,32 @@ class DemandEnvelopes:
         return (worst_key, worst) if worst_key is not None else None
 
 
-@dataclass(frozen=True)
-class PodMap:
-    """Node -> pod classification of a multi-pod topology.
-
-    Pods are inferred from the ``p{i}_`` node-name prefix used by
-    :func:`repro.workloads.topologies.multi_pod_fat_tree_network`;
-    every other node (``core*`` switches, unprefixed hosts) belongs to
-    the shared core tier.  Pass an explicit ``node_pod`` mapping for
-    topologies with different naming.
-    """
-
-    node_pod: Mapping[str, str]
-    core: str = "core"
-
-    @classmethod
-    def from_network(cls, network: Network) -> "PodMap":
-        mapping: dict[str, str] = {}
-        for name in network.node_names():
-            if name.startswith("p") and "_" in name:
-                prefix = name.split("_", 1)[0]
-                if prefix[1:].isdigit():
-                    mapping[name] = prefix
-        return cls(node_pod=mapping)
-
-    def pod_of(self, node: str) -> str:
-        return self.node_pod.get(node, self.core)
-
-    def pods_of_route(self, route: Sequence[str]) -> tuple[str, ...]:
-        """Ordered distinct pods a route touches (core tier excluded,
-        unless the route touches nothing else)."""
-        pods: list[str] = []
-        for node in route:
-            pod = self.pod_of(node)
-            if pod != self.core and pod not in pods:
-                pods.append(pod)
-        return tuple(pods) if pods else (self.core,)
-
-    def is_boundary_link(self, n1: str, n2: str) -> bool:
-        return self.pod_of(n1) != self.pod_of(n2)
-
-
-@dataclass
-class PodShard:
-    """Per-pod bookkeeping of the hierarchical controller.
-
-    The exactness-critical state (jitter table, results) stays global:
-    pods are coupled through their boundary links, and correctness
-    comes from the readers topology confining re-analysis, not from
-    partitioning the math.  The shard records which flows live in the
-    pod and how much re-analysis work landed there — what the core tier
-    reports and the scaling benchmarks assert on.
-    """
-
-    pod: str
-    flows: set[str] = field(default_factory=set)
-    admits: int = 0
-    releases: int = 0
-    resolves: int = 0  # flow re-analyses attributed to this pod
-
-
-class HierarchicalAdmissionController:
+class AdmissionController:
     """Admission control with O(changed-set) incremental re-analysis.
 
-    Drop-in decision-equivalent to
-    :class:`~repro.core.admission.AdmissionController`: the same accept
-    / reject booleans, converged jitter tables and per-flow bounds.
-    Rejection reasons agree too, except that a utilisation pre-check
-    reject may name a different resource when several tie for the
-    worst utilisation (this controller checks the candidate's route,
-    the serial one the whole network).  Per-request work is
-    proportional to the candidate's dependency cone instead of the
-    admitted-set size — milliseconds at 10^5 admitted flows.  It is the
-    engine of each admission server (:mod:`repro.service.sharding`); on
-    a network without pods (see :class:`PodMap`) its pod shards are
-    only bookkeeping.
+    >>> ctrl = AdmissionController(network)          # doctest: +SKIP
+    >>> decision = ctrl.request(flow)                # doctest: +SKIP
+    >>> decision.accepted                            # doctest: +SKIP
 
-    ``request``/``release``/``admitted_flows``/``export_state``/
-    ``restore`` mirror the reference API; :meth:`preload` bulk-admits a
-    known-good set with one solve (state equals the sequential-admission
-    outcome).
+    A request first checks the necessary utilisation condition on the
+    candidate's route (:class:`DemandEnvelopes`) and, when it fails,
+    rejects before any response-time analysis runs.  Otherwise it
+    re-solves the candidate and the flows whose stage participant sets
+    it joined, starting from the admitted set's converged table, and
+    rolls the tentative writes back on a reject.  Per-request work is
+    proportional to the candidate's dependency cone instead of the
+    admitted-set size — milliseconds at 10^5 admitted flows.
+
+    Released and rejected flows' demand profiles are retired into a
+    bounded store of ``retained_flows`` entries instead of discarded,
+    so a release followed by re-admission of the same flow (the churn
+    of a call service) rebuilds no demand profile.  Retired entries keep
+    their value check: a reused name never revives a stale profile,
+    while an equal flow re-parsed from the wire reuses every one.
+
+    :meth:`preload` bulk-admits a known-good set with one solve (its
+    state equals the sequential-admission outcome); :meth:`export_state`
+    and :meth:`restore` carry the converged state between processes.
     """
 
     def __init__(
@@ -371,11 +310,9 @@ class HierarchicalAdmissionController:
         initial_flows: Sequence[Flow] = (),
         *,
         retained_flows: int = 256,
-        pod_map: PodMap | None = None,
     ):
         self.network = network
         self.options = options or AnalysisOptions()
-        self.pod_map = pod_map or PodMap.from_network(network)
         self._ctx = MutableAnalysisContext(network, (), self.options)
         self._envelopes = DemandEnvelopes(self._ctx)
         self._results: dict[str, FlowResult] = {}
@@ -389,7 +326,6 @@ class HierarchicalAdmissionController:
         self._next_order = 0
         self._retired: OrderedDict[str, dict] = OrderedDict()
         self._retained_flows = max(0, retained_flows)
-        self._shards: dict[str, PodShard] = {}
         if initial_flows:
             self.preload(initial_flows)
 
@@ -403,18 +339,27 @@ class HierarchicalAdmissionController:
         """Converged per-flow results of the admitted set (live view)."""
         return self._results
 
+    @property
+    def last_analysis(self) -> HolisticResult | None:
+        """The admitted set's results (a copy), or ``None`` while the
+        set is empty.
+
+        ``iterations`` is 0: the results come from many incremental
+        solves, not from one holistic iteration whose rounds could be
+        counted.
+        """
+        if not self._results:
+            return None
+        return HolisticResult(
+            flow_results=dict(self._results), iterations=0, converged=True
+        )
+
     def jitter_snapshot(self) -> dict:
         """Converged explicit jitter entries of the admitted set."""
         return self._ctx.jitters.snapshot()
 
-    def _shard(self, pod: str) -> PodShard:
-        shard = self._shards.get(pod)
-        if shard is None:
-            shard = self._shards[pod] = PodShard(pod)
-        return shard
-
     # ------------------------------------------------------------------
-    # Retired demand-profile generations (same policy as the reference)
+    # Retired demand-profile generations
     # ------------------------------------------------------------------
     def _retire_demands(self, flow_name: str) -> None:
         entries = self._ctx.pop_demands(flow_name)
@@ -589,8 +534,39 @@ class HierarchicalAdmissionController:
     # Admission
     # ------------------------------------------------------------------
     def request(self, flow: Flow) -> AdmissionDecision:
-        """Try to admit ``flow``; accepted flows join the state."""
-        return observed_request(self._request, flow)
+        """Try to admit ``flow``; accepted flows join the state.
+
+        With telemetry on, the request is counted under ``admission.*``
+        and timed in the ``admission.request_s`` histogram; with tracing
+        on, it runs in an ``admission.request`` span tagged ``accepted``
+        (fixed-point solves inside it add their ``fp.*`` tags to it).
+        """
+        reg = _telemetry.REGISTRY
+        tr = _tracing.TRACER
+        if reg is None and tr is None:
+            return self._request(flow)
+        span = (
+            tr.span("admission.request")
+            if tr is not None
+            else _tracing.NULL_SPAN
+        )
+        with span:
+            if reg is not None:
+                reg.add("admission.requests")
+            start = time.perf_counter()
+            decision = self._request(flow)
+            if reg is not None:
+                reg.observe(
+                    "admission.request_s", time.perf_counter() - start
+                )
+                if decision.accepted:
+                    reg.add("admission.accepted")
+                else:
+                    reg.add("admission.rejected")
+                    if decision.analysis is None:
+                        reg.add("admission.fast_rejects")
+            span.annotate("accepted", 1.0 if decision.accepted else 0.0)
+            return decision
 
     def _request(self, flow: Flow) -> AdmissionDecision:
         ctx = self._ctx
@@ -626,7 +602,7 @@ class HierarchicalAdmissionController:
         analysis = HolisticResult(
             flow_results=dict(updated), iterations=rounds, converged=converged
         )
-        self._note_pods(updated, evals)
+        _note_resolves(updated, evals)
         if reason is not None:
             ctx.jitters.rollback_undo()
             ctx.jitters.begin_round()  # drop the tentative write accounting
@@ -636,14 +612,6 @@ class HierarchicalAdmissionController:
             )
         ctx.jitters.commit_undo()
         self._results.update(updated)
-        pods = self.pod_map.pods_of_route(flow.route)
-        for pod in pods:
-            shard = self._shard(pod)
-            shard.flows.add(flow.name)
-            shard.admits += 1
-        reg = _telemetry.REGISTRY
-        if reg is not None and len(pods) > 1:
-            reg.add("hierarchy.cross_pod_admits")
         return AdmissionDecision(
             accepted=True, reason="all deadlines met", analysis=analysis
         )
@@ -729,11 +697,7 @@ class HierarchicalAdmissionController:
                 f"release of {flow_name!r} failed to re-converge"
             )
         self._results.update(updated)
-        self._note_pods(updated, evals)
-        for pod in self.pod_map.pods_of_route(flow.route):
-            shard = self._shard(pod)
-            shard.flows.discard(flow_name)
-            shard.releases += 1
+        _note_resolves(updated, evals)
         if reg is not None:
             reg.add("hierarchy.releases")
             reg.observe("hierarchy.release_s", time.perf_counter() - start)
@@ -753,14 +717,12 @@ class HierarchicalAdmissionController:
         controller should be discarded in that case.
         """
         ctx = self._ctx
-        added: list[Flow] = []
         for flow in flows:
             self._revive_demands(flow.name)
             ctx.add_flow(flow)
             self._note_invalidations(flow)
             self._order[flow.name] = self._next_order
             self._next_order += 1
-            added.append(flow)
         if jitters:
             ctx.jitters.seed(jitters)
         if self.options.use_jitter:
@@ -784,13 +746,8 @@ class HierarchicalAdmissionController:
         if reason is not None:
             raise ValueError(f"preloaded flow set not admissible: {reason}")
         self._results.update(updated)
-        self._note_pods(updated, evals)
-        for flow in added:
-            for pod in self.pod_map.pods_of_route(flow.route):
-                shard = self._shard(pod)
-                shard.flows.add(flow.name)
-                shard.admits += 1
-        _telemetry.add("hierarchy.preload_flows", len(added))
+        _note_resolves(updated, evals)
+        _telemetry.add("hierarchy.preload_flows", len(flows))
         return HolisticResult(
             flow_results=dict(updated), iterations=rounds, converged=True
         )
@@ -799,9 +756,13 @@ class HierarchicalAdmissionController:
     # State export / restore (service snapshots and recovery)
     # ------------------------------------------------------------------
     def export_state(self) -> tuple[tuple[Flow, ...], dict]:
-        """Converged state: ``(admitted flows, jitter-table entries)``,
-        in the layout of
-        :meth:`~repro.core.admission.AdmissionController.export_state`."""
+        """Converged state: ``(admitted flows, jitter-table entries)``.
+
+        The jitter entries are the explicit, converged
+        ``(flow name, resource) -> per-frame jitters`` mapping of the
+        admitted set: what :meth:`restore` needs to rebuild an
+        equivalent controller without re-admitting flow by flow.
+        """
         return self.admitted_flows, self.jitter_snapshot()
 
     @classmethod
@@ -813,69 +774,34 @@ class HierarchicalAdmissionController:
         flows: Sequence[Flow],
         jitters: Mapping | None = None,
         retained_flows: int = 256,
-    ) -> "HierarchicalAdmissionController":
+    ) -> "AdmissionController":
         """Rebuild a controller from :meth:`export_state` output.
 
         The exported table seeds one solve over the whole set (a
-        :meth:`preload`), exactly as
-        :meth:`~repro.core.admission.AdmissionController.restore` seeds
-        one holistic analysis: the monotone iteration confirms the
-        converged entries in one round.  The restored controller holds
-        the exporter's admitted set, table and bounds, so its later
+        :meth:`preload`): the monotone iteration confirms the converged
+        entries in one round.  The restored controller holds the
+        exporter's admitted set, table and bounds, so its later
         decisions are the exporter's.
         """
         ctrl = cls(network, options, retained_flows=retained_flows)
         ctrl.preload(flows, jitters=jitters)
         return ctrl
 
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Hierarchy snapshot: pod shards and core boundary envelopes."""
-        pods = {
-            shard.pod: {
-                "flows": len(shard.flows),
-                "admits": shard.admits,
-                "releases": shard.releases,
-                "resolves": shard.resolves,
-            }
-            for shard in sorted(
-                self._shards.values(), key=lambda s: s.pod
-            )
-        }
-        boundary = {}
-        for n1, n2 in sorted(self._ctx._link_index):
-            if self._ctx._link_index[(n1, n2)] and self.pod_map.is_boundary_link(n1, n2):
-                boundary[f"{n1}->{n2}"] = self._envelopes.link_utilization(
-                    n1, n2
-                )
-        return {
-            "flows": len(self._ctx.flows),
-            "pods": pods,
-            "boundary_utilization": boundary,
-        }
-
     def _note_invalidations(self, flow: Flow) -> None:
         dropped = self._envelopes.invalidate_route(flow)
         if dropped:
             _telemetry.add("hierarchy.envelope_invalidations", dropped)
 
-    def _note_pods(
-        self, updated: Mapping[str, FlowResult], evals: int
-    ) -> None:
-        """Attribute re-analysis work to pod shards (telemetry)."""
-        touched: set[str] = set()
-        for name in updated:
-            f = self._ctx._by_name.get(name)
-            if f is None:
-                continue  # the candidate, already withdrawn
-            pods = self.pod_map.pods_of_route(f.route)
-            touched.update(pods)
-            for pod in pods:
-                self._shard(pod).resolves += 1
-        reg = _telemetry.REGISTRY
-        if reg is not None:
-            reg.add("hierarchy.pod_resolves", float(len(touched)))
-            reg.add("hierarchy.flow_resolves", float(evals))
-            reg.add("hierarchy.changed_set", float(len(updated)))
+
+def _note_resolves(updated: Mapping[str, FlowResult], evals: int) -> None:
+    """Count a solve's flow evaluations and changed set (telemetry)."""
+    reg = _telemetry.REGISTRY
+    if reg is not None:
+        reg.add("hierarchy.flow_resolves", float(evals))
+        reg.add("hierarchy.changed_set", float(len(updated)))
+
+
+#: The engine's former name, which the benchmark's span wrappers and
+#: in-process workload (``perfbench/spans.py``, ``perfbench/inproc.py``)
+#: still look up.
+HierarchicalAdmissionController = AdmissionController

@@ -3,7 +3,8 @@
 The Fig. 6 pipeline produces, per frame of a flow, a sequence of
 per-resource *stage* results whose responses sum (together with the
 source jitter) to the end-to-end bound ``R_i^k``; the holistic iteration
-wraps those per-flow results with convergence metadata.
+wraps those per-flow results with convergence metadata, and an
+admission decision wraps the results it re-solved with its verdict.
 """
 
 from __future__ import annotations
@@ -168,3 +169,42 @@ class HolisticResult:
             (name, r.worst_response, r.worst_slack, r.schedulable)
             for name, r in sorted(self.flow_results.items())
         ]
+
+
+@dataclass(frozen=True)
+class AdmissionDecision:
+    """Outcome of an admission request.
+
+    Attributes
+    ----------
+    accepted:
+        True when the candidate flow was admitted.
+    reason:
+        Human-readable explanation (which flow/frame would miss, or
+        divergence).
+    analysis:
+        The results of the flows the decision re-solved: the candidate
+        and every flow whose analysis it could change (its changed
+        set), accepted or not.  Flows outside the changed set kept
+        their bounds; the controller's ``last_analysis`` holds the
+        whole admitted set.  ``None`` when the utilisation pre-check
+        rejected the request before any response-time analysis ran.
+    """
+
+    accepted: bool
+    reason: str
+    analysis: HolisticResult | None
+
+
+def first_violation(results: Mapping[str, FlowResult]) -> str | None:
+    """Why a converged analysis rejects: the first (by flow name) frame
+    whose bound exceeds its deadline, or ``None`` when all are met."""
+    for name, result in sorted(results.items()):
+        for frame in result.frames:
+            if not frame.schedulable:
+                return (
+                    f"flow {name!r} frame {frame.frame}: bound "
+                    f"{frame.response:.6g}s exceeds deadline "
+                    f"{frame.deadline:.6g}s"
+                )
+    return None

@@ -1,10 +1,10 @@
-"""Experiment harness: regenerates every table/figure of EXPERIMENTS.md.
+"""Experiment harness: regenerates every reproduced table and figure.
 
 Each module exposes a ``run_*`` function returning a structured result
 with a ``render()`` method producing the ASCII table the benchmarks and
 ``python -m repro.experiments.runner`` print.
 
-Index (see DESIGN.md Sec. 4):
+Index:
 
 ========  ==========================================================
 E1        Fig. 3/4 worked example (per-frame C, CSUM/NSUM/TSUM)

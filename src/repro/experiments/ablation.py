@@ -1,6 +1,8 @@
 """E8: ablations of the documented reconstruction choices.
 
-Two switches are ablated (DESIGN.md OCR table):
+Two switches are ablated (the OCR and reconstruction notes of
+:mod:`repro.core.packetization`, :mod:`repro.core.switch_ingress` and
+:mod:`repro.core.switch_egress` say what the corrected model changes):
 
 * ``strict_paper`` — the equations exactly as printed (remainder
   fragments without IP header / minimum padding; single-Ethernet-frame

@@ -5,7 +5,7 @@ E1 reproduces Fig. 3/4: the MPEG IBBPBBPBB stream on
 times ``C_i^k``, Ethernet-frame counts, and the cycle sums
 ``CSUM/NSUM/TSUM``.  The paper's recoverable value ``TSUM = 270 ms`` is
 asserted exactly; per-frame byte sizes of Fig. 4 are not recoverable
-from the scan (DESIGN.md), so the canonical MPEG sizes of
+from the scan, so the canonical MPEG sizes of
 :mod:`repro.workloads.mpeg` are used and reported.
 
 E2 reproduces the CIRC arithmetic: the 4-interface example switch

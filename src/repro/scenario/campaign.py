@@ -15,10 +15,8 @@ run through one or more *actions*:
 * ``validate`` — analysis vs both simulator modes, per (flow, frame),
   with the simulations drawn through the same batched cache;
 * ``admit``    — sequential admission of the flows, then the churn
-  sequence, through :class:`~repro.core.admission.AdmissionController`;
-* ``admit-hierarchical`` — the same storyline (same decisions, same
-  payload) through the datacenter-scale
-  :class:`~repro.core.hierarchy.HierarchicalAdmissionController`.
+  sequence, through :class:`~repro.core.admission.AdmissionController`
+  (``admit-hierarchical``, a removed action name, resolves to it).
 
 :class:`CampaignRunner` executes the cross product deterministically:
 results come back as ordered :class:`CampaignResult` rows whose
@@ -218,27 +216,6 @@ def action_validate(
 def action_admit(scenario: Scenario) -> dict[str, Any]:
     """Sequential admission of the base flows, then the churn events."""
     ctrl = AdmissionController(scenario.network, scenario.options)
-    return _admit_storyline(ctrl, scenario)
-
-
-def action_admit_hierarchical(scenario: Scenario) -> dict[str, Any]:
-    """The ``admit`` storyline through the hierarchical controller.
-
-    Same decisions and payload as ``admit`` (the hierarchical path is
-    bit-identical by construction — ``tests/test_hierarchy.py``), but
-    each decision costs only the candidate's interference closure; this
-    is the action datacenter-scale churn campaigns use, and what the CI
-    telemetry gate watches the ``hierarchy.*`` counters through.
-    """
-    from repro.core.hierarchy import HierarchicalAdmissionController
-
-    ctrl = HierarchicalAdmissionController(
-        scenario.network, scenario.options
-    )
-    return _admit_storyline(ctrl, scenario)
-
-
-def _admit_storyline(ctrl, scenario: Scenario) -> dict[str, Any]:
     admitted: set[str] = set()
     steps: list[dict[str, Any]] = []
 
@@ -286,8 +263,11 @@ ACTIONS: dict[str, Callable[[Scenario], dict[str, Any]]] = {
     "simulate-batched": action_simulate_batched,
     "validate": action_validate,
     "admit": action_admit,
-    "admit-hierarchical": action_admit_hierarchical,
 }
+
+#: Removed action names that still resolve (campaign files and command
+#: lines that name them keep running).
+_MERGED_ACTIONS = {"admit-hierarchical": "admit"}
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +326,7 @@ def _resolve_action(
             getattr(action, "func", None), "__name__", "custom"
         )
         return str(name), action
+    action = _MERGED_ACTIONS.get(action, action)
     try:
         return action, ACTIONS[action]
     except KeyError:

@@ -2,8 +2,8 @@
 
 The paper's closing claim — the holistic analysis "forms an admission
 controller" (Sec. 3.5) — made concrete as a production-shaped serving
-layer on top of the incremental controller of
-:mod:`repro.core.hierarchy`:
+layer on top of the incremental
+:class:`~repro.core.admission.AdmissionController`:
 
 * :mod:`repro.service.protocol` — versioned JSON-lines request protocol
   (admit / release / query / stats / snapshot / metrics / health) with
@@ -12,7 +12,7 @@ layer on top of the incremental controller of
   one engine per server, inline or in a worker process, with in-order
   micro-batches and a supervisor that respawns a dead worker and
   restores its exact state from a baseline snapshot plus a bounded op
-  journal — every decision equals the serial controller's;
+  journal — every decision equals a fresh in-process engine's;
 * :mod:`repro.service.server` — the asyncio TCP front end
   (``repro.cli serve``) with load shedding, deadline enforcement and
   server-side idempotency dedup;

@@ -25,10 +25,10 @@ A trace serialises to a JSON-lines *request log* in which every line is
 a valid :mod:`repro.service.protocol` request — a saved trace can be
 piped to a live server verbatim.  :func:`replay_service` drives a
 :class:`~repro.service.sharding.ShardedAdmissionService` in micro-
-batches, :func:`replay_serial` drives a plain
-:class:`~repro.core.admission.AdmissionController` with identical op
-semantics (the parity reference), and :func:`replay_tcp` drives a live
-server over the wire.
+batches, :func:`replay_serial` feeds the same ops one at a time to a
+fresh in-process :class:`~repro.core.admission.AdmissionController`
+(the parity reference for batching, worker backends, recovery and the
+wire), and :func:`replay_tcp` drives a live server over the wire.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from repro.service.protocol import (
     request_to_dict,
 )
 from repro.service.retry import RetryPolicy, connect_with_backoff
+from repro.service.sharding import _apply_op, _engine_op
 from repro.telemetry import tracing as _tracing
 
 ARRIVALS = ("poisson", "burst", "recorded")
@@ -307,35 +308,15 @@ def replay_serial(
     trace: ReplayTrace,
     options: AnalysisOptions | None = None,
 ) -> ReplaySummary:
-    """Drive a plain serial controller with identical op semantics.
+    """Feed the trace one op at a time to a fresh in-process engine.
 
-    This is the parity reference: the service must reproduce these
-    decisions bit for bit.
+    This is the parity reference: each request runs through the
+    service's own op function, with no batching, worker or wire, and
+    the service must reproduce these decisions bit for bit.
     """
     ctrl = AdmissionController(network, options)
-    payloads: list[Mapping[str, Any]] = []
     start = time.perf_counter()
-    for req in trace.requests:
-        try:
-            if req.op == "admit":
-                d = ctrl.request(req.flow)
-                payloads.append({"accepted": d.accepted, "reason": d.reason})
-            elif req.op == "release":
-                ctrl.release(req.flow_name)
-                payloads.append({"released": True})
-            elif req.op == "query":
-                payloads.append(
-                    {
-                        "admitted": any(
-                            f.name == req.flow_name
-                            for f in ctrl.admitted_flows
-                        )
-                    }
-                )
-            else:
-                payloads.append({"error": f"op {req.op!r} not replayable"})
-        except (KeyError, ValueError) as exc:
-            payloads.append({"error": str(exc)})
+    payloads = [_apply_op(ctrl, _engine_op(req)) for req in trace.requests]
     return _summarize(trace, payloads, time.perf_counter() - start)
 
 

@@ -1,18 +1,16 @@
 """Online admission control behind one request interface.
 
 The service runs one engine,
-:class:`~repro.core.hierarchy.HierarchicalAdmissionController`: it keeps
-its analysis state between requests, so an admit re-solves only the
-flows the candidate interferes with and a release only the jitter
-entries the released flow can lower.  Its decisions, jitter tables and
-bounds are bit-identical to those of the serial
-:class:`~repro.core.admission.AdmissionController`, which re-runs the
-holistic analysis over the whole admitted set per request and remains
-the parity reference (:func:`~repro.service.replay.replay_serial`).
-Every admit is therefore decided against the holistic fixed point of
-the whole admitted set (Sec. 3.5 of the paper), and every served
-decision, reason, release outcome and queried bound equals the serial
-controller's.
+:class:`~repro.core.admission.AdmissionController`: it keeps its
+analysis state between requests, so an admit re-solves only the flows
+the candidate interferes with and a release only the jitter entries the
+released flow can lower.  Its decisions, jitter tables and bounds are
+bit-identical to a from-scratch analysis of the admitted set, so every
+admit is decided against the holistic fixed point of the whole admitted
+set (Sec. 3.5 of the paper).  Batching, worker backends, recovery and
+the wire leave the answers alone: every served decision, reason,
+release outcome and queried bound equals that of a fresh in-process
+engine fed the same ops (:func:`~repro.service.replay.replay_serial`).
 
 The engine runs inline, in the service's process, or (``workers=True``)
 in one supervised worker process.  The backend names keep their shard
@@ -67,8 +65,8 @@ from typing import Any, Mapping, Sequence
 
 from repro import telemetry as _telemetry
 from repro.telemetry import tracing as _tracing
+from repro.core.admission import AdmissionController
 from repro.core.context import AnalysisOptions
-from repro.core.hierarchy import HierarchicalAdmissionController
 from repro.model.flow import Flow
 from repro.model.network import Network
 from repro.service.faults import FaultPlan, FaultSpec, WorkerFaults
@@ -89,7 +87,7 @@ ShardOp = tuple
 
 
 def _apply_op(
-    ctrl: HierarchicalAdmissionController, op: ShardOp, shard_id: int = 0
+    ctrl: AdmissionController, op: ShardOp, shard_id: int = 0
 ) -> dict[str, Any]:
     """Execute one op on a shard's controller; errors become payloads
     (a shard worker must survive bad requests)."""
@@ -122,7 +120,7 @@ def _apply_op(
 
 
 def _apply_traced(
-    ctrl: HierarchicalAdmissionController,
+    ctrl: AdmissionController,
     op: ShardOp,
     shard_id: int,
     ctx: Mapping[str, Any] | None,
@@ -147,7 +145,7 @@ class _InlineShard:
         shard_id: int = 0,
     ):
         self.shard_id = shard_id
-        self._ctrl = HierarchicalAdmissionController(network, options)
+        self._ctrl = AdmissionController(network, options)
 
     def run_batch(
         self,
@@ -165,7 +163,7 @@ class _InlineShard:
         return self._ctrl.export_state()
 
     def restore(self, flows: Sequence[Flow], jitters: Mapping) -> None:
-        self._ctrl = HierarchicalAdmissionController.restore(
+        self._ctrl = AdmissionController.restore(
             self._ctrl.network,
             self._ctrl.options,
             flows=flows,
@@ -246,7 +244,7 @@ def _shard_worker(
         _tracing.enable_tracing(
             _tracing.Tracer(proc=f"shard{shard_id}", incarnation=incarnation)
         )
-    ctrl = HierarchicalAdmissionController(network, options)
+    ctrl = AdmissionController(network, options)
     injected = WorkerFaults(faults) if faults else None
     n_ops = 0
     while True:
@@ -283,7 +281,7 @@ def _shard_worker(
             tr = _tracing.TRACER
             conn.send(tr.drain() if tr is not None else None)
         elif kind == "restore":
-            ctrl = HierarchicalAdmissionController.restore(
+            ctrl = AdmissionController.restore(
                 network, options, flows=msg[1], jitters=msg[2]
             )
             conn.send(True)

@@ -1,8 +1,8 @@
 """Discrete-event simulator of the multihop software-switched network.
 
 The paper's evaluation platform is a physical Click-based switch; this
-simulator is the documented substitution (DESIGN.md): it executes the
-same queueing and scheduling mechanisms the analysis models —
+simulator stands in for it: it executes the same queueing and
+scheduling mechanisms the analysis models —
 
 * sources releasing GMF frame sequences (with generalized jitter) into
   work-conserving output queues,

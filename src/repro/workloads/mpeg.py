@@ -6,9 +6,9 @@ Fig. 3), then the stream alternates B/P frames every frame time (30 ms
 in the figure).  Frame sizes differ wildly between I, P and B frames —
 exactly what the GMF model expresses and the sporadic model cannot.
 
-The scan of the paper does not preserve Fig. 4's per-frame byte sizes
-(DESIGN.md), so :func:`paper_fig3_spec` uses canonical MPEG-1 frame
-sizes documented below; the recoverable values (``TSUM = 270 ms`` for
+The scan of the paper does not preserve Fig. 4's per-frame byte sizes,
+so :func:`paper_fig3_spec` uses canonical MPEG-1 frame sizes
+documented below; the recoverable values (``TSUM = 270 ms`` for
 the 9-frame GoP at 30 ms) are matched exactly.
 """
 

@@ -156,10 +156,9 @@ def multi_pod_fat_tree_network(
     """A three-tier datacenter fabric: pods of leaf/agg switches under a
     shared core tier.
 
-    Node naming is load-bearing: the hierarchical admission layer
-    (``core/hierarchy.py``) classifies nodes into pods by the ``p{i}_``
-    prefix, and routes can be built from names alone (no graph search —
-    essential when generating 10^5 flows; see :func:`multi_pod_route`):
+    Node naming is load-bearing: routes can be built from names alone
+    (no graph search — essential when generating 10^5 flows; see
+    :func:`multi_pod_route`):
 
     * ``core{c}`` — core switches, shared by all pods;
     * ``p{i}_agg{a}`` — pod ``i``'s aggregation switches, each linked

@@ -1,13 +1,15 @@
-"""Test oracle: the seed analysis engine, controller and simulator.
+"""Test oracle: the seed analysis engine, controllers and simulator.
 
 Production (``src/repro``) has one path per layer, built for speed:
 certified-floor fixed points, the holistic worklist, the per-stage
 memo (entries valid while their stage keeps the participants they
 were recorded over) and its verified reuse of stored fixed points
 under grown inputs, flat per-link demand arrays with fused scalar
-kernels, the admission pre-check and warm starts, and the simulator's
-precomputed injection with flat accounting.
-This module keeps the plain implementations the seed shipped, so the
+kernels, the incremental admission engine (route pre-check, changed-set
+solves, cone releases), and the simulator's precomputed injection with
+flat accounting.
+This module keeps the plain implementations the seed shipped, plus one
+admission reference built on the production analysis, so the
 equivalence suites can compare the two with ``==`` on floats:
 
 * :class:`OracleContext` — per-flow demand objects summed one flow at a
@@ -21,6 +23,10 @@ equivalence suites can compare the two with ``==`` on floats:
   snapshot and the table agree within the tolerance;
 * :class:`ColdAdmissionController` — re-analyses each tentative set
   from scratch: no utilisation pre-check, no warm start, no caches;
+* :class:`SerialAdmissionController` — the production holistic
+  analysis over each whole tentative set, warm from the admitted set's
+  table: the engine's decision reference where the seed engine is too
+  slow (diverging rejects on rings);
 * :class:`ReferenceSimulator` / :func:`simulate` — one scheduled event
   per fragment release and per-delivery updates of record objects, on
   switches whose rotation-mode processors schedule every slot as an
@@ -40,12 +46,12 @@ import itertools
 import math
 from typing import Mapping, Sequence
 
-from repro.core.admission import AdmissionDecision
+from repro.core import holistic as production
 from repro.core.context import AnalysisContext, AnalysisOptions
 from repro.core.holistic import JITTER_TOLERANCE
 from repro.core.packetization import packetize
 from repro.core.pipeline import analyze_flow
-from repro.core.results import FlowResult, HolisticResult
+from repro.core.results import AdmissionDecision, FlowResult, HolisticResult
 from repro.model.flow import Flow
 from repro.model.network import Network
 from repro.sim.release import EagerRelease, SpreadJitterPolicy
@@ -192,6 +198,66 @@ class ColdAdmissionController:
         self.last_analysis = analysis
         return AdmissionDecision(
             accepted=True, reason="all deadlines met", analysis=analysis
+        )
+
+
+class SerialAdmissionController:
+    """Admission by re-running the production holistic analysis over the
+    whole tentative set.
+
+    An admit seeds the tentative table with the admitted set's converged
+    entries (``JitterTable.seed``): adding a flow only raises the least
+    fixed point, so the monotone iteration still reaches it.  A release
+    re-analyses the remaining set cold, since removing a flow lowers the
+    fixed point.  There is no utilisation pre-check, nothing is reused
+    between requests but that table, and the verdict reads the frames'
+    ``schedulable`` flags, not the engine's rejection reason.
+    """
+
+    def __init__(
+        self, network: Network, options: AnalysisOptions | None = None
+    ):
+        self.network = network
+        self.options = options or AnalysisOptions()
+        self._flows: list[Flow] = []
+        self._table: dict = {}
+        self.last_analysis: HolisticResult | None = None
+
+    @property
+    def admitted_flows(self) -> tuple[Flow, ...]:
+        return tuple(self._flows)
+
+    def _analyse(
+        self, flows: list[Flow], table: Mapping
+    ) -> tuple[HolisticResult, dict]:
+        """The analysis of ``flows`` from ``table`` and its final table."""
+        ctx = AnalysisContext(self.network, flows, self.options)
+        ctx.jitters.seed(table)
+        analysis = production.holistic_analysis(
+            self.network, flows, self.options, context=ctx
+        )
+        return analysis, ctx.jitters.snapshot()
+
+    def request(self, flow: Flow) -> AdmissionDecision:
+        tentative = [*self._flows, flow]
+        analysis, table = self._analyse(tentative, self._table)
+        if not analysis.schedulable:
+            return AdmissionDecision(
+                accepted=False, reason="unschedulable", analysis=analysis
+            )
+        self._flows, self._table = tentative, table
+        self.last_analysis = analysis
+        return AdmissionDecision(
+            accepted=True, reason="all deadlines met", analysis=analysis
+        )
+
+    def release(self, flow_name: str) -> None:
+        remaining = [f for f in self._flows if f.name != flow_name]
+        if len(remaining) == len(self._flows):
+            raise KeyError(f"flow {flow_name!r} is not admitted")
+        self._flows = remaining
+        self.last_analysis, self._table = (
+            self._analyse(remaining, {}) if remaining else (None, {})
         )
 
 

@@ -1,4 +1,6 @@
-"""Admission controller (Sec. 3.5's closing paragraph)."""
+"""Admission controller (Sec. 3.5's closing paragraph): the API of the
+one engine, with the oracle's cold controller as the reference for the
+fast reject."""
 
 import pytest
 

@@ -259,7 +259,8 @@ class TestHypothesisCrossCheck:
 
 
 class TestMxWork:
-    """The uncapped arrival-work bound (corrected Eq. 11; DESIGN.md)."""
+    """The uncapped arrival-work bound (corrected Eq. 11; the
+    :meth:`~repro.core.demand.LinkDemand.mx_work` docstring says why)."""
 
     def test_positive_at_zero(self, video_demand):
         """A right-closed zero-length window contains one arrival."""

@@ -6,7 +6,9 @@ holistic worklist, the per-stage input memo with its verified reuse of
 stored fixed points, and stage interference sets gathered from flat
 per-link demand arrays (fused scalar kernels, vectorised for stages
 with many interferers); the admission controller adds a utilisation
-pre-check, shared demand profiles and warm-started jitter tables.  The
+pre-check on the candidate's route, re-solves only the changed set,
+warm from the admitted set's table, and resets only a released flow's
+cone.  The
 floor never lifts an iterate past the least fixed point, the worklist
 skips only flows that would reproduce their result bit for bit, the
 memo replays a stage only over the participants it was recorded over,
@@ -210,10 +212,11 @@ def test_dense_stages_match_seed_engine(strict, monkeypatch):
 def test_admission_decisions_match_seed_engine(seed, utilization):
     """The production controller and the oracle's cold controller agree.
 
-    Production uses its utilisation pre-check, shared demand cache and
-    warm-started jitter tables; the oracle re-analyses every tentative
-    set from scratch with the seed engine.  Decisions, final admitted
-    sets and all *converged* response bounds must coincide.  A
+    Production uses its route pre-check and re-solves only the changed
+    set, warm from the admitted set's table (``dp.analysis`` holds just
+    those flows); the oracle re-analyses every tentative set from
+    scratch with the seed engine.  Decisions, final admitted sets and
+    all *converged* response bounds must coincide.  A
     pre-check rejection carries no analysis; the oracle's full analysis
     of the same set must then diverge.  Exemptions: round counts may
     differ (warm starts converge in fewer holistic rounds), and when a
@@ -263,9 +266,10 @@ def test_release_then_readmit_matches_from_scratch(seed):
     """Churn equivalence: release + re-admit == analysing the final set.
 
     After admitting N flows, releasing one and re-admitting it, the
-    controller's cached state (shared demand profiles, warm-started
-    jitters) must yield exactly the bounds the oracle's from-scratch
-    analysis of the same final flow set produces.
+    controller's incremental state (retired demand profiles, the cone
+    reset of the release, the warm admit) must yield exactly the bounds
+    the oracle's from-scratch analysis of the same final flow set
+    produces.
     """
     net = line_network(3, hosts_per_switch=4, speed_bps=mbps(1000))
     flows = random_flow_set(

@@ -1,21 +1,24 @@
-"""Hierarchical admission (core/hierarchy.py): exactness under churn.
+"""The admission engine (core/hierarchy.py): exactness under churn.
 
-The controller's claim is strong: an admit costs only the candidate's
+The engine's claim is strong: an admit costs only the candidate's
 interference closure and a release only the cone of jitter entries the
-released flow can lower, yet the controller's state — decisions,
-per-flow bounds, the whole jitter table — is **byte identical** to what
-a from-scratch analysis of the live flow set by the seed engine of
-``tests/oracle.py`` would produce, after *every* step of *any*
-interleaving of admits and releases, on fat trees (acyclic channel
-dependencies) and on rings (cyclic ones).  These tests are the
-executable form of that claim, plus the structural pieces: pod
-classification, demand envelopes, preload-vs-sequential equivalence,
-release work bounded by the cone, admit work confined to the stages
-the candidate enters (the stage memo's participant guard, asserted
-where its verified reuse starts), two pinned ring releases that a warm
-restart gets wrong, and the agreement of the hierarchical controller
-(flat demand arrays), the serial controller and the oracle's cold
-controller (per-flow demand objects) that the CI ``scaling-smoke`` job
+released flow can lower, yet its state — decisions, per-flow bounds,
+the whole jitter table — is **byte identical** to what a from-scratch
+analysis of the live flow set by the seed engine of ``tests/oracle.py``
+would produce, after *every* step of *any* interleaving of admits and
+releases, on fat trees (acyclic channel dependencies) and on rings
+(cyclic ones).  Every decision is checked against the oracle's
+:class:`~oracle.SerialAdmissionController`, which re-runs the
+production analysis over the whole tentative set: a table check alone
+cannot catch a wrong reject, because a rejected candidate leaves no
+trace.  These tests are the executable form of that claim, plus the
+structural pieces: the route pre-check, preload-vs-sequential
+equivalence, release work bounded by the cone, admit work confined to
+the stages the candidate enters (the stage memo's participant guard,
+asserted where its verified reuse starts), two pinned ring releases
+that a warm restart gets wrong, and the agreement of the engine (flat
+demand arrays), the serial reference and the oracle's cold controller
+(per-flow demand objects) that the CI ``scaling-smoke`` job
 re-asserts, against a from-scratch analysis, at 10^4 flows.
 """
 
@@ -28,16 +31,12 @@ from repro import telemetry
 from repro.core import pipeline
 from repro.core.admission import AdmissionController
 from repro.core.context import AnalysisOptions
-from repro.core.hierarchy import HierarchicalAdmissionController, PodMap
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
 from repro.model.network import Network
 from repro.scenario.families import _MICE_SPEC, datacenter_flows
 from repro.util.units import mbps, ms
-from repro.workloads.topologies import (
-    multi_pod_fat_tree_network,
-    multi_pod_route,
-)
+from repro.workloads.topologies import multi_pod_route
 
 
 def _small_scenario(seed=0, *, speed=mbps(1000), n_mice=16):
@@ -138,28 +137,15 @@ def _assert_results_equal(got, want):
 
 
 # ----------------------------------------------------------------------
-# Pod classification and envelopes
+# Envelopes
 # ----------------------------------------------------------------------
-def test_pod_map_inference():
-    net = multi_pod_fat_tree_network(
-        pods=2, aggs_per_pod=1, leaves_per_pod=2, hosts_per_leaf=2, cores=1
-    )
-    pods = PodMap.from_network(net)
-    assert pods.pod_of("p0_leaf1") == "p0"
-    assert pods.pod_of("p1_h0_1") == "p1"
-    assert pods.pod_of("core0") == "core"
-    route = multi_pod_route("p0_h0_0", "p1_h1_1")
-    assert pods.pods_of_route(route) == ("p0", "p1")
-    assert pods.is_boundary_link("p0_agg0", "core0")
-    assert not pods.is_boundary_link("p0_h0_0", "p0_leaf0")
-
-
 def test_envelope_fast_reject_matches_reference():
     """A flow failing the necessary utilisation condition is rejected by
-    both controllers without running the holistic analysis."""
+    the engine without running the holistic analysis; the reference,
+    which has no pre-check, runs it and sees it diverge."""
     net, flows = _small_scenario()
-    hier = HierarchicalAdmissionController(net, AnalysisOptions())
-    ref = AdmissionController(net, AnalysisOptions())
+    hier = AdmissionController(net, AnalysisOptions())
+    ref = oracle.SerialAdmissionController(net, AnalysisOptions())
     hog = Flow(
         name="hog",
         spec=GmfSpec(
@@ -173,7 +159,7 @@ def test_envelope_fast_reject_matches_reference():
     )
     dh, dr = hier.request(hog), ref.request(hog)
     assert not dh.accepted and not dr.accepted
-    assert dh.analysis is None and dr.analysis is None
+    assert dh.analysis is None and not dr.analysis.converged
     assert "utilisation" in dh.reason
     # The rejected candidate left no trace: the next admit still works.
     probe = flows[0]
@@ -188,11 +174,11 @@ def test_envelope_fast_reject_matches_reference():
     [0, 1, 2, "ring3", "ring4", "ring5", "ring3-35", "ring4-4", "ring5-20", "ring4-55"],
 )
 def test_interleaving_matches_from_scratch_after_every_step(case):
-    """Decisions match the reference controller and the jitter table and
-    bounds match a from-scratch analysis after **every** step.  Integer
-    cases are 2-pod fat trees seeded with that number; ``ring<n>`` is
-    :func:`_ring_scenario` on ``n`` switches, seeded 0 or with the
-    ``-<seed>`` suffix.
+    """Decisions match the oracle's serial controller and the jitter
+    table and bounds match a from-scratch analysis after **every**
+    step.  Integer cases are 2-pod fat trees seeded with that number;
+    ``ring<n>`` is :func:`_ring_scenario` on ``n`` switches, seeded 0 or
+    with the ``-<seed>`` suffix.
 
     The seeded rings pin the stage memo's verified reuse
     (``core/pipeline.py``).  On ``ring3-35`` and ``ring4-4`` a stage's
@@ -216,8 +202,8 @@ def test_interleaving_matches_from_scratch_after_every_step(case):
         seed = int(suffix or 0)
         net, flows = _ring_scenario(int(ring[len("ring"):]), seed)
     options = AnalysisOptions()
-    hier = HierarchicalAdmissionController(net, options)
-    ref = AdmissionController(net, options)
+    hier = AdmissionController(net, options)
+    ref = oracle.SerialAdmissionController(net, options)
     rng = random.Random(seed)
     pending = list(flows)
     live: list[str] = []
@@ -287,7 +273,7 @@ def test_ring_release_matches_from_scratch(case):
     one a from-scratch analysis of the remaining flows finds."""
     n_switches, flows, released = _RING_RELEASES[case]
     net = _ring_network(n_switches)
-    hier = HierarchicalAdmissionController(net, AnalysisOptions())
+    hier = AdmissionController(net, AnalysisOptions())
     hier.preload(flows)
     hier.release(released)
     _assert_matches_from_scratch(hier, net, AnalysisOptions())
@@ -311,7 +297,7 @@ def test_release_work_is_bounded_by_the_cone():
         tenants=4,
         seed=0,
     )
-    hier = HierarchicalAdmissionController(net, AnalysisOptions())
+    hier = AdmissionController(net, AnalysisOptions())
     hier.preload(flows)
     rack_local = [f.name for f in flows if len(f.route) == 3][:5]
     assert len(rack_local) == 5
@@ -336,7 +322,7 @@ def test_admit_resolves_only_the_stages_it_enters(seed, monkeypatch):
     ``p0_leaf0`` reads the same flows and jitters as before and must be
     replayed from the memo, not solved again."""
     net, flows = _small_scenario(seed)
-    hier = HierarchicalAdmissionController(net, AnalysisOptions())
+    hier = AdmissionController(net, AnalysisOptions())
     hier.preload(flows)
     probe = Flow(
         name="probe",
@@ -398,7 +384,7 @@ def test_verified_reuse_sees_only_entries_over_current_participants(
 
     monkeypatch.setattr(pipeline, "_fixed_points_hold", guarded)
     net, flows = _small_scenario(4, speed=mbps(10), n_mice=24)
-    hier = HierarchicalAdmissionController(net, AnalysisOptions())
+    hier = AdmissionController(net, AnalysisOptions())
     decisions = [hier.request(f).accepted for f in flows]
     assert not all(decisions)  # the slow fabric rejects some
     hier.release(hier.admitted_flows[0].name)
@@ -407,9 +393,9 @@ def test_verified_reuse_sees_only_entries_over_current_participants(
 
 def test_preload_equals_sequential_admission():
     net, flows = _small_scenario(3)
-    pre = HierarchicalAdmissionController(net, AnalysisOptions())
+    pre = AdmissionController(net, AnalysisOptions())
     pre.preload(flows)
-    seq = HierarchicalAdmissionController(net, AnalysisOptions())
+    seq = AdmissionController(net, AnalysisOptions())
     for f in flows:
         assert seq.request(f).accepted, f.name
     assert [f.name for f in pre.admitted_flows] == [
@@ -420,15 +406,14 @@ def test_preload_equals_sequential_admission():
 
 
 def test_hierarchical_flat_reference_decisions_agree():
-    """The scaling-smoke assertion: the hierarchical controller (flat
-    demand arrays), the serial reference controller and the oracle's
-    cold controller (per-flow demand objects, no pre-check, no warm
-    start) make identical decisions, and the hierarchical bounds equal
-    the oracle's."""
+    """The scaling-smoke assertion: the engine (flat demand arrays), the
+    oracle's serial controller and its cold controller (per-flow demand
+    objects, no pre-check, no warm start) make identical decisions, and
+    the engine's bounds equal the cold controller's."""
     net, flows = _small_scenario(4, speed=mbps(10), n_mice=24)
     controllers = [
-        HierarchicalAdmissionController(net, AnalysisOptions()),
         AdmissionController(net, AnalysisOptions()),
+        oracle.SerialAdmissionController(net, AnalysisOptions()),
         oracle.ColdAdmissionController(net),
     ]
     rejected = 0
@@ -448,11 +433,11 @@ def test_hierarchical_flat_reference_decisions_agree():
 
 
 # ----------------------------------------------------------------------
-# API edges, stats, telemetry
+# API edges, reporting, telemetry
 # ----------------------------------------------------------------------
 def test_duplicate_admit_and_unknown_release_raise():
     net, flows = _small_scenario()
-    hier = HierarchicalAdmissionController(net, AnalysisOptions())
+    hier = AdmissionController(net, AnalysisOptions())
     assert hier.request(flows[0]).accepted
     with pytest.raises(ValueError, match="already admitted"):
         hier.request(flows[0])
@@ -463,20 +448,17 @@ def test_duplicate_admit_and_unknown_release_raise():
 def test_stats_and_telemetry_counters():
     net, flows = _small_scenario()
     with telemetry.capture() as reg:
-        hier = HierarchicalAdmissionController(net, AnalysisOptions())
+        hier = AdmissionController(net, AnalysisOptions())
         for f in flows:
             hier.request(f)
         hier.release(flows[0].name)
-    stats = hier.stats()
-    assert stats["flows"] == len(hier.admitted_flows)
-    assert set(stats["pods"]) <= {"p0", "p1", "core"}
-    assert all(
-        shard["resolves"] >= shard["admits"]
-        for shard in stats["pods"].values()
-    )
+    analysis = hier.last_analysis
+    assert set(analysis.flow_results) == {
+        f.name for f in hier.admitted_flows
+    }
+    assert analysis.schedulable
     counters = reg.snapshot()["counters"]
     assert counters["admission.requests"] == len(flows)
-    assert counters["hierarchy.pod_resolves"] > 0
     assert counters["hierarchy.flow_resolves"] > 0
     assert counters["hierarchy.changed_set"] > 0
     assert counters["hierarchy.releases"] == 1

@@ -304,7 +304,12 @@ class TestCampaignRunner:
 
     def test_admit_action_runs_churn(self):
         sc = build_scenario("voip-churn", n_calls=6, release_every=2)
-        (row,) = CampaignRunner(actions=("admit",)).run([sc])
+        # The removed action name still runs, as ``admit``.
+        row, merged = CampaignRunner(
+            actions=("admit", "admit-hierarchical")
+        ).run([sc])
+        assert merged.action == "admit"
+        assert merged.payload == row.payload
         assert row.payload["offered"] == 6
         releases = [
             s for s in row.payload["steps"] if s["event"] == "release"
@@ -326,7 +331,6 @@ class TestCampaignRunner:
             "simulate-batched",
             "validate",
             "admit",
-            "admit-hierarchical",
         }
 
     def test_jobs_validation(self):

@@ -6,8 +6,8 @@ import json
 import pytest
 
 import oracle
-from repro.core.admission import AdmissionController, first_violation
-from repro.core.hierarchy import HierarchicalAdmissionController
+from repro.core.admission import AdmissionController
+from repro.core.results import first_violation
 from repro.io import ScenarioError
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
@@ -101,7 +101,9 @@ def with_status_queries(requests):
 
 
 def serial_payloads(network, options, requests):
-    """The serial controller's answers, with the service's op semantics."""
+    """A fresh in-process engine's answers, one request at a time, with
+    the service's op semantics: the reference for the service plumbing
+    (batching, backends, the wire), which must not change an answer."""
     ctrl = AdmissionController(network, options)
     out = []
     for req in requests:
@@ -127,7 +129,7 @@ def serial_payloads(network, options, requests):
 
 
 def reject_case(kind):
-    """A request stream, status queries included, whose serial answers
+    """A request stream, status queries included, whose in-process answers
     reject an admit by ``kind``: the utilisation pre-check, a missed
     deadline, a diverging holistic iteration, or request errors."""
     if kind == "errors":
@@ -171,7 +173,7 @@ def reject_case(kind):
 
 
 def decision_fields(req, payload):
-    """The parts of a served payload the serial controller also gives."""
+    """The parts of a served payload :func:`serial_payloads` also gives."""
     if "error" in payload:
         return {"error": payload["error"]}
     keys = {
@@ -216,7 +218,7 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# Decision parity with the serial controller
+# Decision parity with a fresh in-process engine
 # ----------------------------------------------------------------------
 class TestParity:
     def test_single_shard_trace_matches_serial(self):
@@ -256,8 +258,9 @@ class TestParity:
     )
     def test_served_payloads_equal_serial(self, kind, marker, workers):
         # Every admit decision and reason, release outcome, queried
-        # bound and error message the service serves equals the serial
-        # controller's, floats compared with ==.
+        # bound and error message the service serves equals that of a
+        # fresh in-process engine fed one request at a time, floats
+        # compared with ==.
         sc, requests = reject_case(kind)
         want = serial_payloads(sc.network, sc.options, requests)
         assert any(
@@ -274,7 +277,7 @@ class TestParity:
     def test_rejected_admit_can_be_reoffered_within_one_batch(self):
         # A name whose admit was rejected is free again; retrying it in
         # the same batch must yield a fresh decision, exactly as two
-        # separate batches (and the serial controller) would.
+        # separate batches (and a fresh in-process engine) would.
         sc = saturating_scenario()
         hog = call_flow("hog", ("h0", "sw", "h1"), payload=2_500_000)
         retry = [
@@ -469,29 +472,23 @@ class TestSnapshotRestore:
         with pytest.raises(Exception, match="not a service-state"):
             service_state_from_dict(doc)
 
-    @pytest.mark.parametrize(
-        "controller",
-        [AdmissionController, HierarchicalAdmissionController],
-        ids=["serial", "incremental"],
-    )
-    def test_controller_restore_matches_original(self, controller):
+    def test_controller_restore_matches_original(self):
         sc = saturating_scenario()
-        ctrl = controller(sc.network)
+        ctrl = AdmissionController(sc.network)
         for f in sc.flows[:3]:
             ctrl.request(f)
         flows, jitters = ctrl.export_state()
-        restored = controller.restore(
+        restored = AdmissionController.restore(
             sc.network, flows=flows, jitters=jitters
         )
-        if controller is HierarchicalAdmissionController:
-            assert restored.jitter_snapshot() == ctrl.jitter_snapshot()
-            assert {
-                name: [fr.response for fr in result.frames]
-                for name, result in restored.flow_results.items()
-            } == {
-                name: [fr.response for fr in result.frames]
-                for name, result in ctrl.flow_results.items()
-            }
+        assert restored.jitter_snapshot() == ctrl.jitter_snapshot()
+        assert {
+            name: [fr.response for fr in result.frames]
+            for name, result in restored.flow_results.items()
+        } == {
+            name: [fr.response for fr in result.frames]
+            for name, result in ctrl.flow_results.items()
+        }
         for f in sc.flows[3:]:
             assert ctrl.request(f).accepted == restored.request(f).accepted
         assert [f.name for f in ctrl.admitted_flows] == [

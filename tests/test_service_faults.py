@@ -413,7 +413,7 @@ class TestTcpFaults:
     def test_chaos_replay_with_retries_matches_serial(self):
         # The headline e2e: worker kills + dropped connections, client
         # retries with idempotency keys -> decisions identical to a
-        # serial, fault-free controller.
+        # fault-free in-process engine fed one request at a time.
         sc = two_star_scenario()
         trace = trace_from_scenario(
             sc, n_requests=40, arrival="burst", burst_size=8, hold=10,

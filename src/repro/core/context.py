@@ -187,8 +187,17 @@ class JitterTable:
     def set(
         self, flow_name: str, resource: ResourceKey, jitters: Sequence[float]
     ) -> None:
+        """Write a flow's per-frame jitters at a resource.
+
+        A tuple is stored as given (the pipeline walk passes one tuple
+        of floats for both this write and its stage-memo inputs); any
+        other sequence is converted to a tuple of floats.
+        """
         spec = self._specs[flow_name]
-        jit = tuple(float(j) for j in jitters)
+        if type(jitters) is tuple:
+            jit = jitters
+        else:
+            jit = tuple([float(j) for j in jitters])
         if len(jit) != spec.n_frames:
             raise ValueError(
                 f"flow {flow_name!r}: {len(jit)} jitters for "
@@ -341,6 +350,21 @@ class JitterTable:
         if value is None:
             value = per_flow[resource] = max(self.get(flow_name, resource))
         return value
+
+    def extras(
+        self, flows: Sequence[Flow], resource: ResourceKey
+    ) -> tuple[float, ...]:
+        """:meth:`extra` of every flow in ``flows`` at the resource.
+
+        Reads the per-flow cache directly and falls back to
+        :meth:`extra`, which fills it, when an entry is missing.
+        """
+        cache = self._extra_cache
+        try:
+            return tuple([cache[f.name][resource] for f in flows])
+        except KeyError:
+            extra = self.extra
+            return tuple([extra(f.name, resource) for f in flows])
 
     def snapshot(self) -> dict[tuple[str, ResourceKey], tuple[float, ...]]:
         """Copy of the explicit entries (for fixed-point comparison)."""
@@ -605,8 +629,7 @@ class AnalysisContext:
         """
         if not self.options.use_jitter:
             return (0.0,) * len(flows_seq)
-        extra = self.jitters.extra
-        return tuple(extra(f.name, resource) for f in flows_seq)
+        return self.jitters.extras(flows_seq, resource)
 
     def frame_jitters(self, flow: Flow, resource: ResourceKey) -> tuple[float, ...]:
         if not self.options.use_jitter:

@@ -23,8 +23,8 @@ Batched interference queries
 The busy-period recurrences evaluate ``sum_j MX/NX(tau_j, t + extra_j)``
 over a whole interferer set at every iterate.  The analysis context
 keeps one :class:`LinkDemandMatrix` per link — every flow's
-sorted-window tables stacked into padded matrices — and
-:meth:`LinkDemandMatrix.subset` gathers each stage's
+sorted-window tables, stacked into padded matrices on the link's first
+large stage — and :meth:`LinkDemandMatrix.subset` gathers each stage's
 :class:`InterferenceSet` from it.  Sets of :data:`_VECTORIZE_THRESHOLD`
 or more interferers answer the summed query with a handful of
 vectorised numpy operations; smaller ones run the fused scalar kernels
@@ -722,7 +722,10 @@ class LinkDemandMatrix:
     single row-gather per matrix — one C-level fancy index instead of a
     per-flow Python packing loop.  Below the vectorisation threshold it
     returns a plain scalar-path set over the shared per-flow profiles;
-    both are bit-identical to summing the profiles one by one.
+    both are bit-identical to summing the profiles one by one.  The
+    padded matrices are built on the first subset that reaches the
+    threshold, so a link whose stages all stay below it never builds
+    them.
 
     :attr:`rows` holds every flow's :data:`DemandRow` in the same
     order: references to the per-class rows, so the stage memo's
@@ -744,10 +747,16 @@ class LinkDemandMatrix:
     def __init__(self, demands: Sequence[LinkDemand]):
         self.demands = tuple(demands)
         self.rows = tuple([d._row for d in self.demands])
-        n = len(self.demands)
         self._index = {d.flow_name: i for i, d in enumerate(self.demands)}
-        if len(self._index) != n:
+        if len(self._index) != len(self.demands):
             raise ValueError("duplicate flow names on one link")
+        # The padded matrices: None until the first large subset, which
+        # builds all six (_build_arrays).
+        self._tsums = None
+
+    def _build_arrays(self) -> None:
+        """Stack the padded per-quantity matrices (first large subset)."""
+        n = len(self.demands)
         self._tsums = np.array([d.tsum for d in self.demands])
         self._csums = np.array([d.csum for d in self.demands])
         self._nsums = np.array(
@@ -792,6 +801,8 @@ class LinkDemandMatrix:
         shift_t = tuple(float(s) for s in shifts)
         if len(positions) < _VECTORIZE_THRESHOLD:
             return InterferenceSet(demands, shift_t, strict=strict)
+        if self._tsums is None:
+            self._build_arrays()
         rows = np.asarray(positions)
         return InterferenceSet.from_arrays(
             demands,

@@ -67,6 +67,24 @@ controller, which re-runs the analysis over the whole tentative set:
   over-approximating entries can settle on a non-least fixed point.
   ``tests/test_hierarchy.py::test_ring_release_matches_from_scratch``
   pins two such inputs.
+* **resumed walks** re-run a flow only from its *resume point*, the
+  first stage of its route whose inputs may have moved since its last
+  walk, and replay the stages before it (``core/pipeline.py``, "Resumed
+  walks", says why that is bit-identical).  Three events move a stage's
+  inputs, and each moves the stage's flow's point back to that stage:
+  a participant-set change (the :meth:`~AdmissionController._edge_changes`
+  gains of an admit; the affected stages of a release), a changed
+  jitter entry (its readers, queued by the worklist) and a release's
+  cone reset (the affected stages that read a reset entry).  The
+  record to replay from is the flow's latest walk in the current
+  solve, else :attr:`~AdmissionController.flow_results`.  A walk
+  without a point or a record is full: the candidate's first, and each
+  flow's first in :meth:`~AdmissionController.preload` (and so in
+  ``restore``), which seeds the table and may join stages of flows
+  admitted before, so it sets every point to 0.  A reject rolls the
+  table back to the one
+  :attr:`~AdmissionController.flow_results` wrote, so it puts back the
+  points from before the request.
 """
 
 from __future__ import annotations
@@ -87,7 +105,7 @@ from repro.core.context import (
 )
 from repro.core.first_hop import first_hop_utilization
 from repro.core.holistic import JITTER_TOLERANCE, flow_read_set
-from repro.core.pipeline import analyze_flow
+from repro.core.pipeline import analyze_flow, stage_position
 from repro.core.results import (
     AdmissionDecision,
     FlowResult,
@@ -324,6 +342,12 @@ class AdmissionController:
         self._reads_of: dict[str, set[tuple[str, ResourceKey]]] = {}
         self._order: dict[str, int] = {}
         self._next_order = 0
+        # Flow name -> resume point: the first stage position
+        # (pipeline.stage_position) of the flow's walk whose inputs may
+        # have moved since its last walk.  _solve starts the flow's next
+        # walk there and replays the stages before it; a flow without a
+        # point is walked in full.
+        self._resume: dict[str, int] = {}
         self._retired: OrderedDict[str, dict] = OrderedDict()
         self._retained_flows = max(0, retained_flows)
         if initial_flows:
@@ -431,13 +455,23 @@ class AdmissionController:
                     gains.setdefault((fname, ingress), set()).add(j.name)
         return gains, flow_read_set(ctx, flow)
 
+    def _lower_resume(self, name: str, resource: ResourceKey) -> None:
+        """Move ``name``'s resume point back to its stage at
+        ``resource``, whose inputs may have moved."""
+        at = stage_position(self._ctx.flow(name).route, resource)
+        if at < self._resume.get(name, at + 1):
+            self._resume[name] = at
+
     def _install_edges(self, flow: Flow) -> set[str]:
         """Record the edges ``flow`` creates; returns the worklist seed
-        (the flow plus every flow whose participant set it joined)."""
+        (the flow plus every flow whose participant set it joined, each
+        resumed at the first stage it joined)."""
         gains, own_reads = self._edge_changes(flow)
         seed = {flow.name}
-        for names in gains.values():
+        for (_, resource), names in gains.items():
             seed |= names
+            for name in names:
+                self._lower_resume(name, resource)
         if self.options.use_jitter:
             # Mirror the worklist engine: with jitter modelling off the
             # readers map stays empty (no entry ever propagates).
@@ -484,13 +518,19 @@ class AdmissionController:
         :data:`~repro.core.holistic.JITTER_TOLERANCE`.  Flows outside
         the cone are never touched: their inputs are unchanged, so
         re-running them would reproduce their stored results bit for
-        bit (the worklist engine's defining invariant).
+        bit (the worklist engine's defining invariant).  Likewise each
+        walk resumes at the flow's resume point: a changed entry moves
+        each reader's point back to the reader's stage at the entry's
+        resource, and the stages before the point are replayed from the
+        flow's latest walk (in this solve, else :attr:`flow_results`).
 
         Returns ``(converged, updated results, rounds, flow evals)``.
         """
         ctx = self._ctx
         order = self._order
         readers = self._readers
+        resume = self._resume
+        committed = self._results
         max_iter = ctx.options.holistic_max_iterations
         updated: dict[str, FlowResult] = {}
         pending = set(seed)
@@ -506,7 +546,11 @@ class AdmissionController:
             while heap:
                 position, name = heapq.heappop(heap)
                 queued.discard(name)
-                result = analyze_flow(ctx, ctx.flow(name))
+                start = resume.pop(name, 0)
+                previous = updated.get(name) or committed.get(name)
+                if previous is None:  # the candidate's first walk
+                    start = 0
+                result = analyze_flow(ctx, ctx.flow(name), start, previous)
                 updated[name] = result
                 evals += 1
                 diverged = any(
@@ -514,6 +558,7 @@ class AdmissionController:
                 )
                 for key in ctx.jitters.drain_changed_keys():
                     for reader in readers.get(key, ()):
+                        self._lower_resume(reader, key[1])
                         rpos = order[reader]
                         if rpos > position:
                             if reader not in queued:
@@ -590,6 +635,7 @@ class AdmissionController:
                 analysis=None,
             )
 
+        saved_resume = dict(self._resume)
         seed = self._install_edges(flow)
         self._order[flow.name] = self._next_order
         self._next_order += 1
@@ -606,6 +652,10 @@ class AdmissionController:
         if reason is not None:
             ctx.jitters.rollback_undo()
             ctx.jitters.begin_round()  # drop the tentative write accounting
+            # The table is the committed one again, and flow_results
+            # holds the walks that wrote it: the points from before the
+            # request are the ones that hold.
+            self._resume = saved_resume
             self._withdraw(flow, edges_installed=True)
             return AdmissionDecision(
                 accepted=False, reason=reason, analysis=analysis
@@ -621,27 +671,28 @@ class AdmissionController:
         if edges_installed:
             self._remove_edges(flow)
             self._order.pop(flow.name, None)
+        self._resume.pop(flow.name, None)
         self._ctx.remove_flow(flow.name)
         self._note_invalidations(flow)
         self._retire_demands(flow.name)
 
     def _release_cone(
         self, flow: Flow
-    ) -> tuple[set[tuple[str, ResourceKey]], set[str]]:
+    ) -> tuple[set[tuple[str, ResourceKey]], set[tuple[str, ResourceKey]]]:
         """The jitter entries whose value can depend on ``flow``.
 
-        Returns ``(cone, owners)``.  A stage ``(j, res)`` is *affected*
+        Returns ``(cone, affected)``.  A stage ``(j, res)`` is *affected*
         when its participant set held ``flow`` (the :meth:`_edge_changes`
         gains: reader ``j`` of ``flow``'s entry at ``res``) or it reads
         a cone entry; an affected stage puts ``j``'s entries at every
         resource after ``res`` on ``j``'s route into the cone (an entry
-        is the sum of its flow's earlier stage responses).  ``owners``
-        are the flows with an affected stage: they are the ones to
-        re-solve, including flows whose only affected stage is their
-        last hop (no entry to reset, but their bound changes).  Direct
-        readers come from the link occupancy, so the cone is exact also
-        with jitter modelling off, where the readers map is empty but
-        participant sets still change.
+        is the sum of its flow's earlier stage responses).  The flows
+        with an affected stage are the ones to re-solve, each from its
+        first affected stage, including flows whose only affected stage
+        is their last hop (no entry to reset, but their bound changes).
+        Direct readers come from the link occupancy, so the cone is
+        exact also with jitter modelling off, where the readers map is
+        empty but participant sets still change.
         """
         fname = flow.name
         gains, _ = self._edge_changes(flow)
@@ -654,8 +705,9 @@ class AdmissionController:
                 continue
             affected.add(stage)
             name, res = stage
-            resources = self._route_resources(self._ctx.flow(name))
-            for resource in resources[resources.index(res) + 1:]:
+            owner = self._ctx.flow(name)
+            resources = self._route_resources(owner)
+            for resource in resources[stage_position(owner.route, res) + 1:]:
                 entry = (name, resource)
                 if entry in cone:
                     break  # a flow's cone entries form a route suffix
@@ -663,13 +715,14 @@ class AdmissionController:
                 for reader in self._readers.get(entry, ()):
                     if reader != fname:  # its stages leave with it
                         todo.append((reader, resource))
-        return cone, {name for name, _ in affected}
+        return cone, affected
 
     def release(self, flow_name: str) -> None:
         """Remove an admitted flow; re-solves only the entries it can lower.
 
         Cold-resets the released flow's *cone* (:meth:`_release_cone`)
-        and re-solves the flows owning an affected stage.  The module
+        and re-solves the flows owning an affected stage, each resumed
+        at its first affected stage.  The module
         docstring says why this is exact and why the reset is cold
         (``tests/test_hierarchy.py::test_ring_release_matches_from_scratch``
         pins inputs where a warm restart is wrong).
@@ -681,17 +734,22 @@ class AdmissionController:
         reg = _telemetry.REGISTRY
         start = time.perf_counter()
         flow = ctx._by_name[flow_name]
-        cone, owners = self._release_cone(flow)
+        cone, affected = self._release_cone(flow)
+        for name, resource in affected:
+            self._lower_resume(name, resource)
 
         self._remove_edges(flow)
         self._order.pop(flow_name, None)
         self._results.pop(flow_name, None)
+        self._resume.pop(flow_name, None)
         ctx.remove_flow(flow_name)
         self._note_invalidations(flow)
         self._retire_demands(flow_name)
 
         ctx.jitters.reset_entries(cone)  # cold restart (see module doc)
-        converged, updated, rounds, evals = self._solve(owners)
+        converged, updated, rounds, evals = self._solve(
+            {name for name, _ in affected}
+        )
         if not converged:  # impossible: a subset of a convergent set
             raise RuntimeError(
                 f"release of {flow_name!r} failed to re-converge"
@@ -736,9 +794,11 @@ class AdmissionController:
                     self._reads_of[f.name] = set(reads)
                     for key in reads:
                         self._readers.setdefault(key, set()).add(f.name)
-        converged, updated, rounds, evals = self._solve(
-            {f.name for f in ctx.flows}
-        )
+        # The seeded table and the new flows can move any stage of the
+        # flows admitted before: every flow's first walk here is full.
+        names = {f.name for f in ctx.flows}
+        self._resume = dict.fromkeys(names, 0)
+        converged, updated, rounds, evals = self._solve(names)
         if not converged:
             reason = "holistic analysis diverged (utilisation too high)"
         else:

@@ -67,6 +67,37 @@ comes after the stage's own divergence short-circuits, which must
 still see an infinite participant jitter.  Printed-model
 (``strict_paper``) stages store no fixed points and are recomputed on
 every miss.
+
+Resumed walks
+-------------
+A caller that knows where a flow's inputs moved since the flow's last
+walk can start the next walk there: ``analyze_flow(ctx, flow, start,
+previous)`` replays the stages before position ``start``
+(:func:`stage_position`) from ``previous``, the
+:class:`~repro.core.results.FlowResult` of that last walk, adding their
+responses to RSUM and JSUM in the same order, and runs the stages from
+``start`` on as above.  Replayed stages neither write the flow's
+entries nor look up the memo.  The replay is bit-identical to running
+them:
+
+* a stage reads only its participants, their ``extra_j`` and the
+  flow's JSUM at its resource, plus static link data;
+* only the flow's own walk writes the flow's entries, apart from a
+  release's cone reset and a rejected request's rollback (the
+  admission engine's bookkeeping accounts for both);
+* so if no participant set and no participant jitter of the stages
+  before ``start`` moved, each of them sees the inputs of the last
+  walk, which also wrote the entry the flow holds there now.  A full
+  walk would rewrite an equal value
+  (:meth:`~repro.core.context.JitterTable.set` returns early: no
+  changed key, no delta) and get the stage's results for
+  equal inputs from its memo or a solve: the results the last walk
+  recorded.
+
+Replayed stages count as memo hits (``engine.stage_memo.hits``, so the
+hit rate keeps its meaning) and also as ``engine.stage_memo.replayed``.
+The admission engine (:mod:`repro.core.hierarchy`) keeps each flow's
+resume point; the holistic analysis always walks in full.
 """
 
 from __future__ import annotations
@@ -76,14 +107,18 @@ import operator
 from typing import Sequence
 
 from repro import telemetry as _telemetry
-from repro.core.context import AnalysisContext, ingress_resource, link_resource
+from repro.core.context import (
+    AnalysisContext,
+    ResourceKey,
+    ingress_resource,
+    link_resource,
+)
 from repro.core.demand import fused_mixed_sum, fused_mx_sum, fused_nx_sum
 from repro.core.first_hop import first_hop_stage
 from repro.core.results import (
     FlowResult,
     FrameResult,
     StageKind,
-    StageResult,
     diverged_stage,
 )
 from repro.core.switch_egress import egress_stage
@@ -91,7 +126,24 @@ from repro.core.switch_ingress import ingress_stage
 from repro.model.flow import Flow
 
 
-def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
+def stage_position(route: Sequence[str], resource: ResourceKey) -> int:
+    """Position of the stage at ``resource`` in the walk of a flow
+    routed over ``route``.
+
+    :func:`analyze_flow` runs the first hop at position 0, then the
+    ingress of switch ``route[i]`` at ``2i - 1`` and its egress at
+    ``2i``; both resource kinds name their node second
+    (``("link", N, next)``, ``("in", N)``).
+    """
+    return 2 * route.index(resource[1]) - (resource[0] == "in")
+
+
+def analyze_flow(
+    ctx: AnalysisContext,
+    flow: Flow,
+    start: int = 0,
+    previous: FlowResult | None = None,
+) -> FlowResult:
     """Run Fig. 6 for every frame of ``flow``; updates the jitter table.
 
     Other flows' jitters are read from the context's current jitter
@@ -102,15 +154,33 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
     tables are shared across the flow's frames; see the stage modules),
     then frames whose accumulated jitter already diverged upstream are
     masked to diverged stages.
+
+    A resumed walk (``start`` > 0) replays the stages before position
+    ``start`` (:func:`stage_position`) from ``previous``, the flow's
+    last walk, and runs the rest; the caller vouches that no input of
+    those stages moved since (see "Resumed walks" in the module
+    docstring).
     """
     spec = flow.spec
     n = spec.n_frames
+    name = flow.name
     # Fig. 6 line 3: RSUM := GJ_i^k; JSUM := GJ_i^k.
     rsum = [float(j) for j in spec.jitters]
     jsum = [float(j) for j in spec.jitters]
-    stages: list[list[StageResult]] = [[] for _ in range(n)]
+    if start:
+        stages = [list(fr.stages[:start]) for fr in previous.frames]
+        for k in range(n):
+            for result in stages[k]:
+                rsum[k] += result.response
+                jsum[k] += result.response
+        reg = _telemetry.REGISTRY
+        if reg is not None:
+            reg.add("engine.stage_memo.hits", start)
+            reg.add("engine.stage_memo.replayed", start)
+    else:
+        stages = [[] for _ in range(n)]
 
-    def run_stage(resource, participants, stage, kind, link) -> None:
+    def run_stage(resource, participants, kind, link, node) -> None:
         """Set this flow's jitters at ``resource``, analyse all frames,
         and advance RSUM/JSUM by the responses.
 
@@ -123,13 +193,13 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
         memo when its last run had the same participants and either
         the same inputs (a hit) or inputs that have only grown since,
         under which every fixed point the memo kept still holds (a
-        verified miss; see :func:`_fixed_points_hold`).  Otherwise
-        ``stage`` runs.
+        verified miss; see :func:`_fixed_points_hold`).  Otherwise the
+        stage analysis of ``kind`` at ``node`` runs.
         """
-        ctx.jitters.set(flow.name, resource, jsum)
-        extras = ctx.extras(participants, resource)
-        inputs = (tuple(jsum), extras)
-        hit = ctx.stage_memo_get(flow.name, resource, participants)
+        jit = tuple(jsum)
+        ctx.jitters.set(name, resource, jit)
+        inputs = (jit, ctx.extras(participants, resource))
+        hit = ctx.stage_memo_get(name, resource, participants)
         reg = _telemetry.REGISTRY
         if hit is not None and hit[0] == inputs:
             if reg is not None:
@@ -146,10 +216,15 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
                 results, fixed = hit[1], hit[2]
             else:
                 recorded: list = []
-                results = stage(recorded)
+                if kind is StageKind.FIRST_HOP:
+                    results = first_hop_stage(ctx, flow, recorded)
+                elif kind is StageKind.INGRESS:
+                    results = ingress_stage(ctx, flow, node, recorded)
+                else:
+                    results = egress_stage(ctx, flow, node, recorded)
                 fixed = recorded[0] if recorded else None
             ctx.stage_memo_put(
-                flow.name, resource, participants, inputs, results, fixed
+                name, resource, participants, inputs, results, fixed
             )
         for k in range(n):
             result = results[k]
@@ -163,44 +238,35 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
             jsum[k] += result.response
 
     route = flow.route
-    src = route[0]
-
-    if len(route) == 2:
-        # Degenerate source->destination route: first hop only.
+    if not start:
+        src, first = route[0], route[1]
         run_stage(
-            link_resource(src, route[1]),
-            ctx.flows_on_link(src, route[1]),
-            lambda fixed: first_hop_stage(ctx, flow, fixed),
+            link_resource(src, first),
+            ctx.flows_on_link(src, first),
             StageKind.FIRST_HOP,
-            (src, route[1]),
+            (src, first),
+            src,
         )
-    else:
-        n1, n2 = src, route[1]
-        while n2 != flow.destination:
-            n3 = flow.succ(n2)
-            if n1 == src:
-                run_stage(
-                    link_resource(n1, n2),
-                    ctx.flows_on_link(n1, n2),
-                    lambda fixed: first_hop_stage(ctx, flow, fixed),
-                    StageKind.FIRST_HOP,
-                    (n1, n2),
-                )
+    # Switch route[i]: ingress at position 2i - 1, egress at 2i.  A
+    # degenerate source->destination route has no switch, and its walk
+    # is the first hop alone (the paper's Fig. 6 loop body never runs).
+    for i in range(max(1, (start + 1) // 2), len(route) - 1):
+        n1, n2, n3 = route[i - 1], route[i], route[i + 1]
+        if 2 * i > start:
             run_stage(
                 ingress_resource(n2),
                 ctx.flows_on_link(n1, n2),
-                lambda fixed, _n=n2: ingress_stage(ctx, flow, _n, fixed),
                 StageKind.INGRESS,
                 (n1, n2),
+                n2,
             )
-            run_stage(
-                link_resource(n2, n3),
-                (*ctx.hep(flow, n2, n3), flow),
-                lambda fixed, _n=n2: egress_stage(ctx, flow, _n, fixed),
-                StageKind.EGRESS,
-                (n2, n3),
-            )
-            n1, n2 = n2, n3
+        run_stage(
+            link_resource(n2, n3),
+            (*ctx.hep(flow, n2, n3), flow),
+            StageKind.EGRESS,
+            (n2, n3),
+            n2,
+        )
 
     frames = tuple(
         FrameResult(
@@ -211,7 +277,7 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
         )
         for k in range(n)
     )
-    return FlowResult(flow_name=flow.name, frames=frames)
+    return FlowResult(flow_name=name, frames=frames)
 
 
 def _fixed_points_hold(

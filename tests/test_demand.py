@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.demand import LinkDemand, build_link_demand
+from repro.core.demand import (
+    _VECTORIZE_THRESHOLD,
+    InterferenceSet,
+    LinkDemand,
+    LinkDemandMatrix,
+    build_link_demand,
+)
 from repro.core.packetization import packetize
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
@@ -299,3 +305,49 @@ class TestMxWork:
         t = 0.03  # a separation boundary
         assert video_demand.nx(t) > video_demand.nx(t - 2 * eps)
         assert video_demand.mx_work(t) > video_demand.mx_work(t - 2 * eps)
+
+
+class TestLinkDemandMatrix:
+    """The padded matrices exist only once a subset reaches the
+    vectorisation threshold; below it a matrix holds no numpy array."""
+
+    @staticmethod
+    def _matrix(n):
+        demands = [
+            build_link_demand(
+                make_flow(
+                    [0.01 * (1 + i % 3)] * (1 + i % 2),
+                    [12_000 * (1 + i % 4)] * (1 + i % 2),
+                    name=f"f{i}",
+                ),
+                1e8,
+            )
+            for i in range(n)
+        ]
+        return LinkDemandMatrix(demands), [d.flow_name for d in demands]
+
+    def test_small_subsets_build_no_arrays(self):
+        matrix, names = self._matrix(2 * _VECTORIZE_THRESHOLD)
+        small = names[: _VECTORIZE_THRESHOLD - 1]
+        for start in range(0, len(names) - len(small), 7):
+            part = names[start:start + len(small)]
+            matrix.subset(part, [0.001] * len(part))
+        matrix.subset(small, [0.0] * len(small), strict=True)
+        assert matrix._tsums is None
+
+    def test_large_subset_builds_the_arrays_once(self):
+        matrix, names = self._matrix(2 * _VECTORIZE_THRESHOLD)
+        large = names[1:_VECTORIZE_THRESHOLD + 1]
+        shifts = [0.0005 * i for i in range(len(large))]
+        gathered = matrix.subset(large, shifts)
+        assert matrix._tsums is not None
+        win_t = matrix._win_t
+        assert win_t.shape[0] == len(names)
+        matrix.subset(names, [0.0] * len(names))
+        assert matrix._win_t is win_t
+        scalar = InterferenceSet(
+            matrix.demands[1:_VECTORIZE_THRESHOLD + 1], shifts
+        )
+        for t in (0.0, 0.003, 0.017, 0.05, 0.31):
+            assert gathered.mx_sum(t) == scalar.mx_sum(t)
+            assert gathered.nx_sum(t) == scalar.nx_sum(t)

@@ -22,15 +22,17 @@ demand arrays), the serial reference and the oracle's cold controller
 re-asserts, against a from-scratch analysis, at 10^4 flows.
 """
 
+import math
 import random
 
 import pytest
 
 import oracle
 from repro import telemetry
-from repro.core import pipeline
+from repro.core import hierarchy, pipeline
 from repro.core.admission import AdmissionController
-from repro.core.context import AnalysisOptions
+from repro.core.context import AnalysisOptions, ingress_resource, link_resource
+from repro.core.results import diverged_stage
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
 from repro.model.network import Network
@@ -117,6 +119,18 @@ def _ring_scenario(n_switches, seed=0, *, n_flows=7):
     return _ring_network(n_switches), flows
 
 
+def _case_scenario(case):
+    """``(network, flows, seed)`` of an interleaving case: an integer is
+    a 2-pod fat tree seeded with it, ``ring<n>`` is
+    :func:`_ring_scenario` on ``n`` switches, seeded 0 or with the
+    ``-<seed>`` suffix."""
+    if isinstance(case, int):
+        return (*_small_scenario(case), case)
+    ring, _, suffix = case.partition("-")
+    seed = int(suffix or 0)
+    return (*_ring_scenario(int(ring[len("ring"):]), seed), seed)
+
+
 def _assert_matches_from_scratch(hier, net, options):
     """The controller's jitter table and bounds equal a from-scratch
     analysis of its admitted set by the oracle."""
@@ -194,13 +208,7 @@ def test_interleaving_matches_from_scratch_after_every_step(case):
     inputs over a different participant; a memo comparing only the
     participant count replays the rejected candidate's stage and
     decides step 9 wrongly."""
-    if isinstance(case, int):
-        seed = case
-        net, flows = _small_scenario(seed)
-    else:
-        ring, _, suffix = case.partition("-")
-        seed = int(suffix or 0)
-        net, flows = _ring_scenario(int(ring[len("ring"):]), seed)
+    net, flows, seed = _case_scenario(case)
     options = AnalysisOptions()
     hier = AdmissionController(net, options)
     ref = oracle.SerialAdmissionController(net, options)
@@ -232,6 +240,141 @@ def test_interleaving_matches_from_scratch_after_every_step(case):
             ]
             _assert_matches_from_scratch(hier, net, options)
     assert reg.snapshot()["counters"]["engine.stage_memo.verified"] > 0
+
+
+def _assert_prefix_replays(ctx, flow, start, previous):
+    """Every stage before ``start`` of ``flow``'s walk, as ``previous``
+    recorded it, equals a fresh run of its stage analysis on the current
+    state, masked as the walk masks an upstream divergence; and the
+    flow's table entry at each of those resources holds the JSUM the
+    replay accumulates there."""
+    route = flow.route
+    jsum = [float(j) for j in flow.spec.jitters]
+    for position in range(start):
+        if position == 0:
+            resource = link_resource(route[0], route[1])
+            fresh = pipeline.first_hop_stage(ctx, flow)
+        else:
+            node = route[(position + 1) // 2]
+            if position % 2:
+                resource = ingress_resource(node)
+                fresh = pipeline.ingress_stage(ctx, flow, node)
+            else:
+                resource = link_resource(node, flow.succ(node))
+                fresh = pipeline.egress_stage(ctx, flow, node)
+        assert pipeline.stage_position(route, resource) == position
+        assert ctx.jitters.get(flow.name, resource) == tuple(jsum), (
+            flow.name,
+            resource,
+        )
+        for k, frame in enumerate(previous.frames):
+            want = fresh[k]
+            if math.isinf(jsum[k]) and not math.isinf(want.response):
+                want = diverged_stage(want.kind, resource)
+            assert frame.stages[position] == want, (flow.name, resource, k)
+            jsum[k] += want.response
+
+
+@pytest.mark.parametrize(
+    "case",
+    [0, 1, 2, "ring3", "ring4", "ring5", "ring3-35", "ring4-4", "ring4-55"],
+)
+def test_resumed_walks_replay_what_a_fresh_stage_returns(case, monkeypatch):
+    """A resumed walk replays the stages before its resume point from
+    the flow's last walk; on every such walk of the interleaving inputs
+    (all but the slow ``ring5-20``), each replayed stage must be what
+    the stage analysis returns on the current state, and the flow's own
+    entries there must hold the replayed JSUM.  Run ahead of the walk,
+    so a resume point set one stage too late fails here even where the
+    moved stage's memo would have hidden it."""
+    walk = hierarchy.analyze_flow
+    resumed = []
+
+    def checked(ctx, flow, start=0, previous=None):
+        if start:
+            _assert_prefix_replays(ctx, flow, start, previous)
+            resumed.append(flow.name)
+        return walk(ctx, flow, start, previous)
+
+    monkeypatch.setattr(hierarchy, "analyze_flow", checked)
+    net, flows, seed = _case_scenario(case)
+    hier = AdmissionController(net, AnalysisOptions())
+    rng = random.Random(seed)
+    pending = list(flows)
+    live: list[str] = []
+    steps = 0
+    while pending or (live and steps < 60):
+        steps += 1
+        if live and (not pending or rng.random() < 0.35):
+            hier.release(live.pop(rng.randrange(len(live))))
+        else:
+            flow = pending.pop(rng.randrange(len(pending)))
+            if hier.request(flow).accepted:
+                live.append(flow.name)
+    assert resumed
+
+
+def test_rejected_request_restores_the_resume_points():
+    """A reject rolls the table back to the committed one, whose
+    writers are the committed walks; the resume points must then be
+    the ones from before the request, also those planted before it
+    that the tentative solve popped.  (A point at 0 is always sound:
+    it only makes the flow's next walk a full one.)"""
+    net, flows = _ring_scenario(4)
+    hier = AdmissionController(net, AnalysisOptions())
+    rejected = 0
+    for flow in flows:
+        for admitted in hier.admitted_flows:
+            hier._resume[admitted.name] = 0
+        before = dict(hier._resume)
+        decision = hier.request(flow)
+        if not decision.accepted and decision.analysis is not None:
+            assert set(decision.analysis.flow_results) & set(before)
+            assert hier._resume == before
+            rejected += 1
+    assert rejected
+    _assert_matches_from_scratch(hier, net, AnalysisOptions())
+
+
+def test_resumed_walks_do_the_work_of_full_walks(monkeypatch):
+    """Over a reject-free sequence of admits, releases and re-admits,
+    resumed walks reuse exactly the stages full walks would take from
+    the memo: every replayed stage counts as a hit, so hits, misses,
+    verified reuses and fixed-point solves equal those of the same
+    sequence with every walk forced to start at its first hop, and the
+    final states are equal."""
+    net, flows = _small_scenario(3)
+
+    def run():
+        with telemetry.capture() as reg:
+            hier = AdmissionController(net, AnalysisOptions())
+            for flow in flows:
+                assert hier.request(flow).accepted, flow.name
+            for flow in flows[::3]:
+                hier.release(flow.name)
+            for flow in flows[::3]:
+                assert hier.request(flow).accepted, flow.name
+        return hier, reg.snapshot()["counters"]
+
+    resumed, got = run()
+    walk = hierarchy.analyze_flow
+    monkeypatch.setattr(
+        hierarchy,
+        "analyze_flow",
+        lambda ctx, flow, start=0, previous=None: walk(ctx, flow),
+    )
+    full, want = run()
+    for key in (
+        "engine.stage_memo.hits",
+        "engine.stage_memo.misses",
+        "engine.stage_memo.verified",
+        "engine.fixed_point.solves",
+    ):
+        assert got.get(key, 0) == want.get(key, 0), key
+    assert got["engine.stage_memo.replayed"] > 0
+    assert "engine.stage_memo.replayed" not in want
+    assert resumed.jitter_snapshot() == full.jitter_snapshot()
+    _assert_results_equal(dict(resumed.flow_results), dict(full.flow_results))
 
 
 #: Preloaded rings whose release lowers the least fixed point through a

@@ -186,8 +186,10 @@ class JitterTable:
 
     def set(
         self, flow_name: str, resource: ResourceKey, jitters: Sequence[float]
-    ) -> None:
-        """Write a flow's per-frame jitters at a resource.
+    ) -> bool:
+        """Write a flow's per-frame jitters at a resource; returns
+        whether the entry's effective value changed (the key is then
+        among :meth:`drain_changed_keys`).
 
         A tuple is stored as given (the pipeline walk passes one tuple
         of floats for both this write and its stage-memo inputs); any
@@ -208,7 +210,7 @@ class JitterTable:
         if jit == old:
             # Rewriting the stored value: nothing to undo, no delta, no
             # changed key, and the cached extra is still right.
-            return
+            return False
         if self._undo is not None and key not in self._undo:
             self._undo[key] = old if old is not None else self._MISSING
         if old is None:
@@ -216,16 +218,16 @@ class JitterTable:
             # newly-appearing entry as its own magnitude, but dirtiness
             # is judged against the implicit default `get` returned.
             delta = max((abs(x) for x in jit), default=0.0)
-            if jit != self.get(flow_name, resource):
-                self._changed.add(key)
+            moved = jit != self.get(flow_name, resource)
         else:
             delta = 0.0
             for x, y in zip(jit, old):
                 if math.isinf(x) and math.isinf(y):
                     continue
                 delta = max(delta, abs(x - y))
-            if jit != old:
-                self._changed.add(key)
+            moved = True
+        if moved:
+            self._changed.add(key)
         if delta > self._round_delta:
             self._round_delta = delta
         if old is None:
@@ -235,6 +237,7 @@ class JitterTable:
         if per_flow is None:
             per_flow = self._extra_cache[flow_name] = {}
         per_flow[resource] = max(jit)
+        return moved
 
     # ------------------------------------------------------------------
     # Incremental flow-set mutation (core/hierarchy.py)

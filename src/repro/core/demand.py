@@ -556,6 +556,25 @@ class InterferenceSet:
         self.rows = tuple([d._row for d in self.demands])
 
     @classmethod
+    def from_rows(
+        cls,
+        demands: tuple[LinkDemand, ...],
+        shifts: tuple[float, ...],
+        rows: tuple[DemandRow, ...],
+        strict: bool,
+    ) -> "InterferenceSet":
+        """A scalar-path set over ready tuples: ``rows`` are the
+        demands' :data:`DemandRow` entries, ``shifts`` one per demand
+        (neither is copied or converted)."""
+        self = cls.__new__(cls)
+        self.demands = demands
+        self.shifts = shifts
+        self.strict = strict
+        self._vectorized = False
+        self.rows = rows
+        return self
+
+    @classmethod
     def from_arrays(
         cls,
         demands: tuple[LinkDemand, ...],
@@ -730,11 +749,24 @@ class LinkDemandMatrix:
     :attr:`rows` holds every flow's :data:`DemandRow` in the same
     order: references to the per-class rows, so the stage memo's
     fixed-point check (``core/pipeline.py``) reads them without copying.
+
+    The matrix also carries the stages' utilisation sums over its flows,
+    which the stage modules compute once with their ``*_utilization``
+    functions and store here: :attr:`first_hop_sum` (Eq. 20),
+    :attr:`ingress_sums` keyed by the ingress task's ``circ`` and
+    :attr:`egress_sums` mapping a flow name to ``(hep tuple, sum)``
+    (Eqs. 34/35 plus own demand), valid only for that very ``hep``
+    tuple.  They are functions of the link's flows alone, and the
+    context replaces the matrix whenever those change, so the sums
+    retire with it.
     """
 
     __slots__ = (
         "demands",
         "rows",
+        "first_hop_sum",
+        "ingress_sums",
+        "egress_sums",
         "_index",
         "_tsums",
         "_csums",
@@ -750,6 +782,9 @@ class LinkDemandMatrix:
         self._index = {d.flow_name: i for i, d in enumerate(self.demands)}
         if len(self._index) != len(self.demands):
             raise ValueError("duplicate flow names on one link")
+        self.first_hop_sum: float | None = None
+        self.ingress_sums: dict[float, float] = {}
+        self.egress_sums: dict[str, tuple[tuple, float]] = {}
         # The padded matrices: None until the first large subset, which
         # builds all six (_build_arrays).
         self._tsums = None
@@ -795,12 +830,24 @@ class LinkDemandMatrix:
         *,
         strict: bool = False,
     ) -> InterferenceSet:
-        """The :class:`InterferenceSet` of the named flows, in order."""
+        """The :class:`InterferenceSet` of the named flows, in order.
+
+        A tuple of ``shifts`` is taken as given (the stages pass the
+        participants' ``extra_j`` tuple); other sequences are converted
+        to a tuple of floats.
+        """
         positions = [self._index[name] for name in names]
-        demands = tuple(self.demands[p] for p in positions)
-        shift_t = tuple(float(s) for s in shifts)
+        own = self.demands
+        demands = tuple([own[p] for p in positions])
+        if type(shifts) is tuple:
+            shift_t = shifts
+        else:
+            shift_t = tuple([float(s) for s in shifts])
         if len(positions) < _VECTORIZE_THRESHOLD:
-            return InterferenceSet(demands, shift_t, strict=strict)
+            rows = self.rows
+            return InterferenceSet.from_rows(
+                demands, shift_t, tuple([rows[p] for p in positions]), strict
+            )
         if self._tsums is None:
             self._build_arrays()
         rows = np.asarray(positions)

@@ -56,7 +56,10 @@ def first_hop_utilization(ctx: AnalysisContext, n1: str, n2: str) -> float:
 
 
 def first_hop_stage(
-    ctx: AnalysisContext, flow: Flow, fixed_points: list | None = None
+    ctx: AnalysisContext,
+    flow: Flow,
+    fixed_points: list | None = None,
+    shifts: tuple[float, ...] | None = None,
 ) -> list[StageResult]:
     """``R_i^{k,link(S, succ(tau_i, S))}`` (Eq. 19) for every frame ``k``.
 
@@ -65,7 +68,10 @@ def first_hop_stage(
 
     When ``fixed_points`` is a list, a corrected-model stage that ran its
     fixed points appends their
-    :func:`~repro.core.context.fixed_point_record` to it.
+    :func:`~repro.core.context.fixed_point_record` to it.  ``shifts``
+    are the interferers' ``extra_j`` at the link, in
+    :meth:`~repro.core.context.AnalysisContext.flows_on_link` order, when
+    the caller already gathered them; None gathers them here.
     """
     src = flow.source
     dst = flow.succ(src)
@@ -78,30 +84,32 @@ def first_hop_stage(
     horizon = ctx.horizon_for(flow)
 
     # Eq. 20 applicability check.
-    if first_hop_utilization(ctx, src, dst) >= 1.0:
+    matrix = ctx.link_matrix(src, dst)
+    utilization = matrix.first_hop_sum
+    if utilization is None:
+        utilization = matrix.first_hop_sum = first_hop_utilization(
+            ctx, src, dst
+        )
+    if utilization >= 1.0:
         return [diverged_stage(StageKind.FIRST_HOP, resource)] * n
 
-    extras = {j.name: ctx.extra(j, resource) for j in interferers}
-    if any(math.isinf(e) for e in extras.values()):
+    if shifts is None:
+        shifts = tuple([ctx.extra(j, resource) for j in interferers])
+    if math.inf in shifts:
         # An upstream divergence already propagated into a jitter.
         return [diverged_stage(StageKind.FIRST_HOP, resource)] * n
 
     # Corrected mode uses the uncapped arrival-work bound; strict mode
     # keeps the printed Eq. 10/11 cap (see LinkDemand.mx_work).
     strict = ctx.options.strict_paper
-    all_set = ctx.interference(
-        interferers,
-        src,
-        dst,
-        [extras[j.name] for j in interferers],
-        strict=strict,
-    )
-    others = [j for j in interferers if j.name != flow.name]
+    all_set = ctx.interference(interferers, src, dst, shifts, strict=strict)
+    name = flow.name
+    others = [j for j in interferers if j.name != name]
     others_set = ctx.interference(
         others,
         src,
         dst,
-        [extras[j.name] for j in others],
+        tuple([e for j, e in zip(interferers, shifts) if j.name != name]),
         strict=strict,
     )
     busy_accel = LinearLowerBound(*all_set.mx_support())

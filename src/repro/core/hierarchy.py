@@ -27,6 +27,20 @@ cone:
   runs one.  (The module keeps its older name because the benchmark's
   span wrappers look up :func:`analyze_flow` here.)
 
+Stage-ordered solve
+-------------------
+The unit of work is the stage, not the flow.  A solve keeps every
+touched flow's stage results by position and runs its dirty stages in
+the order of the :class:`StageGraph` ranks: a stage at node ``X`` reads
+only entries at ``X``'s resource, and each of those is written by its
+flow's stage at the node before ``X`` on that flow's route, which has a
+lower rank on an acyclic graph.  A stage runs with its flow's JSUM there
+(source jitters plus the responses at the earlier positions, summed as
+the walk sums them), writes its flow's entry at the next resource, and
+a changed entry marks the flow's next stage and the stages reading it.
+The stages of flows outside the marked set, and the unmarked stages of
+marked flows, keep their results: their inputs did not move.
+
 Exactness
 ---------
 Decisions and converged jitter tables are bit-identical to those of a
@@ -35,24 +49,43 @@ checks them after every step against the seed engine of
 ``tests/oracle.py``, and the decisions against the oracle's serial
 controller, which re-runs the analysis over the whole tentative set:
 
-* **admit** seeds the worklist with the candidate plus every flow whose
-  stage participant set the candidate joined (derived from the same
-  link-sharing rules as :func:`~repro.core.holistic.flow_read_set`);
-  all other flows' inputs are untouched, so re-running them would
+* **acyclic stage graph** (the fat trees' up/down routes): every entry
+  a stage reads is final before it runs, because its writer ranks
+  lower, so each dirty stage runs once, with its final inputs, and
+  the table the solve ends with is a fixed point of the system, which
+  has only one solution.  The whole-flow iteration this replaced (and
+  the oracle's sweep) reaches an exact fixed point too: every admit
+  and release solve of the ``datacenter-hier``, ``fat-tree-tcp`` and
+  ``voip-star-tcp`` benchmark op sequences ends in a round with zero
+  write delta (180 of 180, 425 of 425 and 1,524 of 1,524, on both
+  engines), so both reach that one solution.
+* **cyclic stage graph** (routes around a ring): the solve is a
+  Gauss-Seidel iteration at stage granularity.  It starts from the
+  same pre-solution as the whole-flow iteration (a warm start for an
+  admit, a cold cone for a release; both below the new least fixed
+  point) and ends by the same round and tolerance rule, so it reaches
+  the same least fixed point.  A stage runs only while its entry holds
+  the JSUM of its flow's current results; a stage whose predecessor has
+  not yet rewritten the entry (a fresh flow's, or one after a changed
+  or reset upstream entry) waits until the predecessor has run, so no
+  stage result outlives the inputs it was computed from.
+* **admit** marks the candidate's first stage and every stage whose
+  participant set the candidate joined (the
+  :meth:`~AdmissionController._edge_changes` gains, derived from the
+  same link-sharing rules as :func:`~repro.core.holistic.flow_read_set`);
+  all other stages' inputs are untouched, so re-running them would
   reproduce their results bit for bit.  The admitted set's converged
   table is a sound warm start (adding interference only raises the
-  least fixed point), and the monotone Gauss-Seidel iteration below —
-  same admission order, same dirtiness propagation as the full
-  worklist — reaches the same least fixed point.  A rejected
-  candidate's writes are rolled back through the jitter-table undo log.
+  least fixed point).  A rejected candidate's writes are rolled back
+  through the undo logs of the jitter table and the stage memo.
 * **release** removes interference, which *lowers* the least fixed
   point.  Only the released flow's *cone* is reset to the cold
   defaults: the ``(flow, resource)`` jitter entries whose value can
   depend on it.  A stage is affected when its participant set held the
   released flow or it reads a cone entry, and an affected stage puts
   its flow's entries at every later resource of the route into the
-  cone.  The flows owning an affected stage are re-solved; every other
-  flow, and every entry outside the cone, is left as it is.
+  cone.  The affected stages are marked; every other stage, and every
+  entry outside the cone, is left as it is.
 
   This is exact.  An entry is written only by its own flow's earlier
   stages, and a stage reads only its participants' entries at its own
@@ -60,31 +93,16 @@ controller, which re-runs the analysis over the whole tentative set:
   entries outside the cone depend only on entries outside it, through
   participant sets the released flow was not in: they already sit at
   the new least fixed point.  The reset cone entries lie below it, so
-  the monotone worklist converges to it, as from scratch.
+  the monotone iteration converges to it, as from scratch.
 
   The reset is cold, not warm: with cyclic channel dependencies
   (routes around a ring) re-iterating from the old, now
   over-approximating entries can settle on a non-least fixed point.
   ``tests/test_hierarchy.py::test_ring_release_matches_from_scratch``
   pins two such inputs.
-* **resumed walks** re-run a flow only from its *resume point*, the
-  first stage of its route whose inputs may have moved since its last
-  walk, and replay the stages before it (``core/pipeline.py``, "Resumed
-  walks", says why that is bit-identical).  Three events move a stage's
-  inputs, and each moves the stage's flow's point back to that stage:
-  a participant-set change (the :meth:`~AdmissionController._edge_changes`
-  gains of an admit; the affected stages of a release), a changed
-  jitter entry (its readers, queued by the worklist) and a release's
-  cone reset (the affected stages that read a reset entry).  The
-  record to replay from is the flow's latest walk in the current
-  solve, else :attr:`~AdmissionController.flow_results`.  A walk
-  without a point or a record is full: the candidate's first, and each
-  flow's first in :meth:`~AdmissionController.preload` (and so in
-  ``restore``), which seeds the table and may join stages of flows
-  admitted before, so it sets every point to 0.  A reject rolls the
-  table back to the one
-  :attr:`~AdmissionController.flow_results` wrote, so it puts back the
-  points from before the request.
+* **preload** (and so ``restore``) seeds the table and may join stages
+  of flows admitted before, so it walks every flow from its first
+  stage, as if new: on an acyclic graph each stage runs exactly once.
 """
 
 from __future__ import annotations
@@ -93,7 +111,7 @@ import heapq
 import math
 import time
 from collections import OrderedDict
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro import telemetry as _telemetry
 from repro.core.context import (
@@ -105,10 +123,19 @@ from repro.core.context import (
 )
 from repro.core.first_hop import first_hop_utilization
 from repro.core.holistic import JITTER_TOLERANCE, flow_read_set
-from repro.core.pipeline import analyze_flow, stage_position
+
+# The engine runs single stages (run_stage), not whole walks; the
+# analyze_flow name stays importable here because the benchmark's span
+# wrappers (perfbench/spans.py, spans.ENGINE) look it up in this module.
+from repro.core.pipeline import (  # noqa: F401
+    analyze_flow,
+    run_stage,
+    stage_resources,
+)
 from repro.core.results import (
     AdmissionDecision,
     FlowResult,
+    FrameResult,
     HolisticResult,
     first_violation,
 )
@@ -139,7 +166,12 @@ class MutableAnalysisContext(AnalysisContext):
       memos need no drop at all, since an entry recorded over other
       participants than a stage's current ones is never returned
       (:meth:`AnalysisContext.stage_memo_get`).  Removing a flow pops
-      its own entries only to free them.
+      its own entries only to free them;
+    * a tentative request's writes can be undone: between
+      :meth:`begin_undo` and :meth:`rollback_undo` the jitter table and
+      the stage memo both log each entry's value before its first
+      overwrite, so a reject leaves neither holding results recorded
+      over the withdrawn candidate.
     """
 
     def __init__(
@@ -159,6 +191,11 @@ class MutableAnalysisContext(AnalysisContext):
         self._hep_by_link: dict[
             tuple[str, str], dict[str, tuple[Flow, ...]]
         ] = {}
+        # (flow, resource) -> memo entry before the request's first
+        # overwrite (None: there was none); None outside a request.
+        self._memo_undo: dict[tuple[str, ResourceKey], tuple | None] | None = (
+            None
+        )
 
     # -- queries (same semantics as the base class, served incrementally)
     def flows_on_link(self, n1: str, n2: str) -> tuple[Flow, ...]:
@@ -210,6 +247,52 @@ class MutableAnalysisContext(AnalysisContext):
     def _touch_link(self, link: tuple[str, str]) -> None:
         self._link_flows_cache.pop(link, None)
         self._hep_by_link.pop(link, None)
+
+    # -- tentative requests
+    def stage_memo_put(
+        self,
+        flow_name: str,
+        resource: ResourceKey,
+        participants: Sequence[Flow],
+        inputs,
+        results,
+        fixed_points,
+    ) -> None:
+        undo = self._memo_undo
+        if undo is not None and (flow_name, resource) not in undo:
+            per_flow = self._stage_cache.get(flow_name)
+            undo[(flow_name, resource)] = (
+                per_flow.get(resource) if per_flow is not None else None
+            )
+        super().stage_memo_put(
+            flow_name, resource, participants, inputs, results, fixed_points
+        )
+
+    def begin_undo(self) -> None:
+        """Start logging jitter and memo entries before their first
+        overwrite."""
+        self.jitters.begin_undo()
+        self._memo_undo = {}
+
+    def commit_undo(self) -> None:
+        """Keep every write since :meth:`begin_undo`."""
+        self.jitters.commit_undo()
+        self._memo_undo = None
+
+    def rollback_undo(self) -> None:
+        """Restore every jitter and memo entry written since
+        :meth:`begin_undo`."""
+        self.jitters.rollback_undo()
+        undo, self._memo_undo = self._memo_undo, None
+        cache = self._stage_cache
+        for (name, resource), entry in undo.items():
+            per_flow = cache.get(name)
+            if entry is not None:
+                if per_flow is None:
+                    per_flow = cache[name] = {}
+                per_flow[resource] = entry
+            elif per_flow is not None:
+                per_flow.pop(resource, None)
 
 
 class DemandEnvelopes:
@@ -293,6 +376,107 @@ class DemandEnvelopes:
         return (worst_key, worst) if worst_key is not None else None
 
 
+class StageGraph:
+    """Which stages feed which, ranked so that a feeder comes first.
+
+    One node per link resource (``("link", a, b)``: a first hop or an
+    egress) and per ingress with its incoming link (``("in", N,
+    prev)``), one edge per consecutive pair of stages on a route
+    (:meth:`add_route`).  A stage's output is its flow's jitter entry at
+    the next resource of its route, and only the stages at the next node
+    read that entry (at an ingress, only those of the flows entering
+    over the same link): on an edge ``u -> v`` the stages at ``u`` write
+    entries the stages at ``v`` read.  Keyed by switch alone, an ingress
+    node would join every incoming link at a switch, and a fat tree's
+    leaf (entered both from hosts and from spines) would close cycles.
+
+    :meth:`ranks` numbers the nodes by Kahn's algorithm, level by
+    level, so every edge runs from a lower to a higher rank on an
+    acyclic graph.  When the algorithm stalls on a cycle (routes around
+    a ring), it releases the earliest-inserted node left, so every node
+    gets a rank, deterministically.  Ranks are recomputed only after a
+    route added a node, or an edge the current ranks do not already
+    order; edges are never removed, since a topological order of a
+    graph also orders each of its subgraphs.
+    """
+
+    def __init__(self) -> None:
+        # node -> successors (an insertion-ordered set); the key order
+        # is the node insertion order that breaks cycles.
+        self._succ: dict[tuple, dict[tuple, None]] = {}
+        self._rank: dict[tuple, int] = {}
+        self._stale = False
+
+    def add_route(self, nodes: Sequence[tuple]) -> None:
+        """Add the stages of one route, in walk order."""
+        succ = self._succ
+        rank = self._rank
+        stale = self._stale
+        for node in nodes:
+            if node not in succ:
+                succ[node] = {}
+                stale = True
+        for u, v in zip(nodes, nodes[1:]):
+            outs = succ[u]
+            if v not in outs:
+                outs[v] = None
+                stale = stale or rank[u] >= rank[v]
+        self._stale = stale
+
+    def ranks(self) -> dict[tuple, int]:
+        """Node -> rank."""
+        if self._stale:
+            self._rank = self._kahn()
+            self._stale = False
+        return self._rank
+
+    def _kahn(self) -> dict[tuple, int]:
+        succ = self._succ
+        indegree = dict.fromkeys(succ, 0)
+        for outs in succ.values():
+            for v in outs:
+                indegree[v] += 1
+        rank: dict[tuple, int] = {}
+        inserted = iter(succ)
+        level = 0
+        wave = [node for node, d in indegree.items() if not d]
+        while len(rank) < len(succ):
+            if not wave:
+                # Stalled on a cycle: release the earliest-inserted
+                # node left.
+                wave = [next(n for n in inserted if n not in rank)]
+            for u in wave:
+                rank[u] = level
+            ready = []
+            for u in wave:
+                for v in succ[u]:
+                    if v not in rank:
+                        indegree[v] -= 1
+                        if not indegree[v]:
+                            ready.append(v)
+            wave = ready
+            level += 1
+        return rank
+
+
+def stage_nodes(route: Sequence[str]) -> list[tuple]:
+    """The :class:`StageGraph` nodes of a walk over ``route``, by
+    position."""
+    nodes = [("link", route[0], route[1])]
+    for i in range(1, len(route) - 1):
+        nodes.append(("in", route[i], route[i - 1]))
+        nodes.append(("link", route[i], route[i + 1]))
+    return nodes
+
+
+class _Walk(NamedTuple):
+    """An admitted flow's stages, by position."""
+
+    resources: list  # each stage's resource (its flow's entry there)
+    positions: dict  # resource -> position
+    nodes: list  # each stage's StageGraph node
+
+
 class AdmissionController:
     """Admission control with O(changed-set) incremental re-analysis.
 
@@ -303,9 +487,9 @@ class AdmissionController:
     A request first checks the necessary utilisation condition on the
     candidate's route (:class:`DemandEnvelopes`) and, when it fails,
     rejects before any response-time analysis runs.  Otherwise it
-    re-solves the candidate and the flows whose stage participant sets
-    it joined, starting from the admitted set's converged table, and
-    rolls the tentative writes back on a reject.  Per-request work is
+    re-solves, stage by stage, the candidate and the stages whose
+    participant sets it joined, starting from the admitted set's
+    converged table, and rolls the tentative writes back on a reject.  Per-request work is
     proportional to the candidate's dependency cone instead of the
     admitted-set size — milliseconds at 10^5 admitted flows.
 
@@ -342,12 +526,8 @@ class AdmissionController:
         self._reads_of: dict[str, set[tuple[str, ResourceKey]]] = {}
         self._order: dict[str, int] = {}
         self._next_order = 0
-        # Flow name -> resume point: the first stage position
-        # (pipeline.stage_position) of the flow's walk whose inputs may
-        # have moved since its last walk.  _solve starts the flow's next
-        # walk there and replays the stages before it; a flow without a
-        # point is walked in full.
-        self._resume: dict[str, int] = {}
+        self._walks: dict[str, _Walk] = {}
+        self._graph = StageGraph()
         self._retired: OrderedDict[str, dict] = OrderedDict()
         self._retained_flows = max(0, retained_flows)
         if initial_flows:
@@ -402,15 +582,14 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Reader-edge maintenance
     # ------------------------------------------------------------------
-    @staticmethod
-    def _route_resources(flow: Flow) -> list[ResourceKey]:
-        """The resources a flow's Fig. 6 walk writes (its entry keys)."""
-        route = flow.route
-        keys = [link_resource(route[0], route[1])]
-        for i in range(1, len(route) - 1):
-            keys.append(ingress_resource(route[i]))
-            keys.append(link_resource(route[i], route[i + 1]))
-        return keys
+    def _add_walk(self, flow: Flow) -> None:
+        """Record ``flow``'s stages and add its route to the stage graph."""
+        resources = stage_resources(flow.route)
+        nodes = stage_nodes(flow.route)
+        self._walks[flow.name] = _Walk(
+            resources, {r: i for i, r in enumerate(resources)}, nodes
+        )
+        self._graph.add_route(nodes)
 
     def _edge_changes(
         self, flow: Flow
@@ -455,23 +634,16 @@ class AdmissionController:
                     gains.setdefault((fname, ingress), set()).add(j.name)
         return gains, flow_read_set(ctx, flow)
 
-    def _lower_resume(self, name: str, resource: ResourceKey) -> None:
-        """Move ``name``'s resume point back to its stage at
-        ``resource``, whose inputs may have moved."""
-        at = stage_position(self._ctx.flow(name).route, resource)
-        if at < self._resume.get(name, at + 1):
-            self._resume[name] = at
-
-    def _install_edges(self, flow: Flow) -> set[str]:
-        """Record the edges ``flow`` creates; returns the worklist seed
-        (the flow plus every flow whose participant set it joined, each
-        resumed at the first stage it joined)."""
+    def _install_edges(self, flow: Flow) -> set[tuple[str, int]]:
+        """Record the edges ``flow`` creates; returns the solve's seed:
+        the flow's first stage and each stage whose participant set the
+        flow joined, as ``(flow name, position)``."""
         gains, own_reads = self._edge_changes(flow)
-        seed = {flow.name}
+        walks = self._walks
+        seed = {(flow.name, 0)}
         for (_, resource), names in gains.items():
-            seed |= names
             for name in names:
-                self._lower_resume(name, resource)
+                seed.add((name, walks[name].positions[resource]))
         if self.options.use_jitter:
             # Mirror the worklist engine: with jitter modelling off the
             # readers map stays empty (no entry ever propagates).
@@ -493,7 +665,7 @@ class AdmissionController:
                 readers.discard(fname)
                 if not readers:
                     del self._readers[key]
-        for resource in self._route_resources(flow):
+        for resource in self._walks[fname].resources:
             readers = self._readers.pop((fname, resource), None)
             if readers:
                 for name in readers:
@@ -502,78 +674,179 @@ class AdmissionController:
                         reads.discard((fname, resource))
 
     # ------------------------------------------------------------------
-    # Incremental worklist solve
+    # Stage-ordered solve
     # ------------------------------------------------------------------
     def _solve(
-        self, seed: set[str]
+        self,
+        seed: Iterable[tuple[str, int]],
+        fresh: Iterable[str] = (),
     ) -> tuple[bool, dict[str, FlowResult], int, int]:
-        """Sec. 3.5 worklist restricted to the dependency cone of ``seed``.
+        """Sec. 3.5 restricted to the stages ``seed`` marks and those
+        their writes reach.
 
-        Exactly :func:`~repro.core.holistic._worklist_analysis` with the
-        initial pending set narrowed: within a round flows run in
-        admission order (min-heap over order positions = the sweep's
-        Gauss-Seidel reads), a changed jitter entry re-queues readers
-        ahead in the current round and defers readers behind to the
-        next, and convergence is the round write-delta falling within
-        :data:`~repro.core.holistic.JITTER_TOLERANCE`.  Flows outside
-        the cone are never touched: their inputs are unchanged, so
-        re-running them would reproduce their stored results bit for
-        bit (the worklist engine's defining invariant).  Likewise each
-        walk resumes at the flow's resume point: a changed entry moves
-        each reader's point back to the reader's stage at the entry's
-        resource, and the stages before the point are replayed from the
-        flow's latest walk (in this solve, else :attr:`flow_results`).
+        ``seed`` holds ``(flow name, position)`` stages.  A round runs
+        its dirty stages in order of ``(stage-graph rank, admission
+        order, position)``; a stage marked at or behind the sweep's
+        current key waits for the next round.  A stage's JSUM is its
+        flow's source jitters plus its responses at the earlier
+        positions, summed left to right as the walk sums them; it runs
+        once its entry holds that JSUM (a stage whose predecessor has
+        yet to rewrite the entry waits until it has), and then writes
+        its flow's entry at the next resource.  A changed entry marks the
+        flow's next stage and each reader's stage at that resource.  The
+        flows in ``fresh`` start with no stage results (each walk from
+        its first stage); the others start from :attr:`flow_results`.
+        Rounds end when one moves no jitter by more than
+        :data:`~repro.core.holistic.JITTER_TOLERANCE`; the first infinite
+        response ends the solve, unconverged.  The module docstring says
+        why the result is exact.
 
-        Returns ``(converged, updated results, rounds, flow evals)``.
+        Returns ``(converged, results of the flows that had a stage
+        run, rounds, stage runs)``.
         """
         ctx = self._ctx
+        by_name = ctx._by_name
+        jitters = ctx.jitters
+        entry = jitters.get
+        write = jitters.set
         order = self._order
         readers = self._readers
-        resume = self._resume
+        walks = self._walks
+        rank = self._graph.ranks()
         committed = self._results
-        max_iter = ctx.options.holistic_max_iterations
-        updated: dict[str, FlowResult] = {}
-        pending = set(seed)
+        fresh = set(fresh)
+        # Flow name -> its stage results by position (each a per-frame
+        # list), as far as its walk got.
+        done: dict[str, list[list]] = {}
+        ran: set[str] = set()  # flows that had a stage run
+        changed: set[str] = set()  # ... whose stage results changed
+        waiting: set[tuple[str, int]] = set()
+        runs = 0
         converged = False
         rounds = 0
-        evals = 0
-        for rounds in range(1, max_iter + 1):
-            ctx.jitters.begin_round()
-            heap = [(order[name], name) for name in pending]
+        pending = set(seed)
+        for rounds in range(1, ctx.options.holistic_max_iterations + 1):
+            jitters.begin_round()
+            heap = [
+                (rank[walks[name].nodes[at]], order[name], at, name)
+                for name, at in pending
+            ]
             heapq.heapify(heap)
             queued = set(pending)
-            next_pending: set[str] = set()
+            next_pending: set[tuple[str, int]] = set()
+
+            def mark(name: str, at: int) -> None:
+                key = (rank[walks[name].nodes[at]], order[name], at, name)
+                if key > current:
+                    if (name, at) not in queued:
+                        queued.add((name, at))
+                        heapq.heappush(heap, key)
+                else:
+                    next_pending.add((name, at))
+
             while heap:
-                position, name = heapq.heappop(heap)
-                queued.discard(name)
-                start = resume.pop(name, 0)
-                previous = updated.get(name) or committed.get(name)
-                if previous is None:  # the candidate's first walk
-                    start = 0
-                result = analyze_flow(ctx, ctx.flow(name), start, previous)
-                updated[name] = result
-                evals += 1
-                diverged = any(
-                    math.isinf(fr.response) for fr in result.frames
-                )
-                for key in ctx.jitters.drain_changed_keys():
-                    for reader in readers.get(key, ()):
-                        self._lower_resume(reader, key[1])
-                        rpos = order[reader]
-                        if rpos > position:
-                            if reader not in queued:
-                                queued.add(reader)
-                                heapq.heappush(heap, (rpos, reader))
-                        else:
-                            next_pending.add(reader)
-                if diverged:
-                    # Infinite responses never recover (monotone).
-                    return False, updated, rounds, evals
-            if ctx.jitters.round_delta() <= JITTER_TOLERANCE:
+                current = heapq.heappop(heap)
+                _, _, at, name = current
+                queued.discard((name, at))
+                stages = done.get(name)
+                if stages is None:
+                    if name in fresh:
+                        stages = []
+                    else:
+                        stages = [
+                            list(results)
+                            for results in zip(
+                                *[fr.stages for fr in committed[name].frames]
+                            )
+                        ]
+                    done[name] = stages
+                if at > len(stages):
+                    waiting.add((name, at))  # its predecessor never ran
+                    continue
+                flow = by_name[name]
+                jsum = [float(j) for j in flow.spec.jitters]
+                for results in stages[:at]:
+                    for k, result in enumerate(results):
+                        jsum[k] += result.response
+                jit = tuple(jsum)
+                walk = walks[name]
+                resource = walk.resources[at]
+                if at == 0:
+                    if write(name, resource, jit):
+                        for reader in readers.get((name, resource), ()):
+                            mark(reader, walks[reader].positions[resource])
+                elif entry(name, resource) != jit:
+                    waiting.add((name, at))  # its predecessor rewrites it
+                    continue
+                results = run_stage(ctx, flow, at, jit)
+                runs += 1
+                ran.add(name)
+                if at == len(stages):
+                    stages.append(results)
+                    changed.add(name)
+                elif stages[at] != results:
+                    stages[at] = results
+                    changed.add(name)
+                for result in results:
+                    if math.isinf(result.response):
+                        # Infinite responses never recover (monotone).
+                        return (
+                            False,
+                            self._results_of(done, ran, changed),
+                            rounds,
+                            runs,
+                        )
+                at += 1
+                if at == len(walk.resources):
+                    continue
+                for k, result in enumerate(results):
+                    jsum[k] += result.response
+                resource = walk.resources[at]
+                moved = write(name, resource, tuple(jsum))
+                if moved or at == len(stages) or (name, at) in waiting:
+                    waiting.discard((name, at))
+                    mark(name, at)
+                if moved:
+                    for reader in readers.get((name, resource), ()):
+                        mark(reader, walks[reader].positions[resource])
+            if jitters.round_delta() <= JITTER_TOLERANCE:
                 converged = True
                 break
             pending = next_pending
-        return converged, updated, rounds, evals
+        return converged, self._results_of(done, ran, changed), rounds, runs
+
+    def _results_of(
+        self,
+        done: Mapping[str, list[list]],
+        ran: set[str],
+        changed: set[str],
+    ) -> dict[str, FlowResult]:
+        """A solve's results of every flow it ran a stage of: rebuilt
+        from the stage results where they changed, else the committed
+        object."""
+        out: dict[str, FlowResult] = {}
+        for name in ran:
+            if name not in changed:
+                out[name] = self._results[name]
+                continue
+            stages = done[name]
+            spec = self._ctx._by_name[name].spec
+            frames = []
+            for k in range(spec.n_frames):
+                # Fig. 6: RSUM starts at GJ_i^k and adds each response.
+                rsum = float(spec.jitters[k])
+                for results in stages:
+                    rsum += results[k].response
+                frames.append(
+                    FrameResult(
+                        frame=k,
+                        response=rsum,
+                        deadline=spec.deadlines[k],
+                        stages=tuple([results[k] for results in stages]),
+                    )
+                )
+            out[name] = FlowResult(flow_name=name, frames=tuple(frames))
+        return out
 
     # ------------------------------------------------------------------
     # Admission
@@ -635,12 +908,12 @@ class AdmissionController:
                 analysis=None,
             )
 
-        saved_resume = dict(self._resume)
+        self._add_walk(flow)
         seed = self._install_edges(flow)
         self._order[flow.name] = self._next_order
         self._next_order += 1
-        ctx.jitters.begin_undo()
-        converged, updated, rounds, evals = self._solve(seed)
+        ctx.begin_undo()
+        converged, updated, rounds, runs = self._solve(seed, (flow.name,))
         if not converged:
             reason = "holistic analysis diverged (utilisation too high)"
         else:
@@ -648,19 +921,15 @@ class AdmissionController:
         analysis = HolisticResult(
             flow_results=dict(updated), iterations=rounds, converged=converged
         )
-        _note_resolves(updated, evals)
+        _note_resolves(updated, runs)
         if reason is not None:
-            ctx.jitters.rollback_undo()
+            ctx.rollback_undo()
             ctx.jitters.begin_round()  # drop the tentative write accounting
-            # The table is the committed one again, and flow_results
-            # holds the walks that wrote it: the points from before the
-            # request are the ones that hold.
-            self._resume = saved_resume
             self._withdraw(flow, edges_installed=True)
             return AdmissionDecision(
                 accepted=False, reason=reason, analysis=analysis
             )
-        ctx.jitters.commit_undo()
+        ctx.commit_undo()
         self._results.update(updated)
         return AdmissionDecision(
             accepted=True, reason="all deadlines met", analysis=analysis
@@ -671,7 +940,7 @@ class AdmissionController:
         if edges_installed:
             self._remove_edges(flow)
             self._order.pop(flow.name, None)
-        self._resume.pop(flow.name, None)
+            del self._walks[flow.name]
         self._ctx.remove_flow(flow.name)
         self._note_invalidations(flow)
         self._retire_demands(flow.name)
@@ -686,10 +955,9 @@ class AdmissionController:
         gains: reader ``j`` of ``flow``'s entry at ``res``) or it reads
         a cone entry; an affected stage puts ``j``'s entries at every
         resource after ``res`` on ``j``'s route into the cone (an entry
-        is the sum of its flow's earlier stage responses).  The flows
-        with an affected stage are the ones to re-solve, each from its
-        first affected stage, including flows whose only affected stage
-        is their last hop (no entry to reset, but their bound changes).
+        is the sum of its flow's earlier stage responses).  The affected
+        stages are the ones to re-solve, including those at a flow's
+        last hop (no entry to reset, but the flow's bound changes).
         Direct readers come from the link occupancy, so the cone is
         exact also with jitter modelling off, where the readers map is
         empty but participant sets still change.
@@ -705,9 +973,8 @@ class AdmissionController:
                 continue
             affected.add(stage)
             name, res = stage
-            owner = self._ctx.flow(name)
-            resources = self._route_resources(owner)
-            for resource in resources[stage_position(owner.route, res) + 1:]:
+            walk = self._walks[name]
+            for resource in walk.resources[walk.positions[res] + 1:]:
                 entry = (name, resource)
                 if entry in cone:
                     break  # a flow's cone entries form a route suffix
@@ -721,8 +988,7 @@ class AdmissionController:
         """Remove an admitted flow; re-solves only the entries it can lower.
 
         Cold-resets the released flow's *cone* (:meth:`_release_cone`)
-        and re-solves the flows owning an affected stage, each resumed
-        at its first affected stage.  The module
+        and re-solves from the affected stages.  The module
         docstring says why this is exact and why the reset is cold
         (``tests/test_hierarchy.py::test_ring_release_matches_from_scratch``
         pins inputs where a warm restart is wrong).
@@ -735,27 +1001,25 @@ class AdmissionController:
         start = time.perf_counter()
         flow = ctx._by_name[flow_name]
         cone, affected = self._release_cone(flow)
-        for name, resource in affected:
-            self._lower_resume(name, resource)
+        walks = self._walks
+        seed = {(name, walks[name].positions[res]) for name, res in affected}
 
         self._remove_edges(flow)
         self._order.pop(flow_name, None)
         self._results.pop(flow_name, None)
-        self._resume.pop(flow_name, None)
+        del walks[flow_name]
         ctx.remove_flow(flow_name)
         self._note_invalidations(flow)
         self._retire_demands(flow_name)
 
         ctx.jitters.reset_entries(cone)  # cold restart (see module doc)
-        converged, updated, rounds, evals = self._solve(
-            {name for name, _ in affected}
-        )
+        converged, updated, rounds, runs = self._solve(seed)
         if not converged:  # impossible: a subset of a convergent set
             raise RuntimeError(
                 f"release of {flow_name!r} failed to re-converge"
             )
         self._results.update(updated)
-        _note_resolves(updated, evals)
+        _note_resolves(updated, runs)
         if reg is not None:
             reg.add("hierarchy.releases")
             reg.observe("hierarchy.release_s", time.perf_counter() - start)
@@ -779,6 +1043,7 @@ class AdmissionController:
             self._revive_demands(flow.name)
             ctx.add_flow(flow)
             self._note_invalidations(flow)
+            self._add_walk(flow)
             self._order[flow.name] = self._next_order
             self._next_order += 1
         if jitters:
@@ -795,10 +1060,12 @@ class AdmissionController:
                     for key in reads:
                         self._readers.setdefault(key, set()).add(f.name)
         # The seeded table and the new flows can move any stage of the
-        # flows admitted before: every flow's first walk here is full.
-        names = {f.name for f in ctx.flows}
-        self._resume = dict.fromkeys(names, 0)
-        converged, updated, rounds, evals = self._solve(names)
+        # flows admitted before: every flow is walked from its first
+        # stage, as if new.
+        names = [f.name for f in ctx.flows]
+        converged, updated, rounds, runs = self._solve(
+            [(name, 0) for name in names], names
+        )
         if not converged:
             reason = "holistic analysis diverged (utilisation too high)"
         else:
@@ -806,7 +1073,7 @@ class AdmissionController:
         if reason is not None:
             raise ValueError(f"preloaded flow set not admissible: {reason}")
         self._results.update(updated)
-        _note_resolves(updated, evals)
+        _note_resolves(updated, runs)
         _telemetry.add("hierarchy.preload_flows", len(flows))
         return HolisticResult(
             flow_results=dict(updated), iterations=rounds, converged=True
@@ -853,11 +1120,13 @@ class AdmissionController:
             _telemetry.add("hierarchy.envelope_invalidations", dropped)
 
 
-def _note_resolves(updated: Mapping[str, FlowResult], evals: int) -> None:
-    """Count a solve's flow evaluations and changed set (telemetry)."""
+def _note_resolves(updated: Mapping[str, FlowResult], runs: int) -> None:
+    """Count a solve's stage runs and changed set: the flows that had
+    a stage run, also counted as re-solved flows (telemetry)."""
     reg = _telemetry.REGISTRY
     if reg is not None:
-        reg.add("hierarchy.flow_resolves", float(evals))
+        reg.add("hierarchy.stage_runs", float(runs))
+        reg.add("hierarchy.flow_resolves", float(len(updated)))
         reg.add("hierarchy.changed_set", float(len(updated)))
 
 

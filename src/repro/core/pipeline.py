@@ -68,36 +68,20 @@ still see an infinite participant jitter.  Printed-model
 (``strict_paper``) stages store no fixed points and are recomputed on
 every miss.
 
-Resumed walks
--------------
-A caller that knows where a flow's inputs moved since the flow's last
-walk can start the next walk there: ``analyze_flow(ctx, flow, start,
-previous)`` replays the stages before position ``start``
-(:func:`stage_position`) from ``previous``, the
-:class:`~repro.core.results.FlowResult` of that last walk, adding their
-responses to RSUM and JSUM in the same order, and runs the stages from
-``start`` on as above.  Replayed stages neither write the flow's
-entries nor look up the memo.  The replay is bit-identical to running
-them:
-
-* a stage reads only its participants, their ``extra_j`` and the
-  flow's JSUM at its resource, plus static link data;
-* only the flow's own walk writes the flow's entries, apart from a
-  release's cone reset and a rejected request's rollback (the
-  admission engine's bookkeeping accounts for both);
-* so if no participant set and no participant jitter of the stages
-  before ``start`` moved, each of them sees the inputs of the last
-  walk, which also wrote the entry the flow holds there now.  A full
-  walk would rewrite an equal value
-  (:meth:`~repro.core.context.JitterTable.set` returns early: no
-  changed key, no delta) and get the stage's results for
-  equal inputs from its memo or a solve: the results the last walk
-  recorded.
-
-Replayed stages count as memo hits (``engine.stage_memo.hits``, so the
-hit rate keeps its meaning) and also as ``engine.stage_memo.replayed``.
-The admission engine (:mod:`repro.core.hierarchy`) keeps each flow's
-resume point; the holistic analysis always walks in full.
+Stage step
+----------
+:func:`run_stage` is one stage of the walk, given the flow's JSUM at the
+stage's resource, which the caller has already written to the jitter
+table: it plans the stage (resource, participants, kind), looks up the
+memo, checks verified reuse, runs the stage analysis on a miss and
+masks frames whose JSUM already diverged.  :func:`analyze_flow` calls
+it at every position of the walk; the admission engine
+(:mod:`repro.core.hierarchy`) calls it for single stages it schedules.
+The participants' ``extra_j`` that the memo lookup gathers are handed
+to the stage analysis as its jitter shifts, so a stage reads them once,
+and the stage modules keep their utilisation sums on the link's
+:class:`~repro.core.demand.LinkDemandMatrix`, which retires with the
+link's flow set.
 """
 
 from __future__ import annotations
@@ -119,6 +103,7 @@ from repro.core.results import (
     FlowResult,
     FrameResult,
     StageKind,
+    StageResult,
     diverged_stage,
 )
 from repro.core.switch_egress import egress_stage
@@ -126,24 +111,22 @@ from repro.core.switch_ingress import ingress_stage
 from repro.model.flow import Flow
 
 
-def stage_position(route: Sequence[str], resource: ResourceKey) -> int:
-    """Position of the stage at ``resource`` in the walk of a flow
-    routed over ``route``.
+def stage_resources(route: Sequence[str]) -> list[ResourceKey]:
+    """The resources of the walk of a flow routed over ``route``, by
+    position: the jitter entries it writes.
 
     :func:`analyze_flow` runs the first hop at position 0, then the
     ingress of switch ``route[i]`` at ``2i - 1`` and its egress at
-    ``2i``; both resource kinds name their node second
-    (``("link", N, next)``, ``("in", N)``).
+    ``2i``.
     """
-    return 2 * route.index(resource[1]) - (resource[0] == "in")
+    keys = [link_resource(route[0], route[1])]
+    for i in range(1, len(route) - 1):
+        keys.append(ingress_resource(route[i]))
+        keys.append(link_resource(route[i], route[i + 1]))
+    return keys
 
 
-def analyze_flow(
-    ctx: AnalysisContext,
-    flow: Flow,
-    start: int = 0,
-    previous: FlowResult | None = None,
-) -> FlowResult:
+def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
     """Run Fig. 6 for every frame of ``flow``; updates the jitter table.
 
     Other flows' jitters are read from the context's current jitter
@@ -154,12 +137,6 @@ def analyze_flow(
     tables are shared across the flow's frames; see the stage modules),
     then frames whose accumulated jitter already diverged upstream are
     masked to diverged stages.
-
-    A resumed walk (``start`` > 0) replays the stages before position
-    ``start`` (:func:`stage_position`) from ``previous``, the flow's
-    last walk, and runs the rest; the caller vouches that no input of
-    those stages moved since (see "Resumed walks" in the module
-    docstring).
     """
     spec = flow.spec
     n = spec.n_frames
@@ -167,106 +144,18 @@ def analyze_flow(
     # Fig. 6 line 3: RSUM := GJ_i^k; JSUM := GJ_i^k.
     rsum = [float(j) for j in spec.jitters]
     jsum = [float(j) for j in spec.jitters]
-    if start:
-        stages = [list(fr.stages[:start]) for fr in previous.frames]
-        for k in range(n):
-            for result in stages[k]:
-                rsum[k] += result.response
-                jsum[k] += result.response
-        reg = _telemetry.REGISTRY
-        if reg is not None:
-            reg.add("engine.stage_memo.hits", start)
-            reg.add("engine.stage_memo.replayed", start)
-    else:
-        stages = [[] for _ in range(n)]
-
-    def run_stage(resource, participants, kind, link, node) -> None:
-        """Set this flow's jitters at ``resource``, analyse all frames,
-        and advance RSUM/JSUM by the responses.
-
-        Fig. 6 lines 8/13/17: the jitter at a resource is the JSUM
-        accumulated *before* the resource.
-
-        ``participants`` are the flows whose demand and jitters at
-        ``resource`` the stage analysis reads, in order; their demand
-        sits on ``link``.  The stage is replayed from the context's
-        memo when its last run had the same participants and either
-        the same inputs (a hit) or inputs that have only grown since,
-        under which every fixed point the memo kept still holds (a
-        verified miss; see :func:`_fixed_points_hold`).  Otherwise the
-        stage analysis of ``kind`` at ``node`` runs.
-        """
+    stages = [[] for _ in range(n)]
+    for position, resource in enumerate(stage_resources(flow.route)):
+        # Fig. 6 lines 8/13/17: the jitter at a resource is the JSUM
+        # accumulated *before* the resource.
         jit = tuple(jsum)
         ctx.jitters.set(name, resource, jit)
-        inputs = (jit, ctx.extras(participants, resource))
-        hit = ctx.stage_memo_get(name, resource, participants)
-        reg = _telemetry.REGISTRY
-        if hit is not None and hit[0] == inputs:
-            if reg is not None:
-                reg.add("engine.stage_memo.hits")
-            results = hit[1]
-        else:
-            if reg is not None:
-                reg.add("engine.stage_memo.misses")
-            if hit is not None and _fixed_points_hold(
-                ctx, flow, kind, link, participants, inputs, hit
-            ):
-                if reg is not None:
-                    reg.add("engine.stage_memo.verified")
-                results, fixed = hit[1], hit[2]
-            else:
-                recorded: list = []
-                if kind is StageKind.FIRST_HOP:
-                    results = first_hop_stage(ctx, flow, recorded)
-                elif kind is StageKind.INGRESS:
-                    results = ingress_stage(ctx, flow, node, recorded)
-                else:
-                    results = egress_stage(ctx, flow, node, recorded)
-                fixed = recorded[0] if recorded else None
-            ctx.stage_memo_put(
-                name, resource, participants, inputs, results, fixed
-            )
+        results = run_stage(ctx, flow, position, jit)
         for k in range(n):
             result = results[k]
-            if math.isinf(jsum[k]) and not math.isinf(result.response):
-                # An upstream stage diverged for this frame but the
-                # stage analysis (e.g. with jitter modelling disabled)
-                # did not see it; short-circuit the frame.
-                result = diverged_stage(kind, resource)
             stages[k].append(result)
             rsum[k] += result.response
             jsum[k] += result.response
-
-    route = flow.route
-    if not start:
-        src, first = route[0], route[1]
-        run_stage(
-            link_resource(src, first),
-            ctx.flows_on_link(src, first),
-            StageKind.FIRST_HOP,
-            (src, first),
-            src,
-        )
-    # Switch route[i]: ingress at position 2i - 1, egress at 2i.  A
-    # degenerate source->destination route has no switch, and its walk
-    # is the first hop alone (the paper's Fig. 6 loop body never runs).
-    for i in range(max(1, (start + 1) // 2), len(route) - 1):
-        n1, n2, n3 = route[i - 1], route[i], route[i + 1]
-        if 2 * i > start:
-            run_stage(
-                ingress_resource(n2),
-                ctx.flows_on_link(n1, n2),
-                StageKind.INGRESS,
-                (n1, n2),
-                n2,
-            )
-        run_stage(
-            link_resource(n2, n3),
-            (*ctx.hep(flow, n2, n3), flow),
-            StageKind.EGRESS,
-            (n2, n3),
-            n2,
-        )
 
     frames = tuple(
         FrameResult(
@@ -278,6 +167,90 @@ def analyze_flow(
         for k in range(n)
     )
     return FlowResult(flow_name=name, frames=frames)
+
+
+def run_stage(
+    ctx: AnalysisContext,
+    flow: Flow,
+    position: int,
+    jitters: tuple[float, ...],
+) -> list[StageResult]:
+    """Analyse all frames of ``flow``'s stage at ``position`` of its walk.
+
+    ``jitters`` is the flow's per-frame JSUM at the stage's resource,
+    which the table must already hold there.  The stage's participants
+    are the flows whose demand and jitters at the resource it reads, in
+    order: every flow on the link for the first hop, every flow on the
+    incoming link for an ingress, the ``hep`` set and the flow for an
+    egress.  The stage is replayed from the context's memo when its last
+    run had the same participants and either the same inputs (a hit) or
+    inputs that have only grown since, under which every fixed point
+    the memo kept still holds (a verified miss; see
+    :func:`_fixed_points_hold`).  Otherwise the stage analysis runs with
+    the participants' ``extra_j`` as its shifts.  Frames whose JSUM is
+    infinite get a diverged stage even where the analysis (e.g. with
+    jitter modelling disabled) did not see it.
+    """
+    route = flow.route
+    if position == 0:
+        node, nxt = route[0], route[1]
+        resource = link_resource(node, nxt)
+        participants = ctx.flows_on_link(node, nxt)
+        kind = StageKind.FIRST_HOP
+        link = (node, nxt)
+    else:
+        i = (position + 1) >> 1
+        node = route[i]
+        if position & 1:
+            prev = route[i - 1]
+            resource = ingress_resource(node)
+            participants = ctx.flows_on_link(prev, node)
+            kind = StageKind.INGRESS
+            link = (prev, node)
+        else:
+            nxt = route[i + 1]
+            resource = link_resource(node, nxt)
+            participants = (*ctx.hep(flow, node, nxt), flow)
+            kind = StageKind.EGRESS
+            link = (node, nxt)
+    name = flow.name
+    extras = ctx.extras(participants, resource)
+    inputs = (jitters, extras)
+    hit = ctx.stage_memo_get(name, resource, participants)
+    reg = _telemetry.REGISTRY
+    if hit is not None and hit[0] == inputs:
+        if reg is not None:
+            reg.add("engine.stage_memo.hits")
+        results = hit[1]
+    else:
+        if reg is not None:
+            reg.add("engine.stage_memo.misses")
+        if hit is not None and _fixed_points_hold(
+            ctx, flow, kind, link, participants, inputs, hit
+        ):
+            if reg is not None:
+                reg.add("engine.stage_memo.verified")
+            results, fixed = hit[1], hit[2]
+        else:
+            recorded: list = []
+            if kind is StageKind.FIRST_HOP:
+                results = first_hop_stage(ctx, flow, recorded, extras)
+            elif kind is StageKind.INGRESS:
+                results = ingress_stage(ctx, flow, node, recorded, extras)
+            else:
+                results = egress_stage(ctx, flow, node, recorded, extras)
+            fixed = recorded[0] if recorded else None
+        ctx.stage_memo_put(name, resource, participants, inputs, results, fixed)
+    if math.inf in jitters:
+        # An upstream stage diverged for these frames; short-circuit
+        # them also where the stage analysis did not see it.
+        results = [
+            diverged_stage(kind, resource)
+            if math.isinf(j) and not math.isinf(result.response)
+            else result
+            for j, result in zip(jitters, results)
+        ]
+    return results
 
 
 def _fixed_points_hold(

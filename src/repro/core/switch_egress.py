@@ -66,12 +66,16 @@ def egress_stage(
     flow: Flow,
     node: str,
     fixed_points: list | None = None,
+    shifts: tuple[float, ...] | None = None,
 ) -> list[StageResult]:
     """``R_i^{k,link(N, succ(tau_i, N))}`` (Eq. 33) for every frame.
 
     When ``fixed_points`` is a list, a corrected-model stage that ran its
     fixed points appends their
-    :func:`~repro.core.context.fixed_point_record` to it.
+    :func:`~repro.core.context.fixed_point_record` to it.  ``shifts``
+    are the ``extra_j`` on the link of the flow's ``hep`` set followed by
+    the flow's own, when the caller already gathered them; None gathers
+    them here.
     """
     nxt = flow.succ(node)
     resource = link_resource(node, nxt)
@@ -86,29 +90,25 @@ def egress_stage(
     tsum_i = dem_i.tsum
     horizon = ctx.horizon_for(flow)
 
-    if egress_utilization(ctx, flow, node) >= 1.0:
-        return [diverged_stage(StageKind.EGRESS, resource)] * n
-
     hep = ctx.hep(flow, node, nxt)
-    participants = (*hep, flow)  # busy period includes own demand
-    extras = {j.name: ctx.extra(j, resource) for j in participants}
-    if any(math.isinf(e) for e in extras.values()):
+    sums = ctx.link_matrix(node, nxt).egress_sums
+    hit = sums.get(flow.name)
+    if hit is not None and hit[0] is hep:
+        utilization = hit[1]
+    else:
+        utilization = egress_utilization(ctx, flow, node)
+        sums[flow.name] = (hep, utilization)
+    if utilization >= 1.0:
         return [diverged_stage(StageKind.EGRESS, resource)] * n
 
-    all_set = ctx.interference(
-        participants,
-        node,
-        nxt,
-        [extras[j.name] for j in participants],
-        strict=strict,
-    )
-    hep_set = ctx.interference(
-        hep,
-        node,
-        nxt,
-        [extras[j.name] for j in hep],
-        strict=strict,
-    )
+    participants = (*hep, flow)  # busy period includes own demand
+    if shifts is None:
+        shifts = tuple([ctx.extra(j, resource) for j in participants])
+    if math.inf in shifts:
+        return [diverged_stage(StageKind.EGRESS, resource)] * n
+
+    all_set = ctx.interference(participants, node, nxt, shifts, strict=strict)
+    hep_set = ctx.interference(hep, node, nxt, shifts[:-1], strict=strict)
     rate, intercept = all_set.mixed_support(circ)
     busy_accel = LinearLowerBound(rate, intercept + mft)
     hep_rate, hep_intercept = hep_set.mixed_support(circ)

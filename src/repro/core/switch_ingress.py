@@ -62,6 +62,7 @@ def ingress_stage(
     flow: Flow,
     node: str,
     fixed_points: list | None = None,
+    shifts: tuple[float, ...] | None = None,
 ) -> list[StageResult]:
     """``R_i^{k,in(N)}`` (Eq. 26) for every frame ``k``: from all
     Ethernet frames of the frame received at switch ``node`` until all
@@ -69,7 +70,11 @@ def ingress_stage(
 
     When ``fixed_points`` is a list, a corrected-model stage that ran its
     fixed points appends their
-    :func:`~repro.core.context.fixed_point_record` to it.
+    :func:`~repro.core.context.fixed_point_record` to it.  ``shifts``
+    are the interferers' ``extra_j`` at the ingress, in
+    :meth:`~repro.core.context.AnalysisContext.flows_on_link` order of
+    the incoming link, when the caller already gathered them; None
+    gathers them here.
     """
     prev = flow.prec(node)
     resource = ingress_resource(node)
@@ -85,26 +90,26 @@ def ingress_stage(
     tsum_i = dem_i.tsum
     horizon = ctx.horizon_for(flow)
 
-    if ingress_utilization(ctx, node, prev) >= 1.0:
+    sums = ctx.link_matrix(prev, node).ingress_sums
+    utilization = sums.get(circ)
+    if utilization is None:
+        utilization = sums[circ] = ingress_utilization(ctx, node, prev)
+    if utilization >= 1.0:
         return [diverged_stage(StageKind.INGRESS, resource)] * n
 
-    extras = {j.name: ctx.extra(j, resource) for j in interferers}
-    if any(math.isinf(e) for e in extras.values()):
+    if shifts is None:
+        shifts = tuple([ctx.extra(j, resource) for j in interferers])
+    if math.inf in shifts:
         return [diverged_stage(StageKind.INGRESS, resource)] * n
 
-    all_set = ctx.interference(
-        interferers,
-        prev,
-        node,
-        [extras[j.name] for j in interferers],
-        strict=strict,
-    )
-    others = [j for j in interferers if j.name != flow.name]
+    all_set = ctx.interference(interferers, prev, node, shifts, strict=strict)
+    name = flow.name
+    others = [j for j in interferers if j.name != name]
     others_set = ctx.interference(
         others,
         prev,
         node,
-        [extras[j.name] for j in others],
+        tuple([e for j, e in zip(interferers, shifts) if j.name != name]),
         strict=strict,
     )
     busy_accel = LinearLowerBound(*all_set.nx_support(circ))

@@ -31,12 +31,16 @@ import oracle
 from repro import telemetry
 from repro.core import hierarchy, pipeline
 from repro.core.admission import AdmissionController
-from repro.core.context import AnalysisOptions, ingress_resource, link_resource
+from repro.core.context import AnalysisOptions
+from repro.core.first_hop import first_hop_utilization
 from repro.core.results import diverged_stage
+from repro.core.switch_egress import egress_utilization
+from repro.core.switch_ingress import ingress_utilization
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
 from repro.model.network import Network
 from repro.scenario.families import _MICE_SPEC, datacenter_flows
+from repro.scenario.registry import REGISTRY
 from repro.util.units import mbps, ms
 from repro.workloads.topologies import multi_pod_route
 
@@ -242,63 +246,9 @@ def test_interleaving_matches_from_scratch_after_every_step(case):
     assert reg.snapshot()["counters"]["engine.stage_memo.verified"] > 0
 
 
-def _assert_prefix_replays(ctx, flow, start, previous):
-    """Every stage before ``start`` of ``flow``'s walk, as ``previous``
-    recorded it, equals a fresh run of its stage analysis on the current
-    state, masked as the walk masks an upstream divergence; and the
-    flow's table entry at each of those resources holds the JSUM the
-    replay accumulates there."""
-    route = flow.route
-    jsum = [float(j) for j in flow.spec.jitters]
-    for position in range(start):
-        if position == 0:
-            resource = link_resource(route[0], route[1])
-            fresh = pipeline.first_hop_stage(ctx, flow)
-        else:
-            node = route[(position + 1) // 2]
-            if position % 2:
-                resource = ingress_resource(node)
-                fresh = pipeline.ingress_stage(ctx, flow, node)
-            else:
-                resource = link_resource(node, flow.succ(node))
-                fresh = pipeline.egress_stage(ctx, flow, node)
-        assert pipeline.stage_position(route, resource) == position
-        assert ctx.jitters.get(flow.name, resource) == tuple(jsum), (
-            flow.name,
-            resource,
-        )
-        for k, frame in enumerate(previous.frames):
-            want = fresh[k]
-            if math.isinf(jsum[k]) and not math.isinf(want.response):
-                want = diverged_stage(want.kind, resource)
-            assert frame.stages[position] == want, (flow.name, resource, k)
-            jsum[k] += want.response
-
-
-@pytest.mark.parametrize(
-    "case",
-    [0, 1, 2, "ring3", "ring4", "ring5", "ring3-35", "ring4-4", "ring4-55"],
-)
-def test_resumed_walks_replay_what_a_fresh_stage_returns(case, monkeypatch):
-    """A resumed walk replays the stages before its resume point from
-    the flow's last walk; on every such walk of the interleaving inputs
-    (all but the slow ``ring5-20``), each replayed stage must be what
-    the stage analysis returns on the current state, and the flow's own
-    entries there must hold the replayed JSUM.  Run ahead of the walk,
-    so a resume point set one stage too late fails here even where the
-    moved stage's memo would have hidden it."""
-    walk = hierarchy.analyze_flow
-    resumed = []
-
-    def checked(ctx, flow, start=0, previous=None):
-        if start:
-            _assert_prefix_replays(ctx, flow, start, previous)
-            resumed.append(flow.name)
-        return walk(ctx, flow, start, previous)
-
-    monkeypatch.setattr(hierarchy, "analyze_flow", checked)
-    net, flows, seed = _case_scenario(case)
-    hier = AdmissionController(net, AnalysisOptions())
+def _interleave(hier, flows, seed, after_step=lambda: None):
+    """Admit and release ``flows`` on ``hier`` in the order of the
+    property test above, calling ``after_step`` after every step."""
     rng = random.Random(seed)
     pending = list(flows)
     live: list[str] = []
@@ -311,72 +261,254 @@ def test_resumed_walks_replay_what_a_fresh_stage_returns(case, monkeypatch):
             flow = pending.pop(rng.randrange(len(pending)))
             if hier.request(flow).accepted:
                 live.append(flow.name)
-    assert resumed
+        after_step()
 
 
-def test_rejected_request_restores_the_resume_points():
-    """A reject rolls the table back to the committed one, whose
-    writers are the committed walks; the resume points must then be
-    the ones from before the request, also those planted before it
-    that the tentative solve popped.  (A point at 0 is always sound:
-    it only makes the flow's next walk a full one.)"""
-    net, flows = _ring_scenario(4)
-    hier = AdmissionController(net, AnalysisOptions())
+def _fresh_stage(ctx, flow, position):
+    """The stage analysis at ``position`` of ``flow``'s walk, run on the
+    current state with the shifts it gathers itself."""
+    if position == 0:
+        return pipeline.first_hop_stage(ctx, flow)
+    node = flow.route[(position + 1) // 2]
+    if position % 2:
+        return pipeline.ingress_stage(ctx, flow, node)
+    return pipeline.egress_stage(ctx, flow, node)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [0, 1, 2, "ring3", "ring4", "ring5", "ring3-35", "ring4-4", "ring4-55"],
+)
+def test_scheduled_stages_return_what_a_fresh_stage_returns(case, monkeypatch):
+    """Every stage the engine runs (``run_stage``: memo hit, verified
+    reuse or a solve over the shifts it gathered for the memo key)
+    returns what the stage analysis returns when it gathers the shifts
+    itself on the same state, masked as the step masks an upstream
+    divergence; and it runs only once its flow's entry at the stage
+    holds the JSUM it is given.  Checked over the interleaving inputs
+    (all but the slow ``ring5-20``)."""
+    run = hierarchy.run_stage
+    checked = []
+
+    def fresh_checked(ctx, flow, position, jitters):
+        resource = pipeline.stage_resources(flow.route)[position]
+        assert ctx.jitters.get(flow.name, resource) == jitters, (
+            flow.name,
+            position,
+        )
+        results = run(ctx, flow, position, jitters)
+        fresh = _fresh_stage(ctx, flow, position)
+        assert len(results) == len(fresh) == flow.spec.n_frames
+        for k, want in enumerate(fresh):
+            if math.isinf(jitters[k]) and not math.isinf(want.response):
+                want = diverged_stage(want.kind, resource)
+            assert results[k] == want, (flow.name, position, k)
+        checked.append(flow.name)
+        return results
+
+    monkeypatch.setattr(hierarchy, "run_stage", fresh_checked)
+    net, flows, seed = _case_scenario(case)
+    _interleave(AdmissionController(net, AnalysisOptions()), flows, seed)
+    assert checked
+
+
+def _datacenter_fabric():
+    """A 2-pod fabric with four racks per pod."""
+    return datacenter_flows(
+        pods=2,
+        aggs_per_pod=1,
+        leaves_per_pod=4,
+        hosts_per_leaf=4,
+        cores=1,
+        n_mice=64,
+        n_elephants=2,
+        incast_groups=1,
+        incast_fanin=3,
+        tenants=4,
+        seed=0,
+    )
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, "datacenter"])
+def test_acyclic_solves_run_each_stage_once(case, monkeypatch):
+    """On fat trees the stage graph is acyclic, so a solve runs each
+    dirty stage once, after every entry it reads is final: no
+    ``(flow, position)`` runs twice in one request, release or preload.
+    Integer cases interleave the 2-pod fat tree seeded with that number;
+    ``datacenter`` preloads a larger fabric, releases a third of it and
+    re-admits what it released."""
+    runs = []
+    solves = []
+    run = hierarchy.run_stage
+
+    def counted(ctx, flow, position, jitters):
+        runs.append((flow.name, position))
+        return run(ctx, flow, position, jitters)
+
+    monkeypatch.setattr(hierarchy, "run_stage", counted)
+    solve = AdmissionController._solve
+
+    def one_solve(self, *args, **kwargs):
+        runs.clear()
+        try:
+            return solve(self, *args, **kwargs)
+        finally:
+            solves.append(len(runs) - len(set(runs)))
+
+    monkeypatch.setattr(AdmissionController, "_solve", one_solve)
+    if case == "datacenter":
+        net, flows = _datacenter_fabric()
+        hier = AdmissionController(net, AnalysisOptions())
+        hier.preload(flows)
+        for flow in flows[::3]:
+            hier.release(flow.name)
+        for flow in flows[::3]:
+            assert hier.request(flow).accepted, flow.name
+    else:
+        net, flows, seed = _case_scenario(case)
+        _interleave(AdmissionController(net, AnalysisOptions()), flows, seed)
+    assert len(solves) > 10
+    assert not any(solves), solves  # repeated runs per solve
+
+
+def test_link_utilisation_caches_equal_fresh_sums():
+    """The utilisation sums the stages keep on each link's demand matrix
+    equal fresh Eq. 20, ingress and Eqs. 34/35 sums after every step of
+    the interleavings: an egress sum is stored with the ``hep`` tuple it
+    was summed over, which must be the flow's current one."""
+    for case in (0, 1, 2, "ring4", "ring5"):
+        net, flows, seed = _case_scenario(case)
+        hier = AdmissionController(net, AnalysisOptions())
+        ctx = hier._ctx
+        seen = [0, 0, 0]
+
+        def check():
+            for (n1, n2), (link_flows, matrix) in ctx._matrix_cache.items():
+                if link_flows is not ctx.flows_on_link(n1, n2):
+                    continue  # retired with the link's old flow set
+                if matrix.first_hop_sum is not None:
+                    assert matrix.first_hop_sum == first_hop_utilization(
+                        ctx, n1, n2
+                    )
+                    seen[0] += 1
+                for circ, value in matrix.ingress_sums.items():
+                    assert circ == ctx.circ_task(n2, n1)
+                    assert value == ingress_utilization(ctx, n2, n1)
+                    seen[1] += 1
+                for name, (hep, value) in matrix.egress_sums.items():
+                    flow = ctx.flow(name)
+                    assert hep is ctx.hep(flow, n1, n2), (case, name)
+                    assert value == egress_utilization(ctx, flow, n1)
+                    seen[2] += 1
+
+        _interleave(hier, flows, seed, check)
+        assert all(seen), (case, seen)
+
+
+def _memo(hier):
+    """A copy of the engine's stage memo: (flow, resource) -> entry."""
+    return {
+        (name, resource): entry
+        for name, per_flow in hier._ctx._stage_cache.items()
+        for resource, entry in per_flow.items()
+    }
+
+
+@pytest.mark.parametrize("case", ["fat-tree", "ring4"])
+def test_rejected_request_restores_the_stage_memo(case, monkeypatch):
+    """A reject rolls back the stage memo with the jitter table: after
+    every reject that ran a solve, the memo equals its state before the
+    request, although the solve overwrote entries of admitted flows
+    (stages run over participants that include the candidate).
+    ``fat-tree`` is the ``fat-tree-tcp`` benchmark scenario, whose flows
+    in order meet four such rejects."""
+    if case == "ring4":
+        net, flows = _ring_scenario(4)
+        options = AnalysisOptions()
+    else:
+        scenario = REGISTRY.build(
+            "fat-tree",
+            spines=2,
+            leaves=4,
+            hosts_per_leaf=4,
+            n_flows=24,
+            utilization=0.6,
+            seed=11,
+        )
+        net, flows, options = (
+            scenario.network,
+            scenario.flows,
+            scenario.options,
+        )
+    hier = AdmissionController(net, options)
+    overwritten = []
+    put = type(hier._ctx).stage_memo_put
+
+    def noted(ctx, flow_name, resource, *args):
+        if (flow_name, resource) in before:
+            overwritten.append(flow_name)
+        return put(ctx, flow_name, resource, *args)
+
+    monkeypatch.setattr(type(hier._ctx), "stage_memo_put", noted)
     rejected = 0
     for flow in flows:
-        for admitted in hier.admitted_flows:
-            hier._resume[admitted.name] = 0
-        before = dict(hier._resume)
+        before = _memo(hier)
+        table = hier.jitter_snapshot()
+        overwritten.clear()
         decision = hier.request(flow)
-        if not decision.accepted and decision.analysis is not None:
-            assert set(decision.analysis.flow_results) & set(before)
-            assert hier._resume == before
-            rejected += 1
+        if decision.accepted or decision.analysis is None:
+            continue
+        assert _memo(hier) == before, flow.name
+        assert hier.jitter_snapshot() == table
+        rejected += bool(overwritten)
     assert rejected
-    _assert_matches_from_scratch(hier, net, AnalysisOptions())
+    _assert_matches_from_scratch(hier, net, options)
 
 
-def test_resumed_walks_do_the_work_of_full_walks(monkeypatch):
-    """Over a reject-free sequence of admits, releases and re-admits,
-    resumed walks reuse exactly the stages full walks would take from
-    the memo: every replayed stage counts as a hit, so hits, misses,
-    verified reuses and fixed-point solves equal those of the same
-    sequence with every walk forced to start at its first hop, and the
-    final states are equal."""
-    net, flows = _small_scenario(3)
+def test_ring_stage_first_runs_in_a_later_round(monkeypatch):
+    """A stage marked at or behind the sweep waits for the next round,
+    one ahead of it runs in the current one.  On ``ring4`` (cyclic
+    stage graph) some stage of a solve first runs in round 2 or later;
+    the table and bounds still equal a from-scratch analysis after
+    every step."""
+    net, flows, seed = _case_scenario("ring4")
+    hier = AdmissionController(net, AnalysisOptions())
+    jitters = hier._ctx.jitters
+    rounds = 0
+    first_round = {}
+    late = []
+    begin_round = jitters.begin_round
 
-    def run():
-        with telemetry.capture() as reg:
-            hier = AdmissionController(net, AnalysisOptions())
-            for flow in flows:
-                assert hier.request(flow).accepted, flow.name
-            for flow in flows[::3]:
-                hier.release(flow.name)
-            for flow in flows[::3]:
-                assert hier.request(flow).accepted, flow.name
-        return hier, reg.snapshot()["counters"]
+    def counted_round():
+        nonlocal rounds
+        rounds += 1
+        begin_round()
 
-    resumed, got = run()
-    walk = hierarchy.analyze_flow
-    monkeypatch.setattr(
-        hierarchy,
-        "analyze_flow",
-        lambda ctx, flow, start=0, previous=None: walk(ctx, flow),
+    monkeypatch.setattr(jitters, "begin_round", counted_round)
+    solve = hier._solve
+
+    def one_solve(*args, **kwargs):
+        nonlocal rounds
+        rounds = 0
+        first_round.clear()
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hier, "_solve", one_solve)
+    run = hierarchy.run_stage
+
+    def noted(ctx, flow, position, jitters):
+        if first_round.setdefault((flow.name, position), rounds) >= 2:
+            late.append((flow.name, position))
+        return run(ctx, flow, position, jitters)
+
+    monkeypatch.setattr(hierarchy, "run_stage", noted)
+    _interleave(
+        hier,
+        flows,
+        seed,
+        lambda: _assert_matches_from_scratch(hier, net, AnalysisOptions()),
     )
-    full, want = run()
-    for key in (
-        "engine.stage_memo.hits",
-        "engine.stage_memo.misses",
-        "engine.stage_memo.verified",
-        "engine.fixed_point.solves",
-    ):
-        assert got.get(key, 0) == want.get(key, 0), key
-    assert got["engine.stage_memo.replayed"] > 0
-    assert "engine.stage_memo.replayed" not in want
-    assert resumed.jitter_snapshot() == full.jitter_snapshot()
-    _assert_results_equal(dict(resumed.flow_results), dict(full.flow_results))
-
-
+    assert late
 #: Preloaded rings whose release lowers the least fixed point through a
 #: cycle of channel dependencies: ring name -> (switches, flows, the
 #: flow to release).  Restarting warm (from the old entries) stops
@@ -427,19 +559,7 @@ def test_release_work_is_bounded_by_the_cone():
     jitter cone reaches, not the whole transitive reader closure (which
     on a fat tree spans the fabric: about 1.4 re-solves per admitted
     flow on this input)."""
-    net, flows = datacenter_flows(
-        pods=2,
-        aggs_per_pod=1,
-        leaves_per_pod=4,
-        hosts_per_leaf=4,
-        cores=1,
-        n_mice=64,
-        n_elephants=2,
-        incast_groups=1,
-        incast_fanin=3,
-        tenants=4,
-        seed=0,
-    )
+    net, flows = _datacenter_fabric()
     hier = AdmissionController(net, AnalysisOptions())
     hier.preload(flows)
     rack_local = [f.name for f in flows if len(f.route) == 3][:5]
@@ -477,9 +597,9 @@ def test_admit_resolves_only_the_stages_it_enters(seed, monkeypatch):
     ingress_runs = []
     solve_ingress = pipeline.ingress_stage
 
-    def counted(ctx, flow, node, fixed_points=None):
+    def counted(ctx, flow, node, fixed_points=None, shifts=None):
         ingress_runs.append((flow.prec(node), node))
-        return solve_ingress(ctx, flow, node, fixed_points)
+        return solve_ingress(ctx, flow, node, fixed_points, shifts)
 
     monkeypatch.setattr(pipeline, "ingress_stage", counted)
     decision = hier.request(probe)

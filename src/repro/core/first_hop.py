@@ -55,6 +55,21 @@ def first_hop_utilization(ctx: AnalysisContext, n1: str, n2: str) -> float:
     )
 
 
+def first_hop_sum(ctx: AnalysisContext, n1: str, n2: str) -> float:
+    """:func:`first_hop_utilization` of ``link(n1, n2)``, summed once per
+    flow set of the link: kept on its
+    :class:`~repro.core.demand.LinkDemandMatrix`, which retires with
+    that flow set.  The first-hop stage and the admission pre-check
+    both read it here."""
+    matrix = ctx.link_matrix(n1, n2)
+    utilization = matrix.first_hop_sum
+    if utilization is None:
+        utilization = matrix.first_hop_sum = first_hop_utilization(
+            ctx, n1, n2
+        )
+    return utilization
+
+
 def first_hop_stage(
     ctx: AnalysisContext,
     flow: Flow,
@@ -84,13 +99,7 @@ def first_hop_stage(
     horizon = ctx.horizon_for(flow)
 
     # Eq. 20 applicability check.
-    matrix = ctx.link_matrix(src, dst)
-    utilization = matrix.first_hop_sum
-    if utilization is None:
-        utilization = matrix.first_hop_sum = first_hop_utilization(
-            ctx, src, dst
-        )
-    if utilization >= 1.0:
+    if first_hop_sum(ctx, src, dst) >= 1.0:
         return [diverged_stage(StageKind.FIRST_HOP, resource)] * n
 
     if shifts is None:

@@ -18,9 +18,10 @@ cone:
   registration update per admit/release instead of being rebuilt from
   the full set, and the flat per-link demand matrices and stage memos
   check themselves against the flows they were built over;
-* :class:`DemandEnvelopes` — cached per-resource necessary-condition
-  utilisations; the pre-check of a request reads only the candidate's
-  route (every other resource kept its previously sub-unit envelope);
+* :class:`DemandEnvelopes` — the necessary-condition pre-check of a
+  request, over the candidate's route only (every other resource kept
+  its previously sub-unit utilisation), on the sums the stages keep on
+  each link's demand matrix;
 * :class:`AdmissionController` — the incremental admit/release engine
   over one shared jitter table.  :mod:`repro.core.admission` is its
   public import path, and each server of :mod:`repro.service.sharding`
@@ -121,7 +122,7 @@ from repro.core.context import (
     ingress_resource,
     link_resource,
 )
-from repro.core.first_hop import first_hop_utilization
+from repro.core.first_hop import first_hop_sum
 from repro.core.holistic import JITTER_TOLERANCE, flow_read_set
 
 # The engine runs single stages (run_stage), not whole walks; the
@@ -139,7 +140,7 @@ from repro.core.results import (
     HolisticResult,
     first_violation,
 )
-from repro.core.switch_ingress import ingress_utilization
+from repro.core.switch_ingress import ingress_sum
 from repro.model.flow import Flow, hep_flows
 from repro.model.network import Network
 from repro.model.routing import validate_route
@@ -296,15 +297,16 @@ class MutableAnalysisContext(AnalysisContext):
 
 
 class DemandEnvelopes:
-    """Cached necessary-condition utilisations per route resource.
+    """The necessary-condition pre-check of an admission request.
 
     A full check sweeps the whole network
     (:func:`~repro.core.utilization.network_convergence_report`); an
     admission request only needs the candidate's route — every other
-    resource kept its previously sub-unit utilisation.  Entries are
-    computed by the *same* functions in the same summation order as the
-    stage applicability checks and cached until a flow-set change on
-    the underlying link drops them.
+    resource kept its previously sub-unit utilisation.  The sums are
+    the stages' own applicability sums (:func:`first_hop_sum`,
+    :func:`ingress_sum`), kept on each link's demand matrix and retired
+    with the link's flow set, so the pre-check and the stages share one
+    copy.
 
     Note the link entry doubles as the worst egress-applicability value
     (Eqs. 34/35 plus own demand) over the link's flows: the
@@ -314,59 +316,28 @@ class DemandEnvelopes:
 
     def __init__(self, ctx: AnalysisContext):
         self._ctx = ctx
-        self._cache: dict[ResourceKey, float] = {}
-
-    def link_utilization(self, n1: str, n2: str) -> float:
-        """Eq. 20 total demand fraction of ``link(n1, n2)``."""
-        key = link_resource(n1, n2)
-        val = self._cache.get(key)
-        if val is None:
-            val = first_hop_utilization(self._ctx, n1, n2)
-            self._cache[key] = val
-        return val
-
-    def ingress_utilization(self, node: str, prev: str) -> float:
-        """Ingress-path demand fraction at ``node`` from ``prev``."""
-        key = ("in", node, prev)
-        val = self._cache.get(key)
-        if val is None:
-            val = ingress_utilization(self._ctx, node, prev)
-            self._cache[key] = val
-        return val
-
-    def invalidate_route(self, flow: Flow) -> int:
-        """Drop the entries ``flow``'s presence affects; returns count."""
-        dropped = 0
-        route = flow.route
-        for i in range(len(route) - 1):
-            key = link_resource(route[i], route[i + 1])
-            if self._cache.pop(key, None) is not None:
-                dropped += 1
-        for i in range(1, len(route) - 1):
-            if self._cache.pop(("in", route[i], route[i - 1]), None) is not None:
-                dropped += 1
-        return dropped
 
     def violation(self, flow: Flow) -> tuple[ResourceKey, float] | None:
         """Worst over-unit resource on ``flow``'s route, if any."""
+        ctx = self._ctx
         route = flow.route
         checks = [
             (
                 link_resource(route[0], route[1]),
-                self.link_utilization(route[0], route[1]),
+                first_hop_sum(ctx, route[0], route[1]),
             )
         ]
         for i in range(1, len(route) - 1):
             checks.append(
                 (
                     ("in", route[i], route[i - 1]),
-                    self.ingress_utilization(route[i], route[i - 1]),
+                    ingress_sum(ctx, route[i], route[i - 1]),
                 )
             )
             checks.append(
                 (
                     link_resource(route[i], route[i + 1]),
-                    self.link_utilization(route[i], route[i + 1]),
+                    first_hop_sum(ctx, route[i], route[i + 1]),
                 )
             )
         worst_key, worst = None, 0.0
@@ -892,7 +863,6 @@ class AdmissionController:
             raise ValueError(f"flow name {flow.name!r} already admitted")
         self._revive_demands(flow.name)
         ctx.add_flow(flow)  # validates the route, invalidates its links
-        self._note_invalidations(flow)
 
         violation = self._envelopes.violation(flow)
         if violation is not None:
@@ -942,7 +912,6 @@ class AdmissionController:
             self._order.pop(flow.name, None)
             del self._walks[flow.name]
         self._ctx.remove_flow(flow.name)
-        self._note_invalidations(flow)
         self._retire_demands(flow.name)
 
     def _release_cone(
@@ -1009,7 +978,6 @@ class AdmissionController:
         self._results.pop(flow_name, None)
         del walks[flow_name]
         ctx.remove_flow(flow_name)
-        self._note_invalidations(flow)
         self._retire_demands(flow_name)
 
         ctx.jitters.reset_entries(cone)  # cold restart (see module doc)
@@ -1042,7 +1010,6 @@ class AdmissionController:
         for flow in flows:
             self._revive_demands(flow.name)
             ctx.add_flow(flow)
-            self._note_invalidations(flow)
             self._add_walk(flow)
             self._order[flow.name] = self._next_order
             self._next_order += 1
@@ -1113,11 +1080,6 @@ class AdmissionController:
         ctrl = cls(network, options, retained_flows=retained_flows)
         ctrl.preload(flows, jitters=jitters)
         return ctrl
-
-    def _note_invalidations(self, flow: Flow) -> None:
-        dropped = self._envelopes.invalidate_route(flow)
-        if dropped:
-            _telemetry.add("hierarchy.envelope_invalidations", dropped)
 
 
 def _note_resolves(updated: Mapping[str, FlowResult], runs: int) -> None:

@@ -57,6 +57,20 @@ def ingress_utilization(ctx: AnalysisContext, node: str, prev: str) -> float:
     return total
 
 
+def ingress_sum(ctx: AnalysisContext, node: str, prev: str) -> float:
+    """:func:`ingress_utilization` of ``node`` from ``prev``, summed
+    once per flow set of ``link(prev, node)``: kept on its
+    :class:`~repro.core.demand.LinkDemandMatrix` under the ingress
+    task's ``circ``, retired with that flow set.  The ingress stage and
+    the admission pre-check both read it here."""
+    sums = ctx.link_matrix(prev, node).ingress_sums
+    circ = ctx.circ_task(node, prev)
+    utilization = sums.get(circ)
+    if utilization is None:
+        utilization = sums[circ] = ingress_utilization(ctx, node, prev)
+    return utilization
+
+
 def ingress_stage(
     ctx: AnalysisContext,
     flow: Flow,
@@ -90,11 +104,7 @@ def ingress_stage(
     tsum_i = dem_i.tsum
     horizon = ctx.horizon_for(flow)
 
-    sums = ctx.link_matrix(prev, node).ingress_sums
-    utilization = sums.get(circ)
-    if utilization is None:
-        utilization = sums[circ] = ingress_utilization(ctx, node, prev)
-    if utilization >= 1.0:
+    if ingress_sum(ctx, node, prev) >= 1.0:
         return [diverged_stage(StageKind.INGRESS, resource)] * n
 
     if shifts is None:

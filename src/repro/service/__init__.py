@@ -26,9 +26,9 @@ layer on top of the incremental
   :class:`FaultPlan` (kill/hang/slow workers, drop connections, kill
   standbys / sever journal links / kill during promotion) so chaos
   runs replay identically everywhere;
-* :mod:`repro.service.replication` — a warm standby worker fed by the
-  primary's op journal (ship-on-commit): zero-loss promotion on
-  primary death;
+* :mod:`repro.service.replication` — the handle every engine worker
+  runs behind, and the warm standby fed by the primary's op journal
+  (ship-on-commit): zero-loss promotion on primary death;
 * :mod:`repro.service.state` — versioned snapshot/restore of a running
   service (byte-identical decisions on a replayed request log).
 """

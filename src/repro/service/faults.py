@@ -35,11 +35,13 @@ applied against the warm-standby machinery of
   before applying its op ``at`` (the primary notices on the next ship
   or at promotion time and spawns a replacement; ``incarnation``
   selects the standby *generation*: 0 = the initial standby, 1 = the
-  first replacement, ...);
+  first replacement, ...).  A worker spawned for a cold restore is not
+  a standby: it takes no generation and no ``kill_standby`` fault;
 * ``drop_journal`` — the journal-shipping link of shard ``shard`` is
   silently severed before shipping committed op number ``at``, so the
   standby's high-water mark falls behind and a promotion must replay
-  the gap from the primary's journal;
+  the gap from the primary's journal.  It severs the standby live when
+  a ship first crosses ``at``; later standbys ship normally;
 * ``kill`` with ``during=promotion`` — the standby dies at the start
   of promotion attempt number ``at`` (0 = the first), forcing the
   supervisor down the cold baseline+journal recovery path.

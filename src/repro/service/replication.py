@@ -1,10 +1,15 @@
-"""Warm-standby replication for the worker-backed engine.
+"""Engine worker handles and warm-standby replication.
 
-Supervised recovery alone is *cold*: a dead worker is respawned and
-its state rebuilt from the baseline snapshot plus a full journal
-replay, so every crash costs a fresh controller construction, a restore
-exchange and up to ``journal_limit`` replayed ops.  This module makes
-failover *warm*: a :class:`StandbyReplica` is a second worker process
+Every engine worker process runs behind one handle,
+:class:`StandbyReplica`: the first primary, each warm standby and each
+cold replacement.  The handle spawns the worker (the
+:func:`~repro.service.sharding._shard_worker` body), catches it up
+from a recovery recipe, ships it committed ops, syncs its acks, runs
+request/reply exchanges on it once it serves, and destroys or closes
+it.  The supervisor (:class:`~repro.service.sharding._ProcessShard`)
+decides which faults each worker carries and when a handle serves.
+
+Replication makes failover *warm*: a standby is a second worker
 holding the same state, kept current by **ship-on-commit** — every op
 the primary commits to its journal (accepted admits, successful
 releases; the only state-changing ops) is immediately streamed to the
@@ -13,42 +18,45 @@ standby over its own pipe.
 The accounting is sequence-based and exact:
 
 * ``shipped`` is the absolute committed-op sequence covered by messages
-  *sent* to the standby;
+  *sent* to the worker;
 * ``applied`` (the **high-water mark**) is the sequence covered by
-  messages the standby has *acknowledged* — every shipped batch is
+  messages the worker has *acknowledged* — every shipped batch is
   acked by the worker's normal payload reply, drained opportunistically
-  (non-blocking) after each ship and fully (blocking) at promotion
-  time.  The standby therefore holds exactly
+  (non-blocking) after each ship and fully (blocking) when the worker
+  takes over.  The worker therefore holds exactly
   ``baseline + journal[:applied]`` and is **never ahead of commit**:
   ops are only ever shipped after the primary journaled them.
 
-On primary death the supervisor *promotes* the standby instead of cold
-restarting: it drains outstanding acks, replays only the journal ops
-past the high-water mark (typically zero — a few only when shipping
-was severed), re-runs the interrupted batch, and adopts the standby's
-pipe/process as the new primary.  Failover cost is therefore bounded by
-the ship lag, not the journal length — ``service.shard.N.failover_s``
-vs ``recovery_s`` in the benchmarks makes the difference measurable.
-Because the standby state is rebuilt from exactly the same recipe the
-cold path uses (snapshot + committed-op journal, both byte-exact),
-promoted decisions and exported state documents are byte-identical to
-a fault-free run — the tier-1 replication tests assert it.
+There is one restore path: a dying primary is replaced by a worker
+that syncs its acks, replays only the journal ops past its high-water
+mark, re-runs the interrupted batch and becomes the primary.  The warm
+standby is offered first; its gap is the ship lag (typically one
+batch, more only when a ``drop_journal`` fault severed its link).
+When it is missing or unusable, a cold restore spawns a fresh worker
+and catches it up from the whole recipe (baseline snapshot plus the
+full journal), so its gap is empty.  Either way the new primary's state
+is rebuilt from the same byte-exact recipe, so its decisions and
+exported state documents are byte-identical to a fault-free run — the
+tier-1 fault and replication tests assert it.  Failover cost is bounded
+by the ship lag, cold restore cost by the journal length —
+``service.shard.0.failover_s`` vs ``recovery_s`` in the benchmarks
+makes the difference measurable.
 
 Standby workers run the same telemetry/tracing configuration as
 primaries, but their registries are never polled while they are
-standbys — only after promotion, where (exactly like a cold-respawned
-worker) their counts reflect the replayed journal plus everything
+standbys — only after they take over, where (exactly like a cold
+replacement) their counts reflect the replayed journal plus everything
 served since.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro import telemetry as _telemetry
 from repro.model.flow import Flow
-from repro.service.faults import FaultPlan, FaultSpec
+from repro.service.faults import FaultSpec
 from repro.telemetry import tracing as _tracing
 from repro.util.mp import mp_context
 
@@ -56,73 +64,53 @@ __all__ = ["StandbyReplica"]
 
 
 class StandbyReplica:
-    """The engine's warm standby worker, fed by the primary's journal.
+    """Handle of one engine worker process: a standby while it is fed
+    by the primary's journal, the primary once it takes over.
 
-    Owns a dedicated worker process (the same
-    :func:`~repro.service.sharding._shard_worker` body the primary
-    runs) plus the sequence accounting described in the module
-    docstring.  All sends are non-blocking from the supervisor's point
-    of view — the standby applies shipped ops concurrently with the
-    primary serving — and every exchange failure marks the replica
-    failed rather than raising, so a dead standby can never take the
-    serving path down with it.
+    Standby traffic is pipelined: catch-up and ship sends never wait,
+    and their acks drain opportunistically or at :meth:`sync`.  An
+    exchange failure there marks the handle failed rather than raising,
+    so a dead standby can never take the serving path down with it.
+    Request/reply exchanges (:meth:`call`, :meth:`run_batch`) are only
+    made on a synced handle, and raise when the worker dies or wedges:
+    the supervisor answers that with a restore.
+
+    ``faults`` are the worker's injected faults, chosen by the
+    supervisor; ``op_timeout`` bounds each reply wait of an exchange
+    (None = unbounded).
     """
 
     def __init__(
         self,
         worker_args: tuple,
         *,
-        shard_id: int,
         incarnation: int,
-        generation: int = 0,
-        fault_plan: FaultPlan | None = None,
+        faults: Sequence[FaultSpec] = (),
         op_timeout: float | None = None,
     ):
-        from repro.service.sharding import _shard_worker
+        # Looked up at spawn time, not import time: the benchmark's
+        # traced server replaces ``sharding._shard_worker``.
+        from repro.service import sharding
 
-        self.shard_id = shard_id
         self.incarnation = incarnation
-        self.generation = generation
         self._op_timeout = op_timeout
         #: Absolute committed-op seq covered by acked messages (hwm).
         self.applied = 0
         #: Absolute committed-op seq covered by sent messages.
         self.shipped = 0
-        #: Committed-op seq at which the ship link severs (drop_journal
-        #: fault), or None.
-        self.drop_at: int | None = None
-        #: True once the ship link is severed or the standby failed.
+        #: True once the ship link is severed or the worker failed.
         self.severed = False
         self._failed = False
-        self._detached = False
-        #: Absolute seq the standby reaches after acking each
+        self._closed = False
+        #: Absolute seq the worker reaches after acking each
         #: outstanding message (FIFO, strictly increasing).
         self._inflight: deque[int] = deque()
-        faults: tuple[FaultSpec, ...] = ()
-        if fault_plan is not None:
-            # kill_standby faults become plain in-worker kills keyed to
-            # the *standby's* op counter (restore doesn't count; every
-            # shipped/caught-up op does), filtered to this generation.
-            # Worker faults aimed at this incarnation join them on the
-            # same counter: one whose ``at`` lies past the ops the
-            # standby applied before promotion kills it as the promoted
-            # primary.
-            faults = fault_plan.worker_faults(
-                shard=shard_id, incarnation=incarnation
-            ) + tuple(
-                FaultSpec(kind="kill", at=f.at, shard=shard_id)
-                for f in fault_plan.standby_faults(
-                    shard=shard_id, generation=generation
-                )
-            )
-            self.drop_at = fault_plan.drop_journal_at(shard_id)
         ctx = mp_context()
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
-            target=_shard_worker,
+            target=sharding._shard_worker,
             args=(
-                child, *worker_args, shard_id,
-                _telemetry.enabled(), faults,
+                child, *worker_args, _telemetry.enabled(), tuple(faults),
                 _tracing.tracing_enabled(), incarnation,
             ),
             daemon=True,
@@ -133,10 +121,10 @@ class StandbyReplica:
     # ------------------------------------------------------------------
     @property
     def alive(self) -> bool:
-        """Usable as a promotion target right now (process view)."""
+        """Usable right now (process view)."""
         return (
             not self._failed
-            and not self._detached
+            and not self._closed
             and self.proc.is_alive()
         )
 
@@ -150,8 +138,8 @@ class StandbyReplica:
         """Send the full recovery recipe (non-blocking): restore the
         baseline (committed ops ``[0, base_seq)``), then replay the
         journal (``[base_seq, base_seq + len(journal))``).  Acks drain
-        lazily like any shipped batch.  Called exactly once, on a
-        freshly spawned replica."""
+        lazily like any shipped batch.  Called once, on a freshly
+        spawned worker."""
         try:
             if baseline is not None:
                 self.conn.send(("restore", baseline[0], baseline[1]))
@@ -166,15 +154,21 @@ class StandbyReplica:
         except (BrokenPipeError, OSError):
             self._fail()
 
-    def ship(self, ops: Sequence[tuple], start_seq: int) -> None:
+    def ship(
+        self, ops: Sequence[tuple], start_seq: int, drop_at: int | None = None
+    ) -> bool:
         """Stream one batch of just-committed ops (``start_seq`` is the
-        absolute seq of ``ops[0]``), honouring a ``drop_journal`` point
-        mid-batch, then opportunistically drain acks."""
-        if self._failed or self._detached or self.severed:
-            return
+        absolute seq of ``ops[0]``), then opportunistically drain acks.
+
+        ``drop_at`` is an armed ``drop_journal`` point: a batch that
+        crosses it is cut there and the link severed.  Returns True when
+        this ship did so, so the supervisor can disarm the fault."""
+        if self.severed:  # also set when the worker failed
+            return False
         ops = list(ops)
-        if self.drop_at is not None and start_seq + len(ops) > self.drop_at:
-            ops = ops[: max(self.drop_at - start_seq, 0)]
+        dropped = drop_at is not None and start_seq + len(ops) > drop_at
+        if dropped:
+            ops = ops[: max(drop_at - start_seq, 0)]
             self.severed = True
         if ops:
             try:
@@ -183,14 +177,15 @@ class StandbyReplica:
                 self.shipped = start_seq + len(ops)
             except (BrokenPipeError, OSError):
                 self._fail()
-                return
-        self.drain()
+                return dropped
+        self.sync(0.0)
+        return dropped
 
-    def drain(self, timeout_s: float | None = 0.0) -> bool:
-        """Collect available acks; ``timeout_s`` bounds each wait
-        (0 = non-blocking poll, None = wait forever).  Returns True
-        when nothing is left in flight."""
-        if self._detached or self._failed:
+    def sync(self, timeout_s: float | None) -> bool:
+        """Collect acks until none is in flight; ``timeout_s`` bounds
+        each wait (0 = non-blocking poll, None = wait forever).
+        Returns True when nothing is left in flight."""
+        if self._closed or self._failed:
             return not self._inflight
         while self._inflight:
             try:
@@ -203,31 +198,48 @@ class StandbyReplica:
             self.applied = self._inflight.popleft()
         return True
 
-    def sync(self, timeout_s: float | None = None) -> bool:
-        """Block until every in-flight message is acked (the promotion
-        barrier); per-message waits bounded by ``timeout_s`` falling
-        back to the shard's ``op_timeout``."""
-        return self.drain(
-            timeout_s if timeout_s is not None else self._op_timeout
-        )
-
-    # ------------------------------------------------------------------
-    def detach(self) -> tuple[Any, Any]:
-        """Hand the worker over for promotion: the caller now owns the
-        pipe and process; this replica will never touch them again."""
-        self._detached = True
-        return self.conn, self.proc
-
     def _fail(self) -> None:
         self._failed = True
         self.severed = True
 
+    # ------------------------------------------------------------------
+    def call(self, msg: tuple) -> Any:
+        """Send ``msg`` and return the worker's reply, waiting at most
+        ``op_timeout``.  Raises ``BrokenPipeError``, ``EOFError``,
+        ``OSError`` or ``TimeoutError`` when the worker is dead or
+        wedged."""
+        self.conn.send(msg)
+        if self._op_timeout is not None and not self.conn.poll(
+            self._op_timeout
+        ):
+            raise TimeoutError(
+                f"engine worker reply exceeded {self._op_timeout}s"
+            )
+        return self.conn.recv()
+
+    def run_batch(
+        self,
+        ops: Sequence[tuple],
+        traces: Sequence[Mapping[str, Any] | None] | None = None,
+    ) -> list[dict[str, Any]]:
+        """Run ``ops`` on the worker and return their payloads: the one
+        batch exchange.  A traced batch carries its ops' trace contexts,
+        and its reply the worker's drained spans, which join this
+        process's tracer.  Raises like :meth:`call`."""
+        if traces is None:
+            return self.call(("batch", list(ops)))
+        payloads, spans = self.call(("batch", list(ops), list(traces)))
+        tr = _tracing.TRACER
+        if tr is not None and spans:
+            tr.extend(spans)
+        return payloads
+
+    # ------------------------------------------------------------------
     def destroy(self, timeout: float = 1.0) -> None:
-        """Force the standby down (dead primary cleanup / injected
-        promotion kill)."""
-        if self._detached:
+        """Force the worker down: close the pipe, terminate, kill."""
+        if self._closed:
             return
-        self._detached = True
+        self._closed = True
         try:
             self.conn.close()
         except OSError:  # pragma: no cover - defensive
@@ -240,16 +252,19 @@ class StandbyReplica:
             self.proc.join(timeout=timeout)
 
     def close(self, timeout: float = 5.0) -> None:
-        """Polite shutdown: stop shipping, let queued ops finish, then
-        close — escalating like the primary's ``close()``."""
-        if self._detached:
+        """Polite shutdown: let queued ops finish, ask the worker to
+        close and wait up to ``timeout`` for it to exit (a worker may
+        still write files after its loop returns), then force it down.
+        A wedged worker holds this up for a few timeouts at most."""
+        if self._closed:
             return
         if not self._failed:
-            self.drain(timeout_s=timeout)
+            self.sync(timeout)
             try:
                 self.conn.send(("close",))
                 if self.conn.poll(timeout):
                     self.conn.recv()
             except (BrokenPipeError, EOFError, OSError):
                 pass
+            self.proc.join(timeout=timeout)
         self.destroy(timeout=timeout)

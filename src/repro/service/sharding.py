@@ -26,34 +26,42 @@ between runs.  Results come back in submission order, so batched
 decisions are identical to one-at-a-time decisions by construction.
 
 Fault tolerance: with ``supervise=True`` (the default) a worker that
-dies is respawned and its **exact** pre-crash state rebuilt from a
+dies is replaced and its **exact** pre-crash state rebuilt from a
 baseline snapshot (``export_state``) plus a bounded append-only **op
 journal** of committed mutations — accepted admits and successful
 releases, the only ops that change controller state (a rejected admit
 rolls back its tentative writes, and queries are pure).  The in-flight
-batch the crash interrupted is then re-applied on the recovered worker,
-so its payloads are exactly the uninterrupted run's payloads: recovery
-is decision-parity-preserving, and the tier-1 fault tests assert
+batch the crash interrupted is then re-applied on the replacement, so
+its payloads are exactly the uninterrupted run's payloads: recovery is
+decision-parity-preserving, and the tier-1 fault tests assert
 byte-identical final state against a fault-free run.  The journal is
 compacted into a fresh baseline whenever it outgrows
 ``journal_limit``, bounding both replay time and memory.  After
-``max_restarts`` failed recoveries the engine degrades permanently to
-``shard_unavailable`` error payloads, exactly like the unsupervised
+``max_restarts`` failed cold restores the engine degrades permanently
+to ``shard_unavailable`` error payloads, exactly like the unsupervised
 path.  Deterministic faults (:mod:`repro.service.faults`) are applied
 inside the worker, keyed to its op counter and incarnation, so crash
 scenarios replay identically on every run.
 
-Replication: with ``replicas=1`` (worker-backed, supervised) the
-engine additionally owns a :class:`~repro.service.replication.
-StandbyReplica` — a warm standby worker fed every committed op as it
-is journaled (ship-on-commit with batched acks and a high-water mark).
-A dying primary is then *promoted over* instead of cold-restarted: the
-standby replays only the ops past its high-water mark, re-runs the
-interrupted batch, and becomes the new primary while a replacement
-standby catches up from the current recipe in the background.  Cold
-recovery remains the fallback whenever the standby is unusable (dead,
-wedged, or compaction outran a severed ship link).  Failovers never
-burn the ``max_restarts`` budget — only cold restores do.
+There is one restore path.  Every worker — the first primary, a warm
+standby, a cold replacement — runs behind one handle,
+:class:`~repro.service.replication.StandbyReplica`, and every
+replacement takes over through one routine
+(:meth:`_ProcessShard._take_over`): sync its acks, refuse it if its
+high-water mark is below the journal base, replay the journal past
+that mark, adopt it, re-run the interrupted batch.  With
+``replicas=1`` (worker-backed, supervised) the engine keeps a **warm
+standby** fed every committed op as it is journaled (ship-on-commit
+with batched acks and a high-water mark), and a dying primary is first
+*promoted over*: its gap is only the ship lag.  When there is no
+standby, or it is unusable (dead, wedged, or compaction outran a
+severed ship link), a **cold restore** spawns a fresh worker and
+catches it up from the whole recipe.  Its high-water mark is then the
+last committed op, so its gap is empty and its state is exactly the
+recipe's: the cold restore is exact for the same reason the promotion
+is.  Failovers never burn the ``max_restarts`` budget — only cold
+restores do.  After either kind, a fresh standby catches up from the
+current recipe in the background.
 """
 
 from __future__ import annotations
@@ -76,7 +84,6 @@ from repro.service.protocol import (
     Request,
 )
 from repro.service.replication import StandbyReplica
-from repro.util.mp import mp_context
 
 
 # ----------------------------------------------------------------------
@@ -85,12 +92,18 @@ from repro.util.mp import mp_context
 #: A shard op: ("request", Flow) | ("release", name) | ("query", name).
 ShardOp = tuple
 
+#: The engine's shard id: the service runs one engine, shard 0, and
+#: telemetry names, trace tracks, flight records and fault plans keep
+#: that vocabulary.
+SHARD_ID = 0
 
-def _apply_op(
-    ctrl: AdmissionController, op: ShardOp, shard_id: int = 0
-) -> dict[str, Any]:
-    """Execute one op on a shard's controller; errors become payloads
-    (a shard worker must survive bad requests)."""
+#: What a dead or wedged worker raises out of an exchange.
+_PIPE_ERRORS = (BrokenPipeError, EOFError, OSError, TimeoutError)
+
+
+def _apply_op(ctrl: AdmissionController, op: ShardOp) -> dict[str, Any]:
+    """Execute one op on the engine's controller; errors become payloads
+    (a worker must survive bad requests)."""
     kind = op[0]
     try:
         if kind == "request":
@@ -101,7 +114,7 @@ def _apply_op(
                 start = time.perf_counter()
                 decision = ctrl.request(op[1])
                 reg.observe(
-                    f"service.shard.{shard_id}.admit_s",
+                    f"service.shard.{SHARD_ID}.admit_s",
                     time.perf_counter() - start,
                 )
             return {"accepted": decision.accepted, "reason": decision.reason}
@@ -122,29 +135,21 @@ def _apply_op(
 def _apply_traced(
     ctrl: AdmissionController,
     op: ShardOp,
-    shard_id: int,
     ctx: Mapping[str, Any] | None,
 ) -> dict[str, Any]:
     """Like :func:`_apply_op`, under a ``shard.<kind>`` tracing span
     when a trace context travelled with the op."""
     tr = _tracing.TRACER
     if tr is None or ctx is None:
-        return _apply_op(ctrl, op, shard_id)
+        return _apply_op(ctrl, op)
     with tr.span(f"shard.{op[0]}", trace=ctx):
-        return _apply_op(ctrl, op, shard_id)
+        return _apply_op(ctrl, op)
 
 
 class _InlineShard:
     """In-process shard: the controller runs in the service's process."""
 
-    def __init__(
-        self,
-        network: Network,
-        options: AnalysisOptions | None,
-        *,
-        shard_id: int = 0,
-    ):
-        self.shard_id = shard_id
+    def __init__(self, network: Network, options: AnalysisOptions | None):
         self._ctrl = AdmissionController(network, options)
 
     def run_batch(
@@ -153,9 +158,9 @@ class _InlineShard:
         traces: Sequence[Mapping[str, Any] | None] | None = None,
     ) -> list[dict[str, Any]]:
         if traces is None:
-            return [_apply_op(self._ctrl, op, self.shard_id) for op in ops]
+            return [_apply_op(self._ctrl, op) for op in ops]
         return [
-            _apply_traced(self._ctrl, op, self.shard_id, ctx)
+            _apply_traced(self._ctrl, op, ctx)
             for op, ctx in zip(ops, traces)
         ]
 
@@ -203,16 +208,17 @@ class _InlineShard:
 
 
 def _shard_worker(
-    conn, network, options, shard_id=0,
+    conn, network, options,
     telemetry_on=False, faults: Sequence[FaultSpec] = (),
     tracing_on=False, incarnation=0,
 ) -> None:
-    """Process body of one shard: a controller behind a message pipe.
+    """Process body of one engine worker: a controller behind a pipe.
 
-    ``faults`` are this incarnation's injected faults (already filtered
-    by shard and incarnation), applied against a monotone op counter
-    just before each op executes — so a ``kill`` interrupts a batch
+    ``faults`` are this worker's injected faults (chosen by the
+    supervisor), applied against a monotone count of the batch ops it
+    executes, just before each one — so a ``kill`` interrupts a batch
     mid-way exactly like a real crash (abrupt pipe EOF, no reply).
+    Restore messages do not count.
 
     With ``tracing_on``, ops whose batch carried a trace context are
     executed under ``shard.<kind>`` spans recorded into this worker's
@@ -242,7 +248,7 @@ def _shard_worker(
         # Same reasoning for the span ring: a fresh, worker-labelled
         # tracer so parent spans are never drained twice.
         _tracing.enable_tracing(
-            _tracing.Tracer(proc=f"shard{shard_id}", incarnation=incarnation)
+            _tracing.Tracer(proc=f"shard{SHARD_ID}", incarnation=incarnation)
         )
     ctrl = AdmissionController(network, options)
     injected = WorkerFaults(faults) if faults else None
@@ -261,7 +267,7 @@ def _shard_worker(
                     injected.before_op(n_ops)
                 n_ops += 1
                 ctx = traces[i] if traces is not None else None
-                payloads.append(_apply_traced(ctrl, op, shard_id, ctx))
+                payloads.append(_apply_traced(ctrl, op, ctx))
             if traces is not None:
                 # Traced replies piggyback the ring drain so the parent
                 # accumulates this incarnation's spans continuously —
@@ -295,17 +301,18 @@ def _shard_worker(
 class _ProcessShard:
     """Process-backed shard: the controller runs in a supervised worker.
 
-    A dying worker must never desync the request/reply pairing.  With
+    Every worker, primary or standby, runs behind a
+    :class:`~repro.service.replication.StandbyReplica` handle.  A dying
+    worker must never desync the request/reply pairing.  With
     ``supervise=False`` every pipe failure marks the shard dead, pending
-    ops are answered with error payloads, and the connection is never
-    read again (so a stale buffered reply can never be mispaired with a
+    ops are answered with error payloads, and the worker is never read
+    again (so a stale buffered reply can never be mispaired with a
     later exchange).  With ``supervise=True`` (the default) a failure
-    instead triggers :meth:`_recover`: the dead worker is torn down, a
-    fresh incarnation is spawned, its state is rebuilt exactly from the
-    baseline snapshot plus the op journal, and the interrupted exchange
-    is re-run on it — the caller never sees the crash.  Only after
-    ``max_restarts`` consecutive failed recoveries does the shard
-    degrade permanently.
+    instead triggers :meth:`_recover`, which restores the exact state on
+    a replacement worker and re-runs the interrupted exchange there —
+    the caller never sees the crash.  Only after ``max_restarts``
+    consecutive failed cold restores does the shard degrade
+    permanently.
 
     ``op_timeout`` (seconds, optional) bounds every reply wait via
     ``Connection.poll``; a wedged-but-alive worker (e.g. an injected
@@ -319,7 +326,6 @@ class _ProcessShard:
         network: Network,
         options: AnalysisOptions | None,
         *,
-        shard_id: int = 0,
         supervise: bool = True,
         max_restarts: int = 5,
         journal_limit: int = 256,
@@ -337,7 +343,6 @@ class _ProcessShard:
             raise ValueError("replicas must be 0 or 1 (one warm standby)")
         if replicas and not supervise:
             raise ValueError("replicas require supervise=True")
-        self.shard_id = shard_id
         self._worker_args = (network, options)
         self._supervise = bool(supervise)
         self._max_restarts = max_restarts
@@ -347,9 +352,8 @@ class _ProcessShard:
         self._close_timeout = close_timeout
         #: Directory for post-mortem flight records (None disables).
         self._flight_dir = flight_dir
-        self._incarnation = 0
-        #: Monotone incarnation allocator: every spawned worker —
-        #: primary respawn or standby — takes the next number, so
+        #: Next incarnation: every spawned worker — first primary, cold
+        #: replacement or standby — takes the next number, so
         #: telemetry/trace track identities never collide.
         self._incarnations = 0
         self._restarts = 0
@@ -371,40 +375,68 @@ class _ProcessShard:
         self._failovers = 0
         self._failover_s_total = 0.0
         self._promotion_attempts = 0
+        #: The armed ``drop_journal`` point (committed-op seq), cleared
+        #: once a ship crosses it: the fault fires once.
+        self._drop_at: int | None = None
+        #: Warm promotion attempts that an injected
+        #: ``kill:during=promotion`` fault kills.
+        self._promotion_kills: frozenset[int] = frozenset()
+        if fault_plan is not None:
+            self._drop_at = fault_plan.drop_journal_at(SHARD_ID)
+            self._promotion_kills = frozenset(
+                f.at for f in fault_plan.promotion_faults(SHARD_ID)
+            )
         self._dead = False
         #: Last successfully polled worker registry snapshot — folded
         #: into ``_retired`` when that incarnation dies, so merged
         #: telemetry never regresses below what a client already saw.
         self._last_snapshot: dict[str, Any] | None = None
         self._retired: _telemetry.Registry | None = None
-        self._spawn()
-        if self._replicas:
-            self._spawn_standby()
+        self._primary = self._spawn_worker()
+        self._spawn_standby()
 
     # -- lifecycle ------------------------------------------------------
-    def _spawn(self) -> None:
-        ctx = mp_context()
-        self._conn, child = ctx.Pipe()
-        faults: tuple[FaultSpec, ...] = ()
-        if self._fault_plan is not None:
-            faults = self._fault_plan.worker_faults(
-                shard=self.shard_id, incarnation=self._incarnation
-            )
-        self._proc = ctx.Process(
-            target=_shard_worker,
-            args=(
-                child, *self._worker_args, self.shard_id,
-                _telemetry.enabled(), faults,
-                _tracing.tracing_enabled(), self._incarnation,
-            ),
-            daemon=True,
-        )
-        self._proc.start()
-        child.close()
+    @property
+    def _conn(self):
+        """The primary worker's pipe end."""
+        return self._primary.conn
 
-    def _next_incarnation(self) -> int:
+    @property
+    def _proc(self):
+        """The primary worker's process."""
+        return self._primary.proc
+
+    def _spawn_worker(self, generation: int | None = None) -> StandbyReplica:
+        """Spawn the next incarnation with its injected faults.
+
+        Worker faults are selected by incarnation.  A standby (given its
+        ``generation``) also carries that generation's ``kill_standby``
+        faults, as kills on its own op counter; a worker fault aimed at
+        its incarnation whose ``at`` lies past the ops it applied as a
+        standby kills it as the promoted primary.  A cold replacement
+        takes no generation and no standby faults.
+        """
+        incarnation = self._incarnations
         self._incarnations += 1
-        return self._incarnations
+        faults: tuple[FaultSpec, ...] = ()
+        plan = self._fault_plan
+        if plan is not None:
+            faults = plan.worker_faults(
+                shard=SHARD_ID, incarnation=incarnation
+            )
+            if generation is not None:
+                faults += tuple(
+                    FaultSpec(kind="kill", at=f.at, shard=SHARD_ID)
+                    for f in plan.standby_faults(
+                        shard=SHARD_ID, generation=generation
+                    )
+                )
+        return StandbyReplica(
+            self._worker_args,
+            incarnation=incarnation,
+            faults=faults,
+            op_timeout=self._op_timeout,
+        )
 
     def _spawn_standby(self) -> None:
         """Spawn a warm standby and start its background catch-up from
@@ -414,14 +446,7 @@ class _ProcessShard:
             return
         generation = self._standby_generation
         self._standby_generation += 1
-        standby = StandbyReplica(
-            self._worker_args,
-            shard_id=self.shard_id,
-            incarnation=self._next_incarnation(),
-            generation=generation,
-            fault_plan=self._fault_plan,
-            op_timeout=self._op_timeout,
-        )
+        standby = self._spawn_worker(generation)
         standby.catch_up(self._baseline, self._journal, self._journal_base)
         self._standby = standby
 
@@ -433,8 +458,6 @@ class _ProcessShard:
     def _repair_standby(self) -> None:
         """Replace a dead standby (e.g. a ``kill_standby`` fault) so
         the shard regains its warm failover target."""
-        if not self._replicas or self._dead:
-            return
         standby = self._standby
         if standby is not None and standby.alive:
             return
@@ -448,29 +471,16 @@ class _ProcessShard:
         reg = _telemetry.REGISTRY
         if reg is not None:
             reg.set_gauge(
-                f"service.shard.{self.shard_id}.replication.lag_ops",
+                f"service.shard.{SHARD_ID}.replication.lag_ops",
                 float(self._seq - standby.applied),
             )
-
-    def _teardown(self, timeout: float = 1.0) -> None:
-        """Force the current worker down: close pipe, terminate, kill."""
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=timeout)
-        if self._proc.is_alive():  # pragma: no cover - stubborn worker
-            self._proc.kill()
-            self._proc.join(timeout=timeout)
 
     def _mark_dead(self) -> None:
         self._flight("degraded")
         self._retire_telemetry()
         self._dead = True
         self._drop_standby()
-        self._teardown()
+        self._primary.destroy()
 
     def _retire_telemetry(self) -> None:
         """Fold the dead incarnation's last-polled snapshot into the
@@ -495,9 +505,11 @@ class _ProcessShard:
             _tracing.write_flight_record(
                 self._flight_dir,
                 reason=reason,
-                shard=self.shard_id,
+                shard=SHARD_ID,
                 incarnation=(
-                    self._incarnation if incarnation is None else incarnation
+                    self._primary.incarnation
+                    if incarnation is None
+                    else incarnation
                 ),
                 restarts=self._restarts,
                 journal={
@@ -514,214 +526,145 @@ class _ProcessShard:
         if reg is not None:
             reg.add("service.flight_records")
 
-    def _recv(self):
-        """One pipe reply, bounded by ``op_timeout`` when configured."""
-        if self._op_timeout is not None and not self._conn.poll(
-            self._op_timeout
-        ):
-            raise TimeoutError(
-                f"shard {self.shard_id} worker reply exceeded "
-                f"{self._op_timeout}s"
-            )
-        return self._conn.recv()
-
     # -- supervised recovery --------------------------------------------
     def _recover(
         self,
         in_flight: Sequence[ShardOp],
         traces: Sequence[Mapping[str, Any] | None] | None = None,
     ) -> list[dict[str, Any]] | None:
-        """Respawn the worker, rebuild exact state, re-run ``in_flight``.
+        """Restore the exact pre-crash state on a replacement worker and
+        re-run ``in_flight`` there.
 
         Returns the in-flight ops' payloads (``[]`` when none), or None
         once the restart budget is exhausted — the shard is then dead.
-        The rebuilt state is byte-identical to the pre-crash state: the
-        baseline is an exact ``export_state`` snapshot and the journal
-        holds every committed mutation since, in order (rejected admits
-        and queries never change controller state, so omitting them is
-        exact, not lossy).  Re-running the interrupted batch on that
-        state yields exactly the payloads an uninterrupted run would
-        have produced.
+        Every replacement goes through :meth:`_take_over`.  The warm
+        standby is offered first (a **failover**, which never burns a
+        restart).  When there is none, or it is unusable, each **cold
+        restore** burns a restart, tears the old primary down, spawns a
+        fresh worker and catches it up from the whole recipe, so its
+        gap is empty.  The recipe is exact: the baseline is an
+        ``export_state`` snapshot and the journal holds every committed
+        mutation since, in order (rejected admits and queries never
+        change controller state, so omitting them is exact, not lossy).
+        Re-running the interrupted batch on that state yields exactly
+        the payloads an uninterrupted run would have produced.
 
-        ``traces`` are the in-flight ops' trace contexts: journal replay
-        runs *untraced* (it is state reconstruction, not request work),
-        but the interrupted batch re-runs with its original contexts, so
-        the respawned incarnation's spans join the retried requests'
-        traces — the track split in the Chrome export.
-
-        With a live standby, **promotion** is tried first (see
-        :meth:`_promote`) — warm failover that replays only the ops
-        past the standby's high-water mark and never burns a restart.
-        The cold loop below is the fallback.
+        ``traces`` are the in-flight ops' trace contexts: the recipe
+        replays *untraced* (it is state reconstruction, not request
+        work), but the interrupted batch re-runs with its original
+        contexts, so the replacement incarnation's spans join the
+        retried requests' traces — the track split in the Chrome export.
         """
         self._flight("worker_death")
         self._retire_telemetry()
-        payloads = self._promote(in_flight, traces)
-        if payloads is not None:
-            return payloads
+        standby, self._standby = self._standby, None
+        if standby is not None:
+            start = time.perf_counter()
+            attempt = self._promotion_attempts
+            self._promotion_attempts += 1
+            if attempt in self._promotion_kills:
+                # Injected standby death mid-promotion: fall back cold.
+                standby.destroy()
+            else:
+                payloads = self._take_over(
+                    standby, in_flight, traces,
+                    self._op_timeout if self._op_timeout is not None else 30.0,
+                )
+                if payloads is not None:
+                    self._failovers += 1
+                    self._failover_s_total += self._restored(
+                        "failover", "failovers", start,
+                        {
+                            "failovers": float(self._failovers),
+                            "replayed_ops": float(self._seq - standby.applied),
+                        },
+                    )
+                    return payloads
         while self._restarts < self._max_restarts:
             self._restarts += 1
             start = time.perf_counter()
-            self._teardown()
-            self._incarnation = self._next_incarnation()
-            self._spawn()
-            try:
-                if self._baseline is not None:
-                    self._conn.send(
-                        ("restore", self._baseline[0], self._baseline[1])
-                    )
-                    self._recv()
-                if self._journal:
-                    self._conn.send(("batch", list(self._journal)))
-                    self._recv()
-                payloads: list[dict[str, Any]] = []
-                if in_flight:
-                    if traces is not None:
-                        self._conn.send(
-                            ("batch", list(in_flight), list(traces))
-                        )
-                        payloads, spans = self._recv()
-                        tr = _tracing.TRACER
-                        if tr is not None and spans:
-                            # The replacement's re-run spans: the retried
-                            # requests' trace ids on the new
-                            # incarnation's track.
-                            tr.extend(spans)
-                    else:
-                        self._conn.send(("batch", list(in_flight)))
-                        payloads = self._recv()
-            except (BrokenPipeError, EOFError, OSError, TimeoutError):
-                # The replacement died during replay (e.g. a fault
-                # targeting this incarnation): burn another restart.
-                continue
-            elapsed = time.perf_counter() - start
-            self._recovery_s_total += elapsed
-            reg = _telemetry.REGISTRY
-            if reg is not None:
-                reg.add(f"service.shard.{self.shard_id}.restarts")
-                reg.observe(
-                    f"service.shard.{self.shard_id}.recovery_s", elapsed
+            self._primary.destroy()
+            self._primary = self._spawn_worker()
+            self._primary.catch_up(
+                self._baseline, self._journal, self._journal_base
+            )
+            payloads = self._take_over(
+                self._primary, in_flight, traces, self._op_timeout
+            )
+            if payloads is not None:
+                self._recovery_s_total += self._restored(
+                    "recovery", "restarts", start,
+                    {"restarts": float(self._restarts)},
                 )
-            tr = _tracing.TRACER
-            if tr is not None:
-                # Parent-side recovery span, labelled with the *new*
-                # incarnation's track so the respawn is visible even
-                # before the worker records its first op span.
-                tr.record(
-                    name="shard.recovery",
-                    trace=tr.mint_trace(),
-                    ts=time.time() - elapsed,
-                    dur=elapsed,
-                    proc=f"shard{self.shard_id}",
-                    inc=self._incarnation,
-                    tags={"restarts": float(self._restarts)},
-                )
-            # A cold restore invalidates whatever standby was left (it
-            # may hold state the failed promotion partially advanced);
-            # rebuild it from the recipe the new primary just replayed.
-            if self._replicas:
-                self._drop_standby()
-                self._spawn_standby()
-            return payloads
+                return payloads
         self._mark_dead()
         return None
 
-    def _promote(
+    def _take_over(
         self,
+        worker: StandbyReplica,
         in_flight: Sequence[ShardOp],
-        traces: Sequence[Mapping[str, Any] | None] | None = None,
+        traces: Sequence[Mapping[str, Any] | None] | None,
+        sync_timeout: float | None,
     ) -> list[dict[str, Any]] | None:
-        """Warm failover: make the standby the new primary.
+        """The one restore routine: make ``worker`` the primary.
 
-        Barrier-syncs the ship link (drains every outstanding ack, so
-        the high-water mark is exact), replays only the journal ops past
-        it, re-runs the interrupted batch, and adopts the standby's
-        pipe/process.  Returns the in-flight payloads, or None when the
-        standby is unusable — dead (``kill_standby``), killed by an
-        injected ``kill:during=promotion``, wedged past the op timeout,
-        or stranded behind a compaction — in which case the cold
-        recovery loop takes over.  The promoted state is rebuilt from
-        exactly the recipe cold recovery uses (baseline + committed-op
-        journal), so promoted decisions are byte-identical to it.
+        Syncs its acks (each wait bounded by ``sync_timeout``, None =
+        unbounded), so its high-water mark is exact; refuses it when
+        that mark is below the journal base (a compaction folded ops a
+        severed ship link never delivered); replays the journal past
+        the mark; adopts it; re-runs the interrupted batch.  Returns
+        the in-flight payloads, or None when the worker is unusable or
+        dies (a cold restore then takes over from the unchanged
+        recipe).
         """
-        standby = self._standby
-        if standby is None:
+        synced = worker.sync(sync_timeout)
+        if not synced or worker.applied < self._journal_base:
+            worker.destroy()
             return None
-        self._standby = None
-        start = time.perf_counter()
-        if self._fault_plan is not None:
-            attempt = self._promotion_attempts
-            self._promotion_attempts += 1
-            if any(
-                f.at == attempt
-                for f in self._fault_plan.promotion_faults(self.shard_id)
-            ):
-                # Injected standby death mid-promotion: fall back cold.
-                standby.destroy()
-                return None
-        else:
-            self._promotion_attempts += 1
-        sync_timeout = (
-            self._op_timeout if self._op_timeout is not None else 30.0
-        )
-        if not standby.sync(sync_timeout):
-            standby.destroy()
-            return None
-        if standby.applied < self._journal_base:
-            # Compaction folded ops the severed ship link never
-            # delivered — the gap is no longer replayable.
-            standby.destroy()
-            return None
-        gap = self._journal[standby.applied - self._journal_base:]
-        self._teardown()
-        self._conn, self._proc = standby.detach()
-        self._incarnation = standby.incarnation
+        gap = self._journal[worker.applied - self._journal_base:]
+        if worker is not self._primary:
+            # A warm standby; a cold replacement is the primary from its
+            # spawn on, so flight records name its incarnation.
+            self._primary.destroy()
+            self._primary = worker
         try:
             if gap:
-                self._conn.send(("batch", list(gap)))
-                self._recv()
-            payloads: list[dict[str, Any]] = []
-            if in_flight:
-                if traces is not None:
-                    self._conn.send(("batch", list(in_flight), list(traces)))
-                    payloads, spans = self._recv()
-                    tr = _tracing.TRACER
-                    if tr is not None and spans:
-                        tr.extend(spans)
-                else:
-                    self._conn.send(("batch", list(in_flight)))
-                    payloads = self._recv()
-        except (BrokenPipeError, EOFError, OSError, TimeoutError):
-            # The promoted worker died too (e.g. a kill fault aimed at
-            # its incarnation): the cold loop tears it down and takes
-            # over from the unchanged recipe.
+                worker.run_batch(gap)
+            return worker.run_batch(in_flight, traces) if in_flight else []
+        except _PIPE_ERRORS:
             return None
+
+    def _restored(
+        self, kind: str, counter: str, start: float, tags: dict[str, float]
+    ) -> float:
+        """Account one successful restore and return its duration.
+
+        ``kind`` (``"failover"`` or ``"recovery"``) names the telemetry
+        histogram (``service.shard.0.<kind>_s``) and the parent-side
+        span (``shard.<kind>``, on the new primary's track, so the
+        restore shows even before the worker records its first op
+        span); ``counter`` names the telemetry counter.  The attempt
+        took the old standby, so a fresh one is spawned from the
+        current recipe."""
         elapsed = time.perf_counter() - start
-        self._failovers += 1
-        self._failover_s_total += elapsed
         reg = _telemetry.REGISTRY
         if reg is not None:
-            reg.add(f"service.shard.{self.shard_id}.failovers")
-            reg.observe(
-                f"service.shard.{self.shard_id}.failover_s", elapsed
-            )
+            reg.add(f"service.shard.{SHARD_ID}.{counter}")
+            reg.observe(f"service.shard.{SHARD_ID}.{kind}_s", elapsed)
         tr = _tracing.TRACER
         if tr is not None:
             tr.record(
-                name="shard.failover",
+                name=f"shard.{kind}",
                 trace=tr.mint_trace(),
                 ts=time.time() - elapsed,
                 dur=elapsed,
-                proc=f"shard{self.shard_id}",
-                inc=self._incarnation,
-                tags={
-                    "failovers": float(self._failovers),
-                    "replayed_ops": float(len(gap)),
-                },
+                proc=f"shard{SHARD_ID}",
+                inc=self._primary.incarnation,
+                tags=tags,
             )
-        # Replacement standby: spawned now, caught up in the background.
         self._spawn_standby()
-        return payloads
+        return elapsed
 
     def _commit(
         self, ops: Sequence[ShardOp], payloads: Sequence[Mapping[str, Any]]
@@ -743,8 +686,11 @@ class _ProcessShard:
             self._journal.extend(committed)
             start_seq = self._seq
             self._seq += len(committed)
-            if self._standby is not None:
-                self._standby.ship(committed, start_seq)
+            standby = self._standby
+            if standby is not None and standby.ship(
+                committed, start_seq, self._drop_at
+            ):
+                self._drop_at = None
         self._replication_gauge()
         self._repair_standby()
         if len(self._journal) > self._journal_limit:
@@ -760,9 +706,8 @@ class _ProcessShard:
         the next commit.
         """
         try:
-            self._conn.send(("export",))
-            snapshot = self._recv()
-        except (BrokenPipeError, EOFError, OSError, TimeoutError):
+            snapshot = self._primary.call(("export",))
+        except _PIPE_ERRORS:
             self._recover([])
             return
         self._baseline = snapshot
@@ -783,25 +728,11 @@ class _ProcessShard:
         ops: Sequence[ShardOp],
         traces: Sequence[Mapping[str, Any] | None] | None = None,
     ) -> list[dict[str, Any]]:
-        ops = list(ops)
-        traces = list(traces) if traces is not None else None
         if not self._dead:
             payloads: list[dict[str, Any]] | None
             try:
-                if traces is not None:
-                    self._conn.send(("batch", ops, traces))
-                else:
-                    self._conn.send(("batch", ops))
-                reply = self._recv()
-                # Traced batches reply ``(payloads, drained spans)``.
-                if traces is not None:
-                    payloads, spans = reply
-                    tr = _tracing.TRACER
-                    if tr is not None and spans:
-                        tr.extend(spans)
-                else:
-                    payloads = reply
-            except (BrokenPipeError, EOFError, OSError, TimeoutError):
+                payloads = self._primary.run_batch(ops, traces)
+            except _PIPE_ERRORS:
                 payloads = (
                     self._recover(ops, traces) if self._supervise else None
                 )
@@ -820,14 +751,12 @@ class _ProcessShard:
         if self._dead:
             raise RuntimeError(self.DEAD_ERROR)
         try:
-            self._conn.send(("export",))
-            return self._recv()
-        except (BrokenPipeError, EOFError, OSError, TimeoutError):
+            return self._primary.call(("export",))
+        except _PIPE_ERRORS:
             if self._supervise and self._recover([]) is not None:
                 try:
-                    self._conn.send(("export",))
-                    return self._recv()
-                except (BrokenPipeError, EOFError, OSError, TimeoutError):
+                    return self._primary.call(("export",))
+                except _PIPE_ERRORS:
                     pass
             self._mark_dead()
             raise RuntimeError(self.DEAD_ERROR) from None
@@ -847,17 +776,15 @@ class _ProcessShard:
             self._journal_base = self._seq
             self._drop_standby()
         try:
-            self._conn.send(("restore", flows, jitters))
-            self._recv()
-        except (BrokenPipeError, EOFError, OSError, TimeoutError):
+            self._primary.call(("restore", flows, jitters))
+        except _PIPE_ERRORS:
             # _recover replays the just-installed baseline, so a
             # successful recovery leaves exactly the requested state.
             if self._supervise and self._recover([]) is not None:
                 return
             self._mark_dead()
             raise RuntimeError(self.DEAD_ERROR) from None
-        if self._replicas:
-            self._spawn_standby()
+        self._spawn_standby()
 
     def telemetry_snapshot(self) -> dict[str, Any] | None:
         """Merged retired + current-incarnation registry snapshot.
@@ -873,9 +800,8 @@ class _ProcessShard:
         current: dict[str, Any] | None = None
         if not self._dead:
             try:
-                self._conn.send(("telemetry",))
-                current = self._recv()
-            except (BrokenPipeError, EOFError, OSError, TimeoutError):
+                current = self._primary.call(("telemetry",))
+            except _PIPE_ERRORS:
                 if self._supervise:
                     self._recover([])
                 else:
@@ -900,9 +826,8 @@ class _ProcessShard:
         if self._dead or _tracing.TRACER is None:
             return None
         try:
-            self._conn.send(("trace",))
-            return self._recv()
-        except (BrokenPipeError, EOFError, OSError, TimeoutError):
+            return self._primary.call(("trace",))
+        except _PIPE_ERRORS:
             if self._supervise:
                 self._recover([])
             else:
@@ -933,18 +858,18 @@ class _ProcessShard:
             ),
             "failovers": self._failovers,
             "failover_s_total": self._failover_s_total,
-            # Cold restores are exactly the PR 7 restart count;
-            # promotions never increment it.
+            # Cold restores are exactly the restart count; promotions
+            # never increment it.
             "cold_restores": self._restarts,
         }
 
     def graceful_close(self) -> None:
         """Clean shutdown: drain the ship link, then write final
         flight records for every live incarnation (primary and
-        standby) before the ordinary close escalation."""
+        standby) before the ordinary close."""
         standby = self._standby
         if standby is not None:
-            standby.drain(timeout_s=self._close_timeout)
+            standby.sync(self._close_timeout)
         if not self._dead:
             self._flight("clean_shutdown")
             if standby is not None and standby.alive:
@@ -954,35 +879,13 @@ class _ProcessShard:
         self.close()
 
     def close(self) -> None:
-        """Shut the worker down, escalating if it does not cooperate.
-
-        Polite close message first; if the worker does not acknowledge
-        and exit within ``close_timeout`` (it may be wedged mid-op),
-        escalate terminate → kill.  A wedged worker can therefore never
-        hang ``close()`` longer than ~3 timeouts.
-        """
+        """Shut the workers down (:meth:`StandbyReplica.close`: a wedged
+        worker cannot hang this longer than a few ``close_timeout``\\ s)."""
         if self._standby is not None:
             self._standby.close(timeout=self._close_timeout)
             self._standby = None
-        if not self._dead:
-            try:
-                self._conn.send(("close",))
-                if self._conn.poll(self._close_timeout):
-                    self._conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
         self._dead = True
-        self._proc.join(timeout=self._close_timeout)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=self._close_timeout)
-        if self._proc.is_alive():  # pragma: no cover - stubborn worker
-            self._proc.kill()
-            self._proc.join(timeout=self._close_timeout)
+        self._primary.close(timeout=self._close_timeout)
 
 
 # ----------------------------------------------------------------------

@@ -38,9 +38,10 @@ Flight recorder
 :func:`write_flight_record` snapshots the evidence that is otherwise
 lost with a dead worker — the last N spans, the registry state, and
 the supervisor's op-journal position — into a self-contained
-post-mortem JSON document.  The shard supervisor calls it on every
-dead-worker detection and on permanent degradation (see
-:class:`repro.service.sharding._ProcessShard`).
+post-mortem JSON document.  The worker supervisor
+(:class:`repro.service.sharding._ProcessShard`) calls it on every
+dead-worker detection, before its one restore path runs, and on
+permanent degradation.
 """
 
 from __future__ import annotations

@@ -370,6 +370,62 @@ class TestReplicationChaos:
         assert faulted[3]["failovers"] == 2
         assert faulted[3]["cold_restores"] == 0
 
+    def test_drop_journal_severs_only_the_standby_live_at_the_drop(self):
+        # A drop_journal fault fires once: it severs the standby that is
+        # live when the ship crosses ``at``, never the replacement
+        # spawned after the primary kill.  Each standby is synced before
+        # its lag is read, so the comparison does not hang on ack timing.
+        sc = two_star_scenario()
+        trace = trace_from_scenario(
+            sc, n_requests=60, arrival="burst", burst_size=4, hold=6,
+            seed=2,
+        )
+        clean = _run_two_star(trace, replicas=1, batch=4)
+
+        def run(spec):
+            with ShardedAdmissionService(
+                sc.network, workers=True, replicas=1,
+                fault_plan=FaultPlan.parse(spec),
+            ) as svc:
+                summary = replay_service(svc, trace, batch=4)
+                doc = service_state_to_dict(svc)
+                standby = svc._engine._standby
+                assert standby.sync(30.0)
+                return summary, doc, standby.severed, svc.health()
+
+        _, _, _, kill_only = run("kill:shard=0,at=10")
+        summary, doc, severed, health = run(
+            "drop_journal:shard=0,at=4;kill:shard=0,at=10"
+        )
+        assert health["failovers"] == kill_only["failovers"] == 1
+        assert not severed, "the replacement standby was severed"
+        lag, = (s["replication_lag_ops"] for s in health["shards"])
+        kill_only_lag, = (
+            s["replication_lag_ops"] for s in kill_only["shards"]
+        )
+        assert lag <= kill_only_lag
+        assert summary.admit_decisions == clean[0].admit_decisions
+        assert doc == clean[2]
+
+    def test_cold_replacement_takes_no_standby_faults(self):
+        # The first promotion is killed, so the primary kill restores
+        # cold.  The cold replacement is a worker, not a standby: the
+        # kill_standby fault aimed at the first replacement standby
+        # (generation 1) must not fire in it, or it would die replaying
+        # its journal and burn a second cold restore.
+        sc = two_star_scenario()
+        trace = self._trace(sc)
+        clean = _run_two_star(trace, replicas=1)
+        plan = FaultPlan.parse(
+            "kill:shard=0,during=promotion,at=0;kill:shard=0,at=9;"
+            "kill_standby:shard=0,at=0,incarnation=1"
+        )
+        faulted = _run_two_star(trace, plan=plan, replicas=1)
+        assert faulted[0].admit_decisions == clean[0].admit_decisions
+        assert faulted[2] == clean[2]
+        assert faulted[3]["cold_restores"] == 1
+        assert faulted[3]["failovers"] == 0
+
 
 # ----------------------------------------------------------------------
 # Protocol v3

@@ -7,6 +7,9 @@ resource" (``extra_j``, Sec. 3.2).  :class:`AnalysisContext` centralises
 them, caches the expensive :class:`~repro.core.demand.LinkDemand`
 construction, and owns the mutable jitter table that the Fig. 6 pipeline
 writes and the holistic iteration (Sec. 3.5) drives to a fixed point.
+Its flow set can change in place (:meth:`AnalysisContext.add_flow`,
+:meth:`AnalysisContext.remove_flow`), with undo logs for a tentative
+change, so the admission engine keeps one context across requests.
 
 Resources are identified by :data:`ResourceKey` tuples:
 
@@ -49,8 +52,9 @@ from typing import Iterable, Mapping, Sequence
 from repro import telemetry as _telemetry
 from repro.core.demand import LinkDemand, build_link_demand
 from repro.core.packetization import DEFAULT_CONFIG, STRICT_CONFIG, PacketizationConfig
-from repro.model.flow import Flow, check_unique_names, flows_on_link, hep_flows
+from repro.model.flow import Flow, check_unique_names, hep_flows
 from repro.model.network import Network
+from repro.model.routing import validate_route
 
 #: ``("link", N1, N2)`` or ``("in", N)``.
 ResourceKey = tuple
@@ -88,10 +92,10 @@ class AnalysisOptions:
     """Knobs of the analysis; defaults reproduce the corrected model.
 
     Every field changes what is computed; none selects how.  The engine
-    has one path: certified-floor fixed points, the holistic worklist,
-    the per-stage memo and flat per-link demand arrays are always on,
-    and ``tests/oracle.py`` holds the plain seed engine they are
-    checked against.
+    has one path: certified-floor fixed points, the stage-ordered
+    holistic solve, the per-stage memo and flat per-link demand arrays
+    are always on, and ``tests/oracle.py`` holds the plain seed engine
+    they are checked against.
 
     Attributes
     ----------
@@ -115,7 +119,7 @@ class AnalysisOptions:
     max_fp_iterations:
         Iteration cap per fixed point.
     holistic_max_iterations:
-        Cap on the outer holistic jitter iterations (Sec. 3.5).
+        Cap on the rounds of the holistic stage solve (Sec. 3.5).
     """
 
     strict_paper: bool = False
@@ -138,15 +142,15 @@ class JitterTable:
     until the pipeline walk fills it in (holistic initialisation,
     Sec. 3.5).
 
-    The table tracks its own writes so the holistic engine can run
+    The table tracks its own writes so the holistic solve can run
     per-round fixed-point detection without copying the whole table:
-    :meth:`begin_round` resets the accounting, :meth:`round_delta` is
+    :meth:`begin_round` resets the accounting and :meth:`round_delta` is
     the largest elementwise change against the round-start table (a
     first explicit write counts as its own magnitude, as if compared
-    with a round-start snapshot that lacked the entry), and
-    :meth:`drain_changed_keys` yields the keys whose *effective* value
-    (as seen through :meth:`get`) changed bit-wise — the worklist
-    engine's dirtiness signal.
+    with a round-start snapshot that lacked the entry).  :meth:`set`
+    returns whether the entry's *effective* value (as seen through
+    :meth:`get`) changed bit-wise: the signal on which the solve marks
+    the stages reading the entry.
     """
 
     _MISSING = object()  # undo-log marker: key absent before the write
@@ -161,7 +165,6 @@ class JitterTable:
         # O(own entries) instead of a table scan.
         self._keys_by_flow: dict[str, set[ResourceKey]] = {}
         self._round_delta = 0.0
-        self._changed: set[tuple[str, ResourceKey]] = set()
         # Flow name -> {resource -> max per-frame jitter}: memoises
         # :meth:`extra`, the single hottest query of the stage memo
         # (every memoised stage rebuilds its input tuple from it).
@@ -188,8 +191,7 @@ class JitterTable:
         self, flow_name: str, resource: ResourceKey, jitters: Sequence[float]
     ) -> bool:
         """Write a flow's per-frame jitters at a resource; returns
-        whether the entry's effective value changed (the key is then
-        among :meth:`drain_changed_keys`).
+        whether the entry's effective value changed.
 
         A tuple is stored as given (the pipeline walk passes one tuple
         of floats for both this write and its stage-memo inputs); any
@@ -208,14 +210,14 @@ class JitterTable:
         key = (flow_name, resource)
         old = self._table.get(key)
         if jit == old:
-            # Rewriting the stored value: nothing to undo, no delta, no
-            # changed key, and the cached extra is still right.
+            # Rewriting the stored value: nothing to undo, no delta, and
+            # the cached extra is still right.
             return False
         if self._undo is not None and key not in self._undo:
             self._undo[key] = old if old is not None else self._MISSING
         if old is None:
             # First explicit write: the snapshot-based delta counts a
-            # newly-appearing entry as its own magnitude, but dirtiness
+            # newly-appearing entry as its own magnitude, but a change
             # is judged against the implicit default `get` returned.
             delta = max((abs(x) for x in jit), default=0.0)
             moved = jit != self.get(flow_name, resource)
@@ -226,8 +228,6 @@ class JitterTable:
                     continue
                 delta = max(delta, abs(x - y))
             moved = True
-        if moved:
-            self._changed.add(key)
         if delta > self._round_delta:
             self._round_delta = delta
         if old is None:
@@ -240,7 +240,7 @@ class JitterTable:
         return moved
 
     # ------------------------------------------------------------------
-    # Incremental flow-set mutation (core/hierarchy.py)
+    # Incremental flow-set mutation (AnalysisContext.add_flow / remove_flow)
     # ------------------------------------------------------------------
     def add_flow(self, flow: Flow) -> None:
         """Register a new flow; its entries start at the defaults."""
@@ -306,19 +306,12 @@ class JitterTable:
                 self._table[(name, resource)] = old
 
     def begin_round(self) -> None:
-        """Reset per-round write accounting (holistic engine)."""
+        """Reset per-round write accounting (holistic solve)."""
         self._round_delta = 0.0
-        self._changed.clear()
 
     def round_delta(self) -> float:
         """Largest change any write made since :meth:`begin_round`."""
         return self._round_delta
-
-    def drain_changed_keys(self) -> set[tuple[str, ResourceKey]]:
-        """Keys whose effective value changed since :meth:`begin_round`."""
-        changed = self._changed
-        self._changed = set()
-        return changed
 
     def seed(
         self,
@@ -386,21 +379,43 @@ class AnalysisContext:
         ``network``; checked on construction).
     options:
         Analysis knobs; see :class:`AnalysisOptions`.
+
+    The flow set can also change in place, which is how the admission
+    engine (:mod:`repro.core.hierarchy`) keeps one context across
+    requests: rebuilding a context per flow set would cost far more than
+    the incremental analysis at 10^5 flows.  Every flow-set-derived
+    structure updates in O(route x link density):
+
+    * ``self.flows`` is a list in admission order: :meth:`add_flow`
+      appends, :meth:`remove_flow` deletes, so :meth:`flows_on_link`
+      and :meth:`hep` keep filtering in that order;
+    * each link's flow list is kept directly (no scan of the whole set
+      per link), and ``hep`` results are cached per link, so a change
+      drops only the touched links' entries;
+    * a touched link gets a new :meth:`flows_on_link` tuple, which
+      retires its flat demand matrix (cached against the old tuple);
+      stage memos need no drop at all, since an entry recorded over
+      other participants than a stage's current ones is never returned
+      (:meth:`stage_memo_get`).  Removing a flow pops its own entries
+      only to free them;
+    * a tentative change can be undone: between :meth:`begin_undo` and
+      :meth:`rollback_undo` the jitter table and the stage memo both log
+      each entry's value before its first overwrite, so a rejected
+      request leaves neither holding results recorded over the
+      withdrawn candidate.
     """
 
     def __init__(
         self,
         network: Network,
-        flows: Sequence[Flow],
+        flows: Sequence[Flow] = (),
         options: AnalysisOptions | None = None,
     ):
-        from repro.model.routing import validate_route  # cycle-free import
-
         check_unique_names(flows)
         for f in flows:
             validate_route(network, f.route)
         self.network = network
-        self.flows: tuple[Flow, ...] = tuple(flows)
+        self.flows: list[Flow] = list(flows)
         self.options = options or AnalysisOptions()
         self.jitters = JitterTable(self.flows)
         self._by_name = {f.name: f for f in self.flows}
@@ -414,18 +429,33 @@ class AnalysisContext:
         self._demand_cache: dict[
             str, dict[tuple[str, str], tuple[Flow, LinkDemand]]
         ] = {}
+        # link -> its flows in flow order, and the tuple flows_on_link
+        # serves until the link's flow set changes.
+        self._link_index: dict[tuple[str, str], list[Flow]] = {}
+        for f in self.flows:
+            for link in f.links():
+                self._link_index.setdefault(link, []).append(f)
         self._link_flows_cache: dict[tuple[str, str], tuple[Flow, ...]] = {}
-        self._hep_cache: dict[tuple[str, str, str], tuple[Flow, ...]] = {}
+        # link -> {flow name -> hep tuple}; nested so a link's flow-set
+        # change drops its entries in one pop.
+        self._hep_by_link: dict[
+            tuple[str, str], dict[str, tuple[Flow, ...]]
+        ] = {}
         # flow name -> {resource -> (inputs, results, fixed points,
         # participants)}; see core/pipeline.py.  Never shared across
         # contexts.  An entry is valid exactly while its stage has the
         # recorded participants (stage_memo_get), so flow-set changes
-        # drop nothing; a mutable context pops a leaving flow's entries
-        # to free them.
+        # drop nothing; remove_flow pops a leaving flow's entries to
+        # free them.
         self._stage_cache: dict[str, dict[ResourceKey, tuple]] = {}
+        # (flow, resource) -> memo entry before the tentative change's
+        # first overwrite (None: there was none); None outside one.
+        self._memo_undo: dict[tuple[str, ResourceKey], tuple | None] | None = (
+            None
+        )
         # (n1, n2) -> (flows_on_link tuple, LinkDemandMatrix); valid
-        # while flows_on_link still returns that very tuple (a mutable
-        # context replaces it on every flow-set change of the link).
+        # while flows_on_link still returns that very tuple (it is
+        # replaced on every flow-set change of the link).
         self._matrix_cache: dict[tuple[str, str], tuple[tuple, object]] = {}
 
     # ------------------------------------------------------------------
@@ -440,18 +470,56 @@ class AnalysisContext:
     def flows_on_link(self, n1: str, n2: str) -> tuple[Flow, ...]:
         """``flows(N1, N2)``: flows whose route uses the link."""
         key = (n1, n2)
-        if key not in self._link_flows_cache:
-            self._link_flows_cache[key] = tuple(
-                flows_on_link(self.flows, n1, n2)
-            )
-        return self._link_flows_cache[key]
+        hit = self._link_flows_cache.get(key)
+        if hit is None:
+            hit = tuple(self._link_index.get(key, ()))
+            self._link_flows_cache[key] = hit
+        return hit
 
     def hep(self, flow: Flow, n1: str, n2: str) -> tuple[Flow, ...]:
         """``hep(tau_i, N1, N2)`` (Eq. 2), excluding ``flow`` itself."""
-        key = (flow.name, n1, n2)
-        if key not in self._hep_cache:
-            self._hep_cache[key] = tuple(hep_flows(self.flows, flow, n1, n2))
-        return self._hep_cache[key]
+        per_link = self._hep_by_link.setdefault((n1, n2), {})
+        hit = per_link.get(flow.name)
+        if hit is None:
+            hit = tuple(hep_flows(self.flows_on_link(n1, n2), flow, n1, n2))
+            per_link[flow.name] = hit
+        return hit
+
+    # ------------------------------------------------------------------
+    # Flow-set changes
+    # ------------------------------------------------------------------
+    def add_flow(self, flow: Flow) -> None:
+        """Append ``flow`` to the flow set (tentatively or finally)."""
+        validate_route(self.network, flow.route)
+        if flow.name in self._by_name:
+            raise ValueError(f"flow name {flow.name!r} already admitted")
+        self.flows.append(flow)
+        self._by_name[flow.name] = flow
+        self.jitters.add_flow(flow)
+        for link in flow.links():
+            self._link_index.setdefault(link, []).append(flow)
+            self._touch_link(link)
+
+    def remove_flow(self, flow_name: str) -> None:
+        """Remove a flow and every structure derived from its presence."""
+        flow = self._by_name.pop(flow_name)
+        for i, f in enumerate(self.flows):
+            if f is flow:
+                del self.flows[i]
+                break
+        self.jitters.remove_flow(flow_name)
+        self._stage_cache.pop(flow_name, None)
+        for link in flow.links():
+            entry = self._link_index.get(link, [])
+            for i, f in enumerate(entry):
+                if f is flow:
+                    del entry[i]
+                    break
+            self._touch_link(link)
+
+    def _touch_link(self, link: tuple[str, str]) -> None:
+        self._link_flows_cache.pop(link, None)
+        self._hep_by_link.pop(link, None)
 
     def demand(self, flow: Flow, n1: str, n2: str) -> LinkDemand:
         """Cached :class:`LinkDemand` of ``flow`` on ``link(n1, n2)``.
@@ -520,9 +588,8 @@ class AnalysisContext:
 
         Built lazily from the link's flows in context order and cached
         against the :meth:`flows_on_link` tuple it was built from: the
-        cache holds that tuple, so a replacement (a mutable context
-        builds a new one on every flow-set change of the link) can never
-        be mistaken for it.
+        cache holds that tuple, so a replacement (built on every
+        flow-set change of the link) can never be mistaken for it.
         """
         from repro.core.demand import LinkDemandMatrix
 
@@ -592,12 +659,47 @@ class AnalysisContext:
         results,
         fixed_points,
     ) -> None:
+        undo = self._memo_undo
+        if undo is not None and (flow_name, resource) not in undo:
+            per_flow = self._stage_cache.get(flow_name)
+            undo[(flow_name, resource)] = (
+                per_flow.get(resource) if per_flow is not None else None
+            )
         self._stage_cache.setdefault(flow_name, {})[resource] = (
             inputs,
             results,
             fixed_points,
             participants,
         )
+
+    # ------------------------------------------------------------------
+    # Tentative changes
+    # ------------------------------------------------------------------
+    def begin_undo(self) -> None:
+        """Start logging jitter and memo entries before their first
+        overwrite."""
+        self.jitters.begin_undo()
+        self._memo_undo = {}
+
+    def commit_undo(self) -> None:
+        """Keep every write since :meth:`begin_undo`."""
+        self.jitters.commit_undo()
+        self._memo_undo = None
+
+    def rollback_undo(self) -> None:
+        """Restore every jitter and memo entry written since
+        :meth:`begin_undo`."""
+        self.jitters.rollback_undo()
+        undo, self._memo_undo = self._memo_undo, None
+        cache = self._stage_cache
+        for (name, resource), entry in undo.items():
+            per_flow = cache.get(name)
+            if entry is not None:
+                if per_flow is None:
+                    per_flow = cache[name] = {}
+                per_flow[resource] = entry
+            elif per_flow is not None:
+                per_flow.pop(resource, None)
 
     def circ(self, node: str) -> float:
         """``CIRC(N)`` of a switch node (round-robin configuration)."""

@@ -72,11 +72,14 @@ Stage step
 ----------
 :func:`run_stage` is one stage of the walk, given the flow's JSUM at the
 stage's resource, which the caller has already written to the jitter
-table: it plans the stage (resource, participants, kind), looks up the
-memo, checks verified reuse, runs the stage analysis on a miss and
-masks frames whose JSUM already diverged.  :func:`analyze_flow` calls
-it at every position of the walk; the admission engine
-(:mod:`repro.core.hierarchy`) calls it for single stages it schedules.
+table: it plans the stage (:func:`plan_stage`: kind, resource, link,
+participants), looks up the memo, checks verified reuse, runs the stage
+analysis on a miss and masks frames whose JSUM already diverged.  The
+holistic solve (:mod:`repro.core.holistic`) calls it for the single
+stages it schedules, and inverts :func:`plan_stage`'s participants into
+the readers map that tells it which stages an entry's change reaches.
+:func:`analyze_flow` calls it at every position of one whole walk
+(the test oracle's plain iteration runs that walk).
 The participants' ``extra_j`` that the memo lookup gathers are handed
 to the stage analysis as its jitter shifts, so a stage reads them once,
 and the stage modules keep their utilisation sums on the link's
@@ -169,6 +172,47 @@ def analyze_flow(ctx: AnalysisContext, flow: Flow) -> FlowResult:
     return FlowResult(flow_name=name, frames=frames)
 
 
+def plan_stage(
+    ctx: AnalysisContext, flow: Flow, position: int
+) -> tuple[StageKind, ResourceKey, tuple[str, str], tuple[Flow, ...]]:
+    """What :func:`run_stage` reads at ``position`` of ``flow``'s walk.
+
+    Returns the stage's kind, its resource (where it reads jitters), its
+    link and its participants in order: every flow on the link for the
+    first hop (Sec. 3.2), every flow on the incoming link for an
+    ingress (Sec. 3.3), the ``hep`` set and the flow for an egress
+    (Sec. 3.4, Eq. 2).  A stage reads the jitter entries of its
+    participants at its resource; the holistic solve inverts these
+    reads into its readers map (:mod:`repro.core.holistic`).
+    """
+    route = flow.route
+    if position == 0:
+        link = (route[0], route[1])
+        return (
+            StageKind.FIRST_HOP,
+            link_resource(*link),
+            link,
+            ctx.flows_on_link(*link),
+        )
+    i = (position + 1) >> 1
+    node = route[i]
+    if position & 1:
+        link = (route[i - 1], node)
+        return (
+            StageKind.INGRESS,
+            ingress_resource(node),
+            link,
+            ctx.flows_on_link(*link),
+        )
+    link = (node, route[i + 1])
+    return (
+        StageKind.EGRESS,
+        link_resource(*link),
+        link,
+        (*ctx.hep(flow, *link), flow),
+    )
+
+
 def run_stage(
     ctx: AnalysisContext,
     flow: Flow,
@@ -178,41 +222,18 @@ def run_stage(
     """Analyse all frames of ``flow``'s stage at ``position`` of its walk.
 
     ``jitters`` is the flow's per-frame JSUM at the stage's resource,
-    which the table must already hold there.  The stage's participants
-    are the flows whose demand and jitters at the resource it reads, in
-    order: every flow on the link for the first hop, every flow on the
-    incoming link for an ingress, the ``hep`` set and the flow for an
-    egress.  The stage is replayed from the context's memo when its last
-    run had the same participants and either the same inputs (a hit) or
-    inputs that have only grown since, under which every fixed point
-    the memo kept still holds (a verified miss; see
+    which the table must already hold there.  The stage reads its
+    participants' demand and jitters at the resource
+    (:func:`plan_stage`).  It is replayed from the context's memo when
+    its last run had the same participants and either the same inputs
+    (a hit) or inputs that have only grown since, under which every
+    fixed point the memo kept still holds (a verified miss; see
     :func:`_fixed_points_hold`).  Otherwise the stage analysis runs with
     the participants' ``extra_j`` as its shifts.  Frames whose JSUM is
     infinite get a diverged stage even where the analysis (e.g. with
     jitter modelling disabled) did not see it.
     """
-    route = flow.route
-    if position == 0:
-        node, nxt = route[0], route[1]
-        resource = link_resource(node, nxt)
-        participants = ctx.flows_on_link(node, nxt)
-        kind = StageKind.FIRST_HOP
-        link = (node, nxt)
-    else:
-        i = (position + 1) >> 1
-        node = route[i]
-        if position & 1:
-            prev = route[i - 1]
-            resource = ingress_resource(node)
-            participants = ctx.flows_on_link(prev, node)
-            kind = StageKind.INGRESS
-            link = (prev, node)
-        else:
-            nxt = route[i + 1]
-            resource = link_resource(node, nxt)
-            participants = (*ctx.hep(flow, node, nxt), flow)
-            kind = StageKind.EGRESS
-            link = (node, nxt)
+    kind, resource, link, participants = plan_stage(ctx, flow, position)
     name = flow.name
     extras = ctx.extras(participants, resource)
     inputs = (jitters, extras)
@@ -236,9 +257,9 @@ def run_stage(
             if kind is StageKind.FIRST_HOP:
                 results = first_hop_stage(ctx, flow, recorded, extras)
             elif kind is StageKind.INGRESS:
-                results = ingress_stage(ctx, flow, node, recorded, extras)
+                results = ingress_stage(ctx, flow, link[1], recorded, extras)
             else:
-                results = egress_stage(ctx, flow, node, recorded, extras)
+                results = egress_stage(ctx, flow, link[0], recorded, extras)
             fixed = recorded[0] if recorded else None
         ctx.stage_memo_put(name, resource, participants, inputs, results, fixed)
     if math.inf in jitters:

@@ -66,7 +66,9 @@ current recipe in the background.
 
 from __future__ import annotations
 
+import os
 import signal
+import stat
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -207,6 +209,36 @@ class _InlineShard:
         pass
 
 
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket this process inherited but descriptor ``keep``.
+
+    A worker forked from the live front end inherits the listener, the
+    event loop's self-pipe and every client connection open at fork
+    time.  While a worker holds such a connection, a close by the server
+    sends no FIN, and the client waits out its request timeout.  Each
+    socket is replaced by ``/dev/null`` rather than closed: its number
+    stays taken, so a socket object copied by the fork that is finalised
+    later cannot close a descriptor this worker opened since.
+    """
+    try:
+        names = os.listdir("/proc/self/fd")
+    except OSError:
+        return  # no /proc: not Linux, where workers are spawned, not forked
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in names:
+            fd = int(name)
+            if fd == keep or fd == null:
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:
+                continue  # the listing's own descriptor, closed since
+    finally:
+        os.close(null)
+
+
 def _shard_worker(
     conn, network, options,
     telemetry_on=False, faults: Sequence[FaultSpec] = (),
@@ -239,6 +271,7 @@ def _shard_worker(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
+    _close_inherited_sockets(conn.fileno())
     if telemetry_on:
         # Fork inherits the parent's registry *contents* too; start
         # from a clean one so the parent's pre-fork counts are not

@@ -1,7 +1,7 @@
 """Lightweight process-local telemetry: counters, histograms, spans.
 
 Every subsystem of the reproduction — the analysis engine's fixed
-points, the holistic worklist, the admission hot path, the sharded
+points, the holistic stage solve, the admission hot path, the sharded
 service, the simulator and the campaign runner — answers the same
 operational question: *why was this decision fast or slow?*  This
 module provides the shared instrumentation core they report into:

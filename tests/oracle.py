@@ -1,16 +1,17 @@
 """Test oracle: the seed analysis engine, controllers and simulator.
 
 Production (``src/repro``) has one path per layer, built for speed:
-certified-floor fixed points, the holistic worklist, the per-stage
-memo (entries valid while their stage keeps the participants they
-were recorded over) and its verified reuse of stored fixed points
+certified-floor fixed points, the stage-ordered holistic solve, the
+per-stage memo (entries valid while their stage keeps the participants
+they were recorded over) and its verified reuse of stored fixed points
 under grown inputs, flat per-link demand arrays with fused scalar
 kernels, the incremental admission engine (route pre-check, changed-set
 solves, cone releases), and the simulator's precomputed injection with
 flat accounting.
 This module keeps the plain implementations the seed shipped, plus one
-admission reference built on the production analysis, so the
-equivalence suites can compare the two with ``==`` on floats:
+admission reference that runs the plain iteration on a production
+context, so the equivalence suites can compare the two with ``==`` on
+floats:
 
 * :class:`OracleContext` — per-flow demand objects summed one flow at a
   time (:class:`ScalarInterference`), certificates that certify nothing
@@ -23,10 +24,12 @@ equivalence suites can compare the two with ``==`` on floats:
   snapshot and the table agree within the tolerance;
 * :class:`ColdAdmissionController` — re-analyses each tentative set
   from scratch: no utilisation pre-check, no warm start, no caches;
-* :class:`SerialAdmissionController` — the production holistic
-  analysis over each whole tentative set, warm from the admitted set's
-  table: the engine's decision reference where the seed engine is too
-  slow (diverging rejects on rings);
+* :class:`SerialAdmissionController` — :func:`sweep` over each whole
+  tentative set on a production context (memo, certificates, flat
+  arrays), warm from the admitted set's table: the engine's decision
+  reference where the seed engine is too slow (diverging rejects on
+  rings), with an iteration independent of the engine's stage
+  schedule;
 * :class:`ReferenceSimulator` / :func:`simulate` — one scheduled event
   per fragment release and per-delivery updates of record objects, on
   switches whose rotation-mode processors schedule every slot as an
@@ -35,7 +38,8 @@ equivalence suites can compare the two with ``==`` on floats:
 
 The oracle shares the equation layer with production (packetization,
 the ``LinkDemand`` demand-bound functions, the stage equations and the
-Fig. 6 walk); what it replaces are the shortcuts taken around them.
+Fig. 6 walk, :func:`~repro.core.pipeline.analyze_flow`); what it
+replaces are the shortcuts taken around them.
 The event-mode processor driver is shared too: its O(1) sleep skips
 the probe dispatches a method-path reference would count.
 """
@@ -46,7 +50,6 @@ import itertools
 import math
 from typing import Mapping, Sequence
 
-from repro.core import holistic as production
 from repro.core.context import AnalysisContext, AnalysisOptions
 from repro.core.holistic import JITTER_TOLERANCE
 from repro.core.packetization import packetize
@@ -202,12 +205,16 @@ class ColdAdmissionController:
 
 
 class SerialAdmissionController:
-    """Admission by re-running the production holistic analysis over the
-    whole tentative set.
+    """Admission by re-running the plain iteration (:func:`sweep`) over
+    the whole tentative set, on a production context.
 
-    An admit seeds the tentative table with the admitted set's converged
-    entries (``JitterTable.seed``): adding a flow only raises the least
-    fixed point, so the monotone iteration still reaches it.  A release
+    The context brings production's stage memo, certificates and flat
+    demand arrays, so the reference is fast enough for diverging ring
+    rejects, but the iteration is the oracle's: it shares no solve, stage
+    schedule or readers map with the engine.  An admit seeds the
+    tentative table with the admitted set's converged entries
+    (``JitterTable.seed``): adding a flow only raises the least fixed
+    point, so the monotone iteration still reaches it.  A release
     re-analyses the remaining set cold, since removing a flow lowers the
     fixed point.  There is no utilisation pre-check, nothing is reused
     between requests but that table, and the verdict reads the frames'
@@ -233,9 +240,7 @@ class SerialAdmissionController:
         """The analysis of ``flows`` from ``table`` and its final table."""
         ctx = AnalysisContext(self.network, flows, self.options)
         ctx.jitters.seed(table)
-        analysis = production.holistic_analysis(
-            self.network, flows, self.options, context=ctx
-        )
+        analysis = sweep(ctx)
         return analysis, ctx.jitters.snapshot()
 
     def request(self, flow: Flow) -> AdmissionDecision:

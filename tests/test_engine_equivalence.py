@@ -1,38 +1,45 @@
 """Engine equivalence: production must not move a single bit from the seed.
 
 Production analyses a flow set through one path of exactness-preserving
-shortcuts: the certified-floor fixed-point solver, the dependency-aware
-holistic worklist, the per-stage input memo with its verified reuse of
+shortcuts: the certified-floor fixed-point solver, the stage-ordered
+holistic solve, the per-stage input memo with its verified reuse of
 stored fixed points, and stage interference sets gathered from flat
 per-link demand arrays (fused scalar kernels, vectorised for stages
 with many interferers); the admission controller adds a utilisation
 pre-check on the candidate's route, re-solves only the changed set,
 warm from the admitted set's table, and resets only a released flow's
-cone.  The
-floor never lifts an iterate past the least fixed point, the worklist
-skips only flows that would reproduce their result bit for bit, the
-memo replays a stage only over the participants it was recorded over,
-and only when its exact inputs are unchanged or when they have only
-grown and every stored fixed point reproduces itself bit for bit
-under them (then it is still the least one), the flat
-gather reads the same window arrays in the same summation order, and a
-warm start seeds the monotone iteration below the new fixed point.
+cone.  The floor never lifts an iterate past the least fixed point, the
+stage solve runs a stage only once its own entry holds its flow's
+current JSUM and re-runs only stages whose inputs moved, the memo
+replays a stage only over the participants it was recorded over, and
+only when its exact inputs are unchanged or when they have only grown
+and every stored fixed point reproduces itself bit for bit under them
+(then it is still the least one), the flat gather reads the same window
+arrays in the same summation order, and a warm start seeds the
+monotone iteration below the new fixed point.
 
 These tests are the executable form of that claim.  The reference is
 the seed engine kept in ``tests/oracle.py``: plain Picard fixed points,
 every flow analysed every round, every stage recomputed, and per-flow
 scalar demand sums.  Across seeded ``random_flow_set`` sweeps on line /
 star / tree / multi-pod topologies, production (the ``all`` engine)
-must return the oracle's bounds and round count **bit-identically**
-(``==`` on floats, no tolerance).  The sweep also puts each production
-layer alone on top of the oracle — ``accelerated`` (certificates),
-``worklist``, ``memoized`` (the memo, verified reuse included),
-``flat`` (the flat-array gather) — so a mismatch names the layer that
-moved the bit.  A dense input drives stages past the vectorisation
-threshold, and the admission tests hold production controllers against
-the oracle's cold controller.
+must return the oracle's converged bounds and stage responses
+**bit-identically** (``==`` on floats, no tolerance).  The sweep also
+puts each production layer alone on top of the oracle —
+``accelerated`` (certificates), ``stages`` (the stage-ordered solve),
+``memoized`` (the memo, verified reuse included), ``flat`` (the
+flat-array gather) — so a mismatch names the layer that moved the bit.
+The layers that keep the oracle's sweep must also take its round
+count.  The stage solve counts stage rounds instead: these inputs'
+stage graphs are acyclic, so it converges in at most two (one that runs
+every stage, one that confirms), and a diverged solve stops after the
+round its first infinite response appears in, with every flow frame
+the oracle reports infinite infinite too.  A dense input drives stages
+past the vectorisation threshold, and the admission tests hold
+production controllers against the oracle's cold controller.
 """
 
+import math
 from functools import lru_cache
 
 import pytest
@@ -97,7 +104,7 @@ def _run(engine, net, flows):
     """The analysis of ``flows`` by one engine of the sweep."""
     if engine == "all":
         return holistic_analysis(net, flows)
-    if engine == "worklist":
+    if engine == "stages":
         ctx = oracle.OracleContext(net, flows)
         return holistic_analysis(net, flows, context=ctx)
     layer = {
@@ -141,9 +148,16 @@ def _case(topology, seed, utilization):
 
 
 def assert_bit_identical(a, b):
-    """Two :class:`HolisticResult` objects agree bit for bit."""
-    assert a.converged == b.converged
+    """Two :class:`HolisticResult` objects agree bit for bit, round
+    count included."""
     assert a.iterations == b.iterations
+    assert_same_bounds(a, b)
+
+
+def assert_same_bounds(a, b):
+    """Two :class:`HolisticResult` objects agree on convergence and on
+    every bound and stage response, bit for bit."""
+    assert a.converged == b.converged
     assert set(a.flow_results) == set(b.flow_results)
     for name in a.flow_results:
         fa = a.flow_results[name]
@@ -164,8 +178,38 @@ def assert_bit_identical(a, b):
                 )
 
 
+def assert_stage_solve_matches(result, reference):
+    """A stage-ordered solve against the oracle's sweep on an acyclic
+    stage graph: converged bounds and stage responses bit for bit in at
+    most two stage rounds; a diverged solve diverges with the oracle,
+    and every frame the oracle reports infinite is infinite."""
+    assert result.converged == reference.converged
+    if reference.converged:
+        assert result.iterations <= 2
+        assert_same_bounds(result, reference)
+        return
+    assert set(result.flow_results) == set(reference.flow_results)
+    for name, ref in reference.flow_results.items():
+        got = result.flow_results[name]
+        for frame_a, frame_b in zip(got.frames, ref.frames):
+            if math.isinf(frame_b.response):
+                assert math.isinf(frame_a.response), (
+                    f"{name} frame {frame_a.frame}: {frame_a.response!r}"
+                )
+
+
 @pytest.mark.parametrize(
-    "engine", ["accelerated", "all", "flat", "memoized", "worklist"]
+    "engine",
+    [
+        "accelerated",
+        "all",
+        "flat",
+        "memoized",
+        # The stage-solve layer keeps the ID of the flow-level worklist
+        # it replaced, so these test IDs stay stable until the legacy
+        # IDs are renamed together (ROADMAP, "Smaller carried items").
+        pytest.param("stages", id="worklist"),
+    ],
 )
 @pytest.mark.parametrize("topology", ["line3", "star6", "tree2", "multipod"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -178,7 +222,10 @@ def test_fast_engine_matches_seed_engine(engine, topology, seed, utilization):
     net, flows, reference = _case(topology, seed, utilization)
     with telemetry.capture() as reg:
         result = _run(engine, net, flows)
-    assert_bit_identical(result, reference)
+    if engine in ("all", "stages"):
+        assert_stage_solve_matches(result, reference)
+    else:
+        assert_bit_identical(result, reference)
     if engine == "memoized" and reference.converged:
         counters = reg.snapshot()["counters"]
         assert counters.get("engine.stage_memo.verified", 0) > 0
@@ -204,7 +251,8 @@ def test_dense_stages_match_seed_engine(strict, monkeypatch):
     production = holistic_analysis(net, flows, options)
     assert built, "no stage reached the vectorised gather"
     reference = oracle.holistic_analysis(net, flows, options)
-    assert_bit_identical(production, reference)
+    assert reference.converged
+    assert_stage_solve_matches(production, reference)
 
 
 @pytest.mark.parametrize("utilization", [0.5, 1.6])

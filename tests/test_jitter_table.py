@@ -1,11 +1,12 @@
 """JitterTable bookkeeping: the undo log and the per-round accounting.
 
 The incremental admission controller rolls a rejected candidate's
-writes back through the undo log, and both holistic engines read the
-round accounting (:meth:`~repro.core.context.JitterTable.round_delta`
-for convergence, :meth:`~repro.core.context.JitterTable.drain_changed_keys`
-for the worklist's dirtiness signal).  A write that stores the value
-already there changes nothing, so it must leave no trace in either.
+writes back through the undo log, and the holistic solve reads the
+round accounting (:meth:`~repro.core.context.JitterTable.round_delta`)
+for convergence and the return value of
+:meth:`~repro.core.context.JitterTable.set` as the signal that marks
+an entry's readers.  A write that stores the value already there
+changes nothing, so it must leave no trace in either.
 """
 
 from repro.core.context import JitterTable, ingress_resource, link_resource
@@ -68,34 +69,28 @@ class TestRoundAccounting:
         table = _table()
         table.set("f", INGRESS, (1.0, 2.0))
         table.begin_round()
-        table.set("f", INGRESS, (1.0, 2.5))
+        assert table.set("f", INGRESS, (1.0, 2.5))
         assert table.round_delta() == 0.5
-        assert table.drain_changed_keys() == {("f", INGRESS)}
-        assert table.drain_changed_keys() == set()
 
     def test_equal_overwrite_counts_nothing(self):
         table = _table()
         table.set("f", INGRESS, (1.0, 2.0))
         table.begin_round()
-        table.set("f", INGRESS, [1.0, 2.0])
+        assert not table.set("f", INGRESS, [1.0, 2.0])
         assert table.round_delta() == 0.0
-        assert table.drain_changed_keys() == set()
 
     def test_first_write_is_judged_against_the_default(self):
         """A first explicit write counts as its own magnitude in the
-        delta, but is a changed key only if it differs from the default
+        delta, but is a change only if it differs from the default
         :meth:`get` returned."""
         table = _table()
         source = (ms(1), ms(2))
         table.begin_round()
-        table.set("f", FIRST, source)
+        assert not table.set("f", FIRST, source)
         assert table.round_delta() == ms(2)
-        assert table.drain_changed_keys() == set()
-        table.set("f", INGRESS, (0.0, 0.0))
-        assert table.drain_changed_keys() == set()
-        table.set("f", link_resource("s0", "h1"), (0.0, 3.0))
+        assert not table.set("f", INGRESS, (0.0, 0.0))
+        assert table.set("f", link_resource("s0", "h1"), (0.0, 3.0))
         assert table.round_delta() == 3.0
-        assert table.drain_changed_keys() == {("f", link_resource("s0", "h1"))}
         assert set(table.snapshot()) == {
             ("f", FIRST),
             ("f", INGRESS),
@@ -109,18 +104,16 @@ class TestEqualWrite:
         table.set("f", INGRESS, (1.0, 2.0))
         table.begin_undo()
         table.begin_round()
-        table.set("f", INGRESS, (1.0, 2.0))
+        assert not table.set("f", INGRESS, (1.0, 2.0))
         assert table._undo == {}
-        assert table.drain_changed_keys() == set()
         assert table.round_delta() == 0.0
 
     def test_later_write_still_rolls_back_to_the_value_before_begin(self):
         table = _table()
         table.set("f", INGRESS, (1.0, 2.0))
         table.begin_undo()
-        table.set("f", INGRESS, (1.0, 2.0))
-        table.set("f", INGRESS, (3.0, 4.0))
-        assert table.drain_changed_keys() == {("f", INGRESS)}
+        assert not table.set("f", INGRESS, (1.0, 2.0))
+        assert table.set("f", INGRESS, (3.0, 4.0))
         table.rollback_undo()
         assert table.get("f", INGRESS) == (1.0, 2.0)
         assert table.extra("f", INGRESS) == 2.0

@@ -10,6 +10,8 @@ even when the server drops connections.
 
 import asyncio
 import json
+import os
+import sys
 import time
 
 import pytest
@@ -447,6 +449,71 @@ class TestTcpFaults:
         assert summary.retries > 0
         assert summary.admit_decisions == serial.admit_decisions
         assert summary.errors == serial.errors
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="reads /proc/<pid>/fd; workers are forked only on Linux",
+    )
+    def test_respawned_worker_holds_no_client_socket(self):
+        # A worker forked while a client is connected inherits the
+        # client's connection.  It must close it (and every other
+        # inherited socket but its pipe), or a connection the server
+        # closes sends no FIN while the worker lives and the client
+        # waits out its request timeout.
+        sc = two_star_scenario()
+        plan = FaultPlan.parse("kill:shard=0,at=1;drop_conn:at=3")
+        flows = [
+            call_flow(f"c{i}", ("sw0_a", "sw0", "sw0_b")) for i in range(4)
+        ]
+
+        def sockets(pid):
+            fd_dir = f"/proc/{pid}/fd"
+            links = []
+            for name in os.listdir(fd_dir):
+                try:
+                    links.append(os.readlink(f"{fd_dir}/{name}"))
+                except OSError:
+                    continue
+            return [link for link in links if link.startswith("socket:")]
+
+        async def run():
+            from repro.service import encode_line
+
+            svc = ShardedAdmissionService(
+                sc.network, workers=True, fault_plan=plan,
+            )
+            server = await _serve(svc, fault_plan=plan)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                docs = []
+                for i, flow in enumerate(flows[:3]):
+                    # Request 1 kills the worker; the supervisor forks
+                    # its replacement while this client is connected.
+                    req = Request(op="admit", id=i, flow=flow)
+                    writer.write(encode_line(request_to_dict(req)))
+                    await writer.drain()
+                    docs.append(json.loads(await reader.readline()))
+                worker = svc._engine._proc.pid
+                held = sockets(worker)
+                # Response 3 is dropped: the server closes the
+                # connection, which must reach the client as EOF.
+                req = Request(op="admit", id=3, flow=flows[3])
+                writer.write(encode_line(request_to_dict(req)))
+                await writer.drain()
+                tail = await asyncio.wait_for(reader.read(), timeout=10.0)
+                writer.close()
+                return docs, held, tail, svc.health()
+            finally:
+                await server.stop()
+                svc.close()
+
+        docs, held, tail, health = asyncio.run(run())
+        assert [d["ok"] for d in docs] == [True, True, True]
+        assert health["restarts"] == 1, "the kill must have fired"
+        assert len(held) == 1, f"worker sockets besides its pipe: {held}"
+        assert tail == b""
 
     def test_idempotent_retries_never_double_apply(self):
         # Same idem key twice (across batches): the second response is

@@ -17,15 +17,21 @@ which remains fully supported.  (A recycled-list record pool was
 measured and rejected: CPython allocates small tuples from a free list,
 and tuple comparison beats list comparison in every heap sift.)
 
-:meth:`schedule_many` bulk-loads a prebuilt release list by extending
-the heap and heapifying once instead of N pushes.  All of this is pure
-overhead cutting: records compare on their ``(time, sequence)`` prefix
-exactly like the old nested ``(time, seq, callback, args)`` tuples
+:meth:`schedule_many` loads a prebuilt release list as a **release
+stream**: the records, numbered in iteration order, are sorted once by
+``(time, sequence)`` and only the stream's head sits in the heap, under
+the engine's own stream kind.  Popping the head seats the next record
+and then dispatches the release through its own kind, so the heap holds
+the dynamic events (those scheduled while the run goes) plus at most
+one release, and each push and pop sifts through a heap that size
+instead of one holding every far-future release.  Pop order is
+unchanged: records compare on their ``(time, sequence)`` prefix
 (sequence numbers are unique, so the comparison never reaches the
-payload slots), heapify of the same records yields the same pop order
-as N pushes, and the dispatch loop batches all pops sharing a timestamp
-under a single horizon check.  Traces are bit-identical to the
-closure-based engine.
+payload slots), a sorted stream's head is the smallest of its records,
+so ``heap[0]`` is still the global next event, and each release is one
+pop and one processed event as before.  The dispatch loop batches all
+pops sharing a timestamp under a single horizon check.  Traces are
+bit-identical to the seed engine, which pushes every release.
 
 While :meth:`EventEngine.run` is dispatching, the engine exposes the
 loop's horizon as ``_until`` (``-inf`` outside ``run`` and under a
@@ -35,13 +41,15 @@ it in place instead of pushing and popping it (the rotation driver's
 idle slots, :mod:`repro.sim.swnode`): it advances ``_now`` and adds one
 to ``_events_processed`` per such event, so ``events_processed`` still
 counts it.  ``sim.heap_peak`` can read lower, because those events never
-enter the heap.
+enter the heap; it reads the dynamic heap plus the one seated stream
+record, never the stream's tail.  ``sim.bulk_schedule`` observes the
+number of records each load brings.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro import telemetry as _telemetry
@@ -68,6 +76,11 @@ class EventEngine:
         # Flat records (time, seq, kind, a, b).
         self._heap: list[tuple] = []
         self._handlers: list[Callable[[Any, Any], None]] = [_dispatch_generic]
+        # The release stream: records still to dispatch, latest first,
+        # so the head is the last item.  The head is seated in the heap
+        # under _k_stream while the stream is not empty.
+        self._stream: list[tuple] = []
+        self._k_stream = self.register_handler(self._dispatch_stream)
         self._seq = 0
         self._now = 0.0
         self._events_processed = 0
@@ -105,9 +118,10 @@ class EventEngine:
         Lets builders register a kind before its final target exists
         (forward references during topology construction) and patch in
         the specialised handler afterwards; already-scheduled records
-        dispatch through the new handler.
+        dispatch through the new handler.  The engine's own kinds (the
+        generic callback and the release stream) cannot be swapped.
         """
-        if not 0 < kind < len(self._handlers):
+        if not self._k_stream < kind < len(self._handlers):
             raise IndexError(f"unknown handler kind {kind}")
         self._handlers[kind] = handler
 
@@ -162,17 +176,24 @@ class EventEngine:
         self.schedule_call(self._now + delay, kind, a, b)
 
     def schedule_many(self, events) -> None:
-        """Bulk-schedule ``(when, kind, a, b)`` tuples.
+        """Load ``(when, kind, a, b)`` tuples as the release stream.
 
-        Appends prebuilt records and heapifies once — O(n) instead of
-        n pushes — with the sequence numbers assigned in iteration
-        order.  Because ``(time, sequence)`` is a total order (sequence
-        numbers are unique), heapify yields exactly the pop order N
-        individual pushes would have produced.
+        Sequence numbers are assigned in iteration order, exactly as N
+        :meth:`schedule_call` calls would assign them; the records are
+        then sorted once by ``(time, sequence)`` and only the head is
+        seated in the heap (see the module docstring for why the pop
+        order is that of N pushes).  One load per run: loading while an
+        earlier stream still holds records raises, and :meth:`reset`
+        drops the stream.
         """
+        if self._stream:
+            raise RuntimeError(
+                f"schedule_many: the release stream still holds "
+                f"{len(self._stream)} records; reset() before loading again"
+            )
         now = self._now
-        heap = self._heap
         seq = self._seq
+        stream = []
         for when, kind, a, b in events:
             if when <= now:
                 if when < now - 1e-12:
@@ -182,14 +203,36 @@ class EventEngine:
                 when = now
             elif when != when or math.isinf(when):  # NaN-safe
                 raise ValueError(f"cannot bulk-schedule at t={when!r}")
-            heap.append((when, seq, kind, a, b))
+            stream.append((when, seq, kind, a, b))
             seq += 1
-        scheduled = seq - self._seq
         self._seq = seq
-        heapify(heap)
+        if stream:
+            stream.sort(reverse=True)
+            self._stream = stream
+            self._seat_head()
         reg = _telemetry.REGISTRY
         if reg is not None:
-            reg.observe("sim.bulk_schedule", scheduled)
+            reg.observe("sim.bulk_schedule", len(stream))
+
+    def _seat_head(self) -> None:
+        """Push the stream head's ``(time, sequence)`` under the stream
+        kind."""
+        head = self._stream[-1]
+        heappush(self._heap, (head[0], head[1], self._k_stream, None, None))
+
+    def _dispatch_stream(self, _a: Any = None, _b: Any = None) -> None:
+        """Stream kind: dispatch the head release through its own kind.
+
+        The next head is seated first, so the release's handler sees
+        the heap it would see with every release pushed (the rotation
+        driver's in-place test reads ``heap[0]``).  The dispatched
+        record leaves the stream here, as a heap pop frees it.
+        """
+        stream = self._stream
+        rec = stream.pop()
+        if stream:
+            self._seat_head()
+        self._handlers[rec[2]](rec[3], rec[4])
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -275,11 +318,15 @@ class EventEngine:
 
     # ------------------------------------------------------------------
     def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._heap)
+        """Number of events still queued: the heap's dynamic events
+        plus every release the stream has not dispatched (its seated
+        head counted once)."""
+        stream = len(self._stream)
+        return len(self._heap) + (stream - 1 if stream else 0)
 
     def reset(self) -> None:
-        """Clear queue, clock and counters for a fresh run.
+        """Clear queue, release stream, clock and counters for a fresh
+        run.
 
         Registered handlers survive — components built around this
         engine keep their kind codes, which is what lets
@@ -287,6 +334,7 @@ class EventEngine:
         topology across runs.
         """
         self._heap.clear()
+        self._stream.clear()
         self._seq = 0
         self._now = 0.0
         self._events_processed = 0

@@ -19,8 +19,10 @@ Performance
   ``(payload_bits, transport)`` class, one jitter-offset vector per
   ``(fragment count, jitter)`` class, and all ``(arrival, offset,
   wire_bits)`` release triples of a flow assembled with numpy — then
-  bulk-loaded into the engine via ``schedule_many`` (one heapify, not
-  one push per fragment);
+  loaded into the engine via ``schedule_many`` as one sorted release
+  stream, of which only the next release waits in the event heap (not
+  one push per fragment, and no far-future releases under every
+  dynamic push and pop);
 * per-hop and completion accounting runs on flat per-packet counter
   arrays and int-keyed counters instead of per-packet record objects
   and tuple-keyed dicts; :class:`~repro.sim.trace.PacketRecord` objects
@@ -31,8 +33,9 @@ per-packet reference kept in ``tests/oracle.py``, which schedules one
 release at a time and updates record objects per delivery — in
 ``tests/test_sim_equivalence.py``: same release instants (the numpy
 arithmetic performs the identical IEEE-754 operations), same event
-order (identical schedule order, and ``(time, sequence)`` is a total
-order), same trace records.  Injection evaluates each jitter policy
+order (identical schedule order, hence identical sequence numbers, and
+``(time, sequence)`` is a total order whichever queue a release waits
+in), same trace records.  Injection evaluates each jitter policy
 once per frame class instead of once per arrival, so jitter policies
 must be pure functions of ``(n_fragments, jitter)``; both built-ins
 are.
@@ -499,17 +502,18 @@ class Simulator:
     # Traffic injection
     # ------------------------------------------------------------------
     def _schedule_releases(self) -> None:
-        """Precompute every release and bulk-load the engine.
+        """Precompute every release and load the engine's release stream.
 
         Packetization runs once per distinct ``(payload_bits,
         transport)`` class, jitter offsets once per ``(fragment count,
         jitter)`` class, and the flow's ``(arrival + offset)`` release
         instants come from one numpy broadcast per flow (identical
         IEEE-754 additions to a per-release ``arrival + offset`` loop,
-        hence bit-equal).  The assembled records are heapified in one
-        ``schedule_many`` call; their order — flow by flow, arrival by
-        arrival, fragment by fragment — is the order such a loop would
-        schedule them in, so sequence numbers (and therefore
+        hence bit-equal).  The assembled records are loaded as the
+        engine's release stream in one ``schedule_many`` call, once per
+        run (the engine is fresh or reset); their order — flow by flow,
+        arrival by arrival, fragment by fragment — is the order such a
+        loop would schedule them in, so sequence numbers (and therefore
         simultaneous-event pop order) are identical.
         """
         cfg = self.config

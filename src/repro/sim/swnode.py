@@ -37,6 +37,7 @@ for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heappop
 from typing import Callable, Mapping
@@ -671,17 +672,25 @@ class RotationDriver(ProcessorDriverBase):
         self._pending = 0
 
     def _arm_next_slot(self) -> None:
-        """Schedule the next slot boundary at or after 'now'."""
+        """Schedule the next slot boundary at or after 'now'.
+
+        Computes the reference driver's per-offset floats without its
+        ``max`` call and period test: the period is positive by
+        construction, so for ``x > 0`` the ceiling is at least 1, and
+        otherwise the reference's ``0`` gives the boundary ``0.0`` gives.
+        """
         now = self.engine._now
-        best_time = None
-        best_idx = None
+        period = self.period
+        best_time = math.inf
+        best_idx = 0
         for idx, off in enumerate(self.offsets):
             # Smallest m with m*period + off >= now (strictly: allow ==).
-            m = max(0, -(-(now - off) // self.period)) if self.period > 0 else 0
-            t = m * self.period + off
+            x = now - off
+            m = -(-x // period) if x > 0 else 0.0
+            t = m * period + off
             if t < now - 1e-15:
-                t += self.period
-            if best_time is None or t < best_time - 1e-15:
+                t += period
+            if t < best_time - 1e-15:
                 best_time = t
                 best_idx = idx
         self.engine.schedule_call(best_time, self._k_slot, best_idx, best_time)

@@ -8,10 +8,11 @@ analysis of the live flow set by the seed engine of ``tests/oracle.py``
 would produce, after *every* step of *any* interleaving of admits and
 releases, on fat trees (acyclic channel dependencies) and on rings
 (cyclic ones).  Every decision is checked against the oracle's
-:class:`~oracle.SerialAdmissionController`, which re-runs the
-production analysis over the whole tentative set: a table check alone
-cannot catch a wrong reject, because a rejected candidate leaves no
-trace.  These tests are the executable form of that claim, plus the
+:class:`~oracle.SerialAdmissionController`, which runs the oracle's
+plain iteration (:func:`oracle.sweep`) over the whole tentative set on a
+production context: a table check alone cannot catch a wrong reject,
+because a rejected candidate leaves no trace.  These tests are the
+executable form of that claim, plus the
 structural pieces: the route pre-check, preload-vs-sequential
 equivalence, release work bounded by the cone, admit work confined to
 the stages the candidate enters (the stage memo's participant guard,

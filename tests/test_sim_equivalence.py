@@ -2,14 +2,16 @@
 
 The production simulator layers three optimisations over the seed
 simulator kept in ``tests/oracle.py`` — vectorised release
-precomputation bulk-loaded through the engine's ``schedule_many``, flat
-per-packet completion/hop counters with trace records materialised at
-finalisation, and (via the campaign) topology reuse through
-:meth:`Simulator.rebind`.  All three are exactness-preserving by
-construction: the release instants come from the identical IEEE-754
-operations, the schedule order (hence every ``(time, sequence)``
-tie-break) is unchanged, and a rebound topology is reset to its
-freshly-built state.
+precomputation loaded through the engine's ``schedule_many`` as a
+release stream (only its next release waits in the event heap, where
+the oracle pushes every release), flat per-packet completion/hop
+counters with trace records materialised at finalisation, and (via the
+campaign) topology reuse through :meth:`Simulator.rebind`.  All three
+are exactness-preserving by construction: the release instants come
+from the identical IEEE-754 operations, the schedule order (hence every
+``(time, sequence)`` tie-break) is unchanged, the stream's head is its
+earliest release, so the heap's head is still the next event, and a
+rebound topology is reset to its freshly-built state.
 
 These tests are the executable form of that claim, mirroring
 ``test_engine_equivalence.py`` for the analysis engine: across **every
@@ -25,12 +27,16 @@ In rotation mode the oracle also has its own processor driver, which
 schedules every slot as an event: production's probe-table driver, which
 runs a slot in place when it is the engine's next event, is checked
 against it, including where that in-place chain must stop (horizons,
-event budgets, cross-processor enqueues, drops, zero-length slots).
+event budgets, cross-processor enqueues, drops, zero-length slots), and
+so is its recovery of the rotation phase on a wake.
 """
 
 import hashlib
 import json
+import math
+import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,6 +50,7 @@ from repro.scenario.registry import REGISTRY, build_scenario, scenario_grid
 from repro.model.network import SwitchConfig
 from repro.sim.simulator import SimConfig, Simulator
 from repro.sim.stats import collect_stats
+from repro.sim.swnode import RotationDriver
 from repro.util.units import mbps
 from repro.workloads.generator import random_flow_set
 from repro.workloads.topologies import line_network
@@ -295,6 +302,76 @@ def test_rotation_zero_length_slots():
         hosts_per_switch=2, switch_config=SwitchConfig(c_send=0.0)
     )
     _assert_rotation_matches_oracle(net, flows, SimConfig(duration=0.2))
+
+
+class _Clock:
+    """The engine surface ``_arm_next_slot`` touches: the clock, and a
+    ``schedule_call`` that records the slot it arms."""
+
+    def __init__(self, now):
+        self._now = now
+        self.armed = None
+
+    def schedule_call(self, when, kind, idx, start):
+        self.armed = (when, idx, start)
+
+
+def _armed_slot(driver_cls, offsets, period, now):
+    """The slot ``driver_cls._arm_next_slot`` arms at ``now`` on a
+    rotation with these offsets and period."""
+    clock = _Clock(now)
+    driver = SimpleNamespace(
+        engine=clock, offsets=offsets, period=period, _k_slot=0
+    )
+    driver_cls._arm_next_slot(driver)
+    return clock.armed
+
+
+def _rotation(rng):
+    """Offsets and period as a rotation driver builds them from its
+    task costs; some costs are zero, so some offsets are equal and the
+    last offset can equal the period."""
+    costs = [
+        0.0 if rng.random() < 0.3 else rng.uniform(1e-7, 5e-5)
+        for _ in range(rng.randint(1, 12))
+    ]
+    if not any(costs):
+        costs[0] = rng.uniform(1e-7, 5e-5)
+    offsets = []
+    acc = 0.0
+    for cost in costs:
+        offsets.append(acc)
+        acc += cost
+    return offsets, acc
+
+
+def test_rotation_phase_recovery_matches_oracle():
+    """Production's phase recovery arms the oracle driver's slot, bit
+    for bit: at random instants, on slot boundaries, and one ulp either
+    side of them, for rotations with zero-cost tasks."""
+    rng = random.Random(2008)
+    # Equal offsets, and a last offset equal to the period.
+    rotations = [([0.0, 2e-6, 2e-6, 5e-6], 5e-6)]
+    rotations += [_rotation(rng) for _ in range(3000)]
+    checked = 0
+    for offsets, period in rotations:
+        nows = [0.0, rng.uniform(0.0, 40 * period), rng.uniform(0.0, 1.0)]
+        for _ in range(2):
+            m = float(rng.randint(0, 5000))
+            boundary = m * period + rng.choice(offsets)
+            nows += [
+                boundary,
+                math.nextafter(boundary, -math.inf),
+                math.nextafter(boundary, math.inf),
+            ]
+        for now in nows:
+            got = _armed_slot(RotationDriver, offsets, period, now)
+            want = _armed_slot(
+                oracle.ReferenceRotationDriver, offsets, period, now
+            )
+            assert got == want, (offsets, period, now)
+            checked += 1
+    assert checked == len(rotations) * 9
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,15 @@ controller that must run online: analysis cost vs flow count, GMF cycle
 length and route length, plus simulator event throughput, and the
 datacenter axis — a single admission decision, and a single release,
 against 10^4/10^5 already-admitted flows through the incremental
-admission engine (``core/hierarchy.py``).
+admission engine (``core/hierarchy.py``) — and one summed demand query
+through each of the two interference paths of ``core/demand.py``, the
+measurement behind ``_VECTORIZE_THRESHOLD``.
 
 Every benchmark tags ``benchmark.extra_info["scale"]`` with its scale
 label (``single-pod`` for the historical cases, ``datacenter-1e4`` /
-``datacenter-1e5`` for the new axis) so ``run_bench.py --compare``
-groups entries across the axis cleanly.
+``datacenter-1e5`` for the new axis, ``single-link`` for the demand
+query) so ``run_bench.py --compare`` groups entries across the axis
+cleanly.
 
 The 10^5 case preloads for a few minutes, so it only runs when
 ``REPRO_BENCH_FULL=1`` is set (the labelled trajectory runs; CI smoke
@@ -21,14 +24,16 @@ import os
 
 import pytest
 
+from repro.core import demand
 from repro.core.context import AnalysisOptions
 from repro.core.admission import AdmissionController
+from repro.core.demand import LinkDemandMatrix, build_link_demand
 from repro.core.holistic import holistic_analysis
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
 from repro.scenario.families import _MICE_SPEC, datacenter_flows
 from repro.sim.simulator import SimConfig, simulate
-from repro.util.units import mbps, ms
+from repro.util.units import mbps, ms, us
 from repro.workloads.generator import random_flow_set
 from repro.workloads.topologies import (
     fat_tree_network,
@@ -301,3 +306,55 @@ def test_release_at_scale(benchmark, scale):
     benchmark.pedantic(
         ctrl.release, setup=setup, rounds=10, warmup_rounds=1, iterations=1
     )
+
+
+# ----------------------------------------------------------------------
+# One summed demand query: fused scalar kernel vs vectorised gather
+# ----------------------------------------------------------------------
+def _interferer_link(n: int):
+    """``n`` flows on one 1 Gbit/s link and their jitter shifts.
+
+    One- to five-frame GMF flows over a few hundred spec classes, so
+    rows both share window tables (as on a datacenter link) and differ
+    in width (as on a mixed one)."""
+    demands = []
+    for i in range(n):
+        k = 1 + i % 5
+        flow = Flow(
+            name=f"f{i}",
+            spec=GmfSpec(
+                min_separations=(ms(1 + i % 7),) * k,
+                deadlines=(ms(100),) * k,
+                jitters=(0.0,) * k,
+                payload_bits=tuple(
+                    1_000 * (1 + (i + j) % 13) for j in range(k)
+                ),
+            ),
+            route=("a", "s", "b"),
+        )
+        demands.append(build_link_demand(flow, mbps(1000)))
+    shifts = tuple(us(100) * (i % 11) for i in range(n))
+    return LinkDemandMatrix(demands), [d.flow_name for d in demands], shifts
+
+
+@pytest.mark.parametrize("path", ["fused", "vectorised"])
+@pytest.mark.parametrize("n", [8, 20, 32, 64, 128, 512, 2048])
+def test_interference_query(benchmark, monkeypatch, n, path):
+    """One ``mixed_sum`` query (the egress recurrence's summed demand)
+    over ``n`` interferers, through the fused scalar kernel or the
+    vectorised gather, whatever ``_VECTORIZE_THRESHOLD`` says.
+
+    The threshold picks the path at :meth:`LinkDemandMatrix.subset`;
+    this benchmark times both at every size, on the same rows, so the
+    crossover reads off the table.  Both return the same float."""
+    benchmark.extra_info["scale"] = "single-link"
+    benchmark.extra_info["interferers"] = n
+    matrix, names, shifts = _interferer_link(n)
+    monkeypatch.setattr(demand, "_VECTORIZE_THRESHOLD", n + 1)
+    fused = matrix.subset(names, shifts)
+    monkeypatch.setattr(demand, "_VECTORIZE_THRESHOLD", 1)
+    vectorised = matrix.subset(names, shifts)
+    t, circ = ms(3), us(2)
+    query = (fused if path == "fused" else vectorised).mixed_sum
+    value = benchmark(query, t, circ)
+    assert value == fused.mixed_sum(t, circ) == vectorised.mixed_sum(t, circ)

@@ -99,7 +99,7 @@ from repro.core.context import AnalysisContext, AnalysisOptions
 from repro.core.holistic import holistic_analysis
 from repro.core.planning import minimum_link_speed_scale, scale_link_speeds
 from repro.core.utilization import network_convergence_report
-from repro.sim.simulator import SimConfig, simulate
+from repro.sim.config import SimConfig
 from repro.util.tables import Table
 from repro.util.units import fmt_duration, fmt_rate
 
@@ -219,6 +219,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from repro.sim.simulator import simulate
+
     loaded = _CliScenario(args.scenario)
     network, flows = loaded.network, loaded.flows
     config = loaded.sim_config(args, default_duration=2.0)
@@ -252,6 +254,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     from dataclasses import replace
+
+    from repro.sim.simulator import simulate
 
     loaded = _CliScenario(args.scenario)
     network, flows = loaded.network, loaded.flows

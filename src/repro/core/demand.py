@@ -13,10 +13,10 @@ For a flow ``tau_j`` crossing ``link(N1, N2)`` the paper defines:
   all ``t`` by peeling off whole cycles);
 * ``NXS/NX`` (Eqs. 12-13) — the same for Ethernet-frame counts.
 
-:class:`LinkDemand` precomputes all ``O(n^2)`` windows once with numpy
-prefix sums and answers ``mx/nx`` queries in ``O(log n)`` via
-sorted-window prefix maxima, because the busy-period iterations evaluate
-these functions thousands of times.
+:class:`LinkDemand` precomputes all ``O(n^2)`` windows once from
+prefix sums, in pure Python, and answers ``mx/nx`` queries in
+``O(log n)`` via sorted-window prefix maxima, because the busy-period
+iterations evaluate these functions thousands of times.
 
 Batched interference queries
 ----------------------------
@@ -31,10 +31,15 @@ vectorised numpy operations; smaller ones run the fused scalar kernels
 (:func:`fused_mx_sum`, :func:`fused_nx_sum`, :func:`fused_mixed_sum`)
 over the flows' :data:`DemandRow` entries, which the stage memo's
 fixed-point check (``core/pipeline.py``) reuses.  The vectorised and
-fused values come from exactly the same precomputed arrays and are
+fused values come from exactly the same precomputed tables and are
 accumulated in the same left-to-right order as the per-flow sums, so
 the results are bit-identical — the test oracle sums per flow, and the
 engine-equivalence suite compares the two with ``==``.
+
+numpy is confined to that large-stage gather: only its functions
+import it, and it first loads when a :class:`LinkDemandMatrix` builds
+its padded matrices, so an engine whose stages all stay below the
+threshold (as on every served benchmark workload) never loads it.
 """
 
 from __future__ import annotations
@@ -43,10 +48,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import floor
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.packetization import (
     DEFAULT_CONFIG,
@@ -55,6 +59,9 @@ from repro.core.packetization import (
     packetize,
 )
 from repro.model.flow import Flow
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -83,16 +90,9 @@ class LinkDemand:
     n_eth: tuple[int, ...]
     t: tuple[float, ...]
     mft: float
-    # Sorted windows for O(log n) queries; built in build_link_demand.
-    _win_t: np.ndarray | None = field(repr=False, compare=False, default=None)
-    _cmax_prefix: np.ndarray | None = field(
-        repr=False, compare=False, default=None
-    )
-    _nmax_prefix: np.ndarray | None = field(
-        repr=False, compare=False, default=None
-    )
-    #: The profile's :data:`DemandRow`, shared by every named view of
-    #: one spec class (see :func:`build_link_demand`).
+    #: The profile's :data:`DemandRow` (sorted windows for ``O(log n)``
+    #: queries), shared by every named view of one spec class (see
+    #: :func:`build_link_demand`).
     _row: "DemandRow | None" = field(repr=False, compare=False, default=None)
 
     # ------------------------------------------------------------------
@@ -146,11 +146,9 @@ class LinkDemand:
         which remains a sound (slightly weaker) certificate.
         """
         u = self.utilization
+        _, _, _, win_t, cmax, _ = self._row
         gaps = [self.csum - u * self.tsum]
-        if self._win_t is not None and len(self._win_t) > 1:
-            gaps.append(
-                float(np.min(self._cmax_prefix[:-1] - u * self._win_t[1:]))
-            )
+        gaps += [c - u * w for c, w in zip(cmax, win_t[1:])]
         return min(gaps)
 
     # ------------------------------------------------------------------
@@ -298,13 +296,15 @@ class LinkDemand:
 
 
 #: ``(TSUM, CSUM, NSUM, window lengths, CSUM prefix maxima, NSUM prefix
-#: maxima)`` of one profile, the window tables as sorted Python lists.
-#: The scalar kernels below run on it: a single-instant query costs one
+#: maxima)`` of one profile, the window tables as sorted Python lists
+#: of ``float`` (``int`` for the NSUM maxima).  The scalar kernels below
+#: run on it: a single-instant query costs one
 #: :func:`bisect.bisect_right` instead of a numpy ``searchsorted``
 #: dispatch (~10x per-call overhead for the short arrays involved).
-#: ``tolist`` preserves every float bit, and ``bisect_right`` performs
-#: the same comparisons as ``searchsorted(..., side="right")``, so the
-#: scalar and vectorised answers stay bit-identical.
+#: :class:`LinkDemandMatrix` stacks these same lists into its padded
+#: matrices, and ``bisect_right`` performs the same comparisons as the
+#: vectorised rank count, so the scalar and vectorised answers stay
+#: bit-identical.
 DemandRow = tuple[float, float, int, list[float], list[float], list[int]]
 
 #: Relative part of :meth:`LinkDemand._boundary`'s nudge.
@@ -353,48 +353,52 @@ def _cached_link_demand(
     c = tuple(p.transmission_time(linkspeed_bps) for p in packets)
     n_eth = tuple(p.n_eth_frames for p in packets)
     t = tuple(float(x) for x in min_separations)
-    n = len(c)
-
-    # Vectorised window sums via doubled prefix arrays.
-    c2 = np.concatenate([np.asarray(c), np.asarray(c)])
-    n2 = np.concatenate([np.asarray(n_eth, dtype=np.int64)] * 2)
-    t2 = np.concatenate([np.asarray(t), np.asarray(t)])
-    pc = np.concatenate([[0.0], np.cumsum(c2)])
-    pn = np.concatenate([[0], np.cumsum(n2)])
-    pt = np.concatenate([[0.0], np.cumsum(t2)])
-
-    starts = np.arange(n)[:, None]          # k1
-    counts = np.arange(1, n + 1)[None, :]   # k2
-    ends = starts + counts
-    win_c = (pc[ends] - pc[starts]).ravel()
-    win_n = (pn[ends] - pn[starts]).ravel()
-    win_t = (pt[ends - 1] - pt[starts]).ravel()  # k2 - 1 separations
-
-    order = np.argsort(win_t, kind="stable")
-    win_t_sorted = win_t[order]
-    cmax_prefix = np.maximum.accumulate(win_c[order])
-    nmax_prefix = np.maximum.accumulate(win_n[order])
-
     profile = LinkDemand(
         flow_name="",
         c=c,
         n_eth=n_eth,
         t=t,
         mft=max_frame_transmission_time(linkspeed_bps),
-        _win_t=win_t_sorted,
-        _cmax_prefix=cmax_prefix,
-        _nmax_prefix=nmax_prefix,
     )
     return replace(
         profile,
-        _row=(
-            profile.tsum,
-            profile.csum,
-            profile.nsum,
-            win_t_sorted.tolist(),
-            cmax_prefix.tolist(),
-            nmax_prefix.tolist(),
-        ),
+        _row=(profile.tsum, profile.csum, profile.nsum)
+        + _window_tables(c, n_eth, t),
+    )
+
+
+def _window_tables(
+    c: tuple[float, ...], n_eth: tuple[int, ...], t: tuple[float, ...]
+) -> tuple[list[float], list[float], list[int]]:
+    """Sorted window lengths and the running CSUM / NSUM maxima.
+
+    Windows run row-major over ``(k1, k2)``.  Each window's sums are
+    differences of left-to-right prefix sums over the doubled cycle
+    (its length sums ``k2 - 1`` separations), and a stable sort orders
+    the windows by length, ties in window order.  These are numpy's
+    ``cumsum``, ``argsort(kind="stable")`` and ``maximum.accumulate``
+    in numpy's order, so every entry has the bits the numpy
+    construction gives it (``tests/test_demand.py`` keeps that
+    construction as the reference).
+    """
+    n = len(c)
+    pc = [0.0, *accumulate(c + c)]
+    pn = [0, *accumulate(n_eth + n_eth)]
+    pt = [0.0, *accumulate(t + t)]
+    win_c: list[float] = []
+    win_n: list[int] = []
+    win_t: list[float] = []
+    for k1 in range(n):
+        c0, n0, t0 = pc[k1], pn[k1], pt[k1]
+        for end in range(k1 + 1, k1 + n + 1):
+            win_c.append(pc[end] - c0)
+            win_n.append(pn[end] - n0)
+            win_t.append(pt[end - 1] - t0)
+    order = sorted(range(len(win_t)), key=win_t.__getitem__)
+    return (
+        [win_t[i] for i in order],
+        list(accumulate([win_c[i] for i in order], max)),
+        list(accumulate([win_n[i] for i in order], max)),
     )
 
 
@@ -492,20 +496,18 @@ def fused_mixed_sum(
 
 #: Below this many interferers the vectorised path costs more in numpy
 #: dispatch than it saves; fall back to the fused scalar kernels (both
-#: paths are bit-identical, so the switch is purely a perf knob).  The
-#: per-flow bisect put the crossover at ~20 interferers, up from ~6 for
-#: a ``np.searchsorted`` per flow.  The fused kernels moved it again.
-#: One ``mixed_sum`` query on the busiest link of the 80-flow input of
-#: ``test_dense_stages_match_seed_engine``, mean over 20 random subsets
-#: per size, three runs on a noisy 2-vCPU container, fused vs
-#: vectorised: 8 interferers 5-7 vs 27-34 us, 16: 9-12 vs 28-35 us,
-#: 20: 9-14 vs 24-35 us, 24: 10-16 vs 21-33 us, 32: 12-19 vs 22-36 us;
-#: on a 200-flow input, 48: 18 vs 24 us and 64: 24 vs 26 us.  The whole
-#: dense analysis takes 171 ms at 20 and 118 ms at 48.  The constant
-#: still stays at 20: no benchmark workload has a stage that large
-#: (``datacenter-hier`` peaks at 18 interferers), so no A/B can confirm
-#: a move, and the dense test's stages (at most 34 interferers) must
-#: keep reaching the vectorised path.
+#: paths are bit-identical, so the switch is purely a perf knob).
+#: ``benchmarks/bench_scaling.py::test_interference_query`` times one
+#: ``mixed_sum`` query through each path on the same rows.  Medians on
+#: a 2-vCPU container, fused vs vectorised: 8 interferers 5.2 vs
+#: 28.3 us, 20: 9.5 vs 26.3, 32: 15.5 vs 24.4, 64: 29.7 vs 26.3, 128:
+#: 57.2 vs 34.9, 512: 221 vs 76, 2048: 1487 vs 230 (fastest rounds 828
+#: vs 206).  The vectorised gather wins only from about 64 interferers
+#: on.  The constant still stays at 20: no benchmark workload has a
+#: stage that large (``datacenter-hier`` peaks at 18 interferers), so
+#: no A/B can confirm a move, and the dense test's stages (at most 34
+#: interferers) must keep reaching the vectorised path.  Below it the
+#: engine never imports numpy.
 _VECTORIZE_THRESHOLD = 20
 
 
@@ -595,9 +597,11 @@ class InterferenceSet:
         columns (link-level width vs per-set width), which is inert:
         the rank count ``win_t <= boundary`` never admits an ``inf``
         column and the gathers never index past the last admitted
-        window.  All values come from the same shared per-class arrays
+        window.  All values come from the same shared per-class tables
         the scalar path bisects, so queries stay bit-identical.
         """
+        import numpy as np
+
         self = cls.__new__(cls)
         self.demands = demands
         self.shifts = shifts
@@ -664,6 +668,8 @@ class InterferenceSet:
         promote-on-drift guard) so gathered values match the scalar path
         bit for bit.
         """
+        import numpy as np
+
         cycles = np.floor(s / self._tsums)
         rem = s - cycles * self._tsums
         over = rem >= self._tsums
@@ -687,6 +693,8 @@ class InterferenceSet:
                     d.mx(t + e) for d, e in zip(self.demands, self.shifts)
                 )
             return fused_mx_sum(self.rows, self.shifts, t)
+        import numpy as np
+
         s = t + self._shift_arr
         cycles, rem, cbest, _ = self._gather(s)
         if self.strict:
@@ -700,6 +708,8 @@ class InterferenceSet:
         """Exact integer sum of ``nx`` over the set at ``t+shift``."""
         if not self._vectorized:
             return fused_nx_sum(self.rows, self.shifts, t)
+        import numpy as np
+
         s = t + self._shift_arr
         cycles, _, _, nbest = self._gather(s)
         vals = (cycles * self._nsums + nbest).astype(np.int64)
@@ -716,6 +726,8 @@ class InterferenceSet:
                     for d, e in zip(self.demands, self.shifts)
                 )
             return fused_mixed_sum(self.rows, self.shifts, t, circ)
+        import numpy as np
+
         s = t + self._shift_arr
         cycles, rem, cbest, nbest = self._gather(s)
         if self.strict:
@@ -791,28 +803,31 @@ class LinkDemandMatrix:
 
     def _build_arrays(self) -> None:
         """Stack the padded per-quantity matrices (first large subset)."""
+        import numpy as np
+
         n = len(self.demands)
         self._tsums = np.array([d.tsum for d in self.demands])
         self._csums = np.array([d.csum for d in self.demands])
         self._nsums = np.array(
             [d.nsum for d in self.demands], dtype=np.int64
         )
-        width = max((len(d._win_t) for d in self.demands), default=0)
+        width = max((len(row[3]) for row in self.rows), default=0)
         self._win_t = np.full((n, width), np.inf)
         self._cmax = np.zeros((n, width))
         self._nmax = np.zeros((n, width), dtype=np.int64)
-        # Fill per spec *class*, not per flow: rows sharing window
-        # arrays (identity implies value here — the name-free profile
-        # cache interns them) are written with one broadcast each.
+        # Fill per spec *class*, not per flow: rows sharing one
+        # DemandRow (identity implies value here — the name-free
+        # profile cache interns them) are written with one broadcast
+        # each.
         by_class: dict[int, list[int]] = {}
-        for i, d in enumerate(self.demands):
-            by_class.setdefault(id(d._win_t), []).append(i)
+        for i, row in enumerate(self.rows):
+            by_class.setdefault(id(row), []).append(i)
         for rows in by_class.values():
-            d = self.demands[rows[0]]
-            w = len(d._win_t)
-            self._win_t[rows, :w] = d._win_t
-            self._cmax[rows, :w] = d._cmax_prefix
-            self._nmax[rows, :w] = d._nmax_prefix
+            _, _, _, win_t, cmax, nmax = self.rows[rows[0]]
+            w = len(win_t)
+            self._win_t[rows, :w] = win_t
+            self._cmax[rows, :w] = cmax
+            self._nmax[rows, :w] = nmax
 
     def __len__(self) -> int:
         return len(self.demands)
@@ -850,6 +865,8 @@ class LinkDemandMatrix:
             )
         if self._tsums is None:
             self._build_arrays()
+        import numpy as np
+
         rows = np.asarray(positions)
         return InterferenceSet.from_arrays(
             demands,

@@ -17,48 +17,38 @@ imagine"):
 
 JSON round-trip (versioned, legacy-compatible) lives in
 :mod:`repro.scenario.serialization`.
+
+The names below resolve on first access, so loading a scenario file
+(``scenario_from_dict``) imports neither the generator families (and
+numpy) nor the campaign runner (and the simulator).
 """
 
-from repro.scenario.model import ChurnEvent, Scenario, ScenarioSpec
-from repro.scenario.registry import (
-    REGISTRY,
-    ScenarioRegistry,
-    build_scenario,
-    expand_grid,
-    register_scenario,
-    scenario_grid,
-)
-from repro.scenario.campaign import (
-    ACTIONS,
-    CampaignResult,
-    CampaignRunner,
-    campaign_digest,
-)
-from repro.scenario.serialization import (
-    SCHEMA_VERSION,
-    load_scenario_file,
-    save_scenario_file,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ACTIONS",
-    "REGISTRY",
-    "SCHEMA_VERSION",
-    "CampaignResult",
-    "CampaignRunner",
-    "ChurnEvent",
-    "Scenario",
-    "ScenarioRegistry",
-    "ScenarioSpec",
-    "build_scenario",
-    "campaign_digest",
-    "expand_grid",
-    "load_scenario_file",
-    "register_scenario",
-    "save_scenario_file",
-    "scenario_from_dict",
-    "scenario_grid",
-    "scenario_to_dict",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "campaign": (
+            "ACTIONS",
+            "CampaignResult",
+            "CampaignRunner",
+            "campaign_digest",
+        ),
+        "model": ("ChurnEvent", "Scenario", "ScenarioSpec"),
+        "registry": (
+            "REGISTRY",
+            "ScenarioRegistry",
+            "build_scenario",
+            "expand_grid",
+            "register_scenario",
+            "scenario_grid",
+        ),
+        "serialization": (
+            "SCHEMA_VERSION",
+            "load_scenario_file",
+            "save_scenario_file",
+            "scenario_from_dict",
+            "scenario_to_dict",
+        ),
+    },
+)

@@ -39,7 +39,7 @@ from repro.model.gmf import GmfSpec
 from repro.model.network import Network, NodeKind, SwitchConfig
 from repro.scenario.model import ChurnEvent, Scenario
 from repro.scenario.registry import register_scenario
-from repro.sim.simulator import SimConfig
+from repro.sim.config import SimConfig
 from repro.util.units import mbps, ms, us
 from repro.workloads.generator import RandomFlowConfig, random_flow_set
 from repro.workloads.mpeg import paper_fig3_flow

@@ -27,7 +27,7 @@ from repro.core.context import AnalysisOptions
 from repro.model.flow import Flow, check_unique_names
 from repro.model.network import Network
 from repro.model.routing import validate_route
-from repro.sim.simulator import SimConfig
+from repro.sim.config import SimConfig
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class Scenario:
         :class:`~repro.core.context.AnalysisOptions` every analysis
         action uses.
     sim:
-        :class:`~repro.sim.simulator.SimConfig` every simulation action
+        :class:`~repro.sim.config.SimConfig` every simulation action
         uses (including failure-injection knobs ``nic_fifo_capacity``
         and ``priority_levels``).
     generator:

@@ -37,7 +37,7 @@ from repro.io import (
     network_to_dict,
 )
 from repro.scenario.model import ChurnEvent, Scenario, ScenarioSpec
-from repro.sim.simulator import SimConfig
+from repro.sim.config import SimConfig
 
 #: Current scenario-document schema version.  Legacy ``repro.io``
 #: documents (no ``schema_version`` key) are treated as version 0.

@@ -31,106 +31,63 @@ layer on top of the incremental
   (ship-on-commit): zero-loss promotion on primary death;
 * :mod:`repro.service.state` — versioned snapshot/restore of a running
   service (byte-identical decisions on a replayed request log).
+
+The names below resolve on first access: ``serve`` reads the server,
+the service and the snapshot loader, and never loads the replay
+drivers, the scenario families or numpy.
 """
 
-from repro.service.faults import (
-    FaultError,
-    FaultPlan,
-    FaultSpec,
-)
-from repro.service.protocol import (
-    ERR_BAD_REQUEST,
-    ERR_DEADLINE,
-    ERR_INTERNAL,
-    ERR_OVERLOADED,
-    ERR_UNAVAILABLE,
-    ERROR_CODES,
-    OPS,
-    PROTOCOL_VERSION,
-    RETRYABLE_CODES,
-    ProtocolError,
-    Request,
-    decode_line,
-    encode_line,
-    is_retryable,
-    request_from_dict,
-    request_to_dict,
-    response_to_dict,
-)
-from repro.service.replay import (
-    ARRIVALS,
-    ReplaySummary,
-    ReplayTrace,
-    fetch_health_tcp,
-    fetch_metrics_tcp,
-    fetch_stats_tcp,
-    load_trace,
-    replay_over_tcp,
-    replay_serial,
-    replay_service,
-    replay_tcp,
-    save_trace,
-    trace_from_family,
-    trace_from_scenario,
-)
-from repro.service.replication import StandbyReplica
-from repro.service.retry import ConnectError, RetryPolicy, connect_with_backoff
-from repro.service.server import AdmissionServer, run_server
-from repro.service.sharding import ServiceDecision, ShardedAdmissionService
-from repro.service.state import (
-    STATE_VERSION,
-    load_service_state,
-    save_service_state,
-    service_state_from_dict,
-    service_state_to_dict,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ARRIVALS",
-    "ERR_BAD_REQUEST",
-    "ERR_DEADLINE",
-    "ERR_INTERNAL",
-    "ERR_OVERLOADED",
-    "ERR_UNAVAILABLE",
-    "ERROR_CODES",
-    "OPS",
-    "PROTOCOL_VERSION",
-    "RETRYABLE_CODES",
-    "STATE_VERSION",
-    "AdmissionServer",
-    "ConnectError",
-    "FaultError",
-    "FaultPlan",
-    "FaultSpec",
-    "ProtocolError",
-    "ReplaySummary",
-    "ReplayTrace",
-    "Request",
-    "RetryPolicy",
-    "ServiceDecision",
-    "ShardedAdmissionService",
-    "StandbyReplica",
-    "connect_with_backoff",
-    "decode_line",
-    "encode_line",
-    "fetch_health_tcp",
-    "fetch_metrics_tcp",
-    "fetch_stats_tcp",
-    "is_retryable",
-    "load_service_state",
-    "load_trace",
-    "replay_over_tcp",
-    "replay_serial",
-    "replay_service",
-    "replay_tcp",
-    "request_from_dict",
-    "request_to_dict",
-    "response_to_dict",
-    "run_server",
-    "save_service_state",
-    "save_trace",
-    "service_state_from_dict",
-    "service_state_to_dict",
-    "trace_from_family",
-    "trace_from_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "faults": ("FaultError", "FaultPlan", "FaultSpec"),
+        "protocol": (
+            "ERR_BAD_REQUEST",
+            "ERR_DEADLINE",
+            "ERR_INTERNAL",
+            "ERR_OVERLOADED",
+            "ERR_UNAVAILABLE",
+            "ERROR_CODES",
+            "OPS",
+            "PROTOCOL_VERSION",
+            "RETRYABLE_CODES",
+            "ProtocolError",
+            "Request",
+            "decode_line",
+            "encode_line",
+            "is_retryable",
+            "request_from_dict",
+            "request_to_dict",
+            "response_to_dict",
+        ),
+        "replay": (
+            "ARRIVALS",
+            "ReplaySummary",
+            "ReplayTrace",
+            "fetch_health_tcp",
+            "fetch_metrics_tcp",
+            "fetch_stats_tcp",
+            "load_trace",
+            "replay_over_tcp",
+            "replay_serial",
+            "replay_service",
+            "replay_tcp",
+            "save_trace",
+            "trace_from_family",
+            "trace_from_scenario",
+        ),
+        "replication": ("StandbyReplica",),
+        "retry": ("ConnectError", "RetryPolicy", "connect_with_backoff"),
+        "server": ("AdmissionServer", "run_server"),
+        "sharding": ("ServiceDecision", "ShardedAdmissionService"),
+        "state": (
+            "STATE_VERSION",
+            "load_service_state",
+            "save_service_state",
+            "service_state_from_dict",
+            "service_state_to_dict",
+        ),
+    },
+)

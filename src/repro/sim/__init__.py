@@ -16,31 +16,28 @@ E4 compares against the analysis bounds (simulated max must never
 exceed the bound).
 
 Entry point: :func:`repro.sim.simulator.simulate`.
+
+The names below resolve on first access, each importing only its own
+submodule: a scenario file's :class:`SimConfig` (from the numpy-free
+:mod:`repro.sim.config`) loads neither the simulator nor numpy.
 """
 
-from repro.sim.engine import EventEngine
-from repro.sim.release import (
-    BurstJitterPolicy,
-    EagerRelease,
-    PeriodicRelease,
-    RandomRelease,
-    ReleasePolicy,
-    SpreadJitterPolicy,
-)
-from repro.sim.trace import PacketRecord, SimulationTrace
-from repro.sim.simulator import SimConfig, Simulator, simulate
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "BurstJitterPolicy",
-    "EagerRelease",
-    "EventEngine",
-    "PacketRecord",
-    "PeriodicRelease",
-    "RandomRelease",
-    "ReleasePolicy",
-    "SimConfig",
-    "SimulationTrace",
-    "Simulator",
-    "SpreadJitterPolicy",
-    "simulate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": ("SimConfig",),
+        "engine": ("EventEngine",),
+        "release": (
+            "BurstJitterPolicy",
+            "EagerRelease",
+            "PeriodicRelease",
+            "RandomRelease",
+            "ReleasePolicy",
+            "SpreadJitterPolicy",
+        ),
+        "simulator": ("Simulator", "simulate"),
+        "trace": ("PacketRecord", "SimulationTrace"),
+    },
+)

@@ -1,11 +1,14 @@
 """Demand-bound functions (Eqs. 4-13): windowed sums, MXS/MX/NXS/NX.
 
 Includes a brute-force reference implementation cross-checked against
-the vectorised one under hypothesis.
+the vectorised one under hypothesis, and the numpy construction of the
+window tables that the pure-Python one must reproduce bit for bit.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +20,8 @@ from repro.core.demand import (
     LinkDemandMatrix,
     build_link_demand,
 )
-from repro.core.packetization import packetize
-from repro.model.flow import Flow
+from repro.core.packetization import DEFAULT_CONFIG, STRICT_CONFIG, packetize
+from repro.model.flow import Flow, Transport
 from repro.model.gmf import GmfSpec
 
 
@@ -351,3 +354,71 @@ class TestLinkDemandMatrix:
         for t in (0.0, 0.003, 0.017, 0.05, 0.31):
             assert gathered.mx_sum(t) == scalar.mx_sum(t)
             assert gathered.nx_sum(t) == scalar.nx_sum(t)
+
+
+# ----------------------------------------------------------------------
+# Pure-Python window tables == the numpy construction
+# ----------------------------------------------------------------------
+def numpy_window_tables(dem: LinkDemand):
+    """The sorted window tables and ``mx_support_gamma`` as they were
+    built with numpy: doubled prefix arrays, all ``(k1, k2)`` windows
+    row-major, a stable argsort of the lengths, running maxima."""
+    c, n_eth, t = dem.c, dem.n_eth, dem.t
+    n = len(c)
+    c2 = np.concatenate([np.asarray(c), np.asarray(c)])
+    n2 = np.concatenate([np.asarray(n_eth, dtype=np.int64)] * 2)
+    t2 = np.concatenate([np.asarray(t), np.asarray(t)])
+    pc = np.concatenate([[0.0], np.cumsum(c2)])
+    pn = np.concatenate([[0], np.cumsum(n2)])
+    pt = np.concatenate([[0.0], np.cumsum(t2)])
+    starts = np.arange(n)[:, None]
+    ends = starts + np.arange(1, n + 1)[None, :]
+    win_c = (pc[ends] - pc[starts]).ravel()
+    win_n = (pn[ends] - pn[starts]).ravel()
+    win_t = (pt[ends - 1] - pt[starts]).ravel()
+    order = np.argsort(win_t, kind="stable")
+    win_t = win_t[order]
+    cmax = np.maximum.accumulate(win_c[order])
+    nmax = np.maximum.accumulate(win_n[order])
+    u = dem.utilization
+    gaps = [dem.csum - u * dem.tsum]
+    if len(win_t) > 1:
+        gaps.append(float(np.min(cmax[:-1] - u * win_t[1:])))
+    return win_t.tolist(), cmax.tolist(), nmax.tolist(), min(gaps)
+
+
+def exact(values):
+    """Each value with its type, floats by their bits."""
+    return [
+        (type(v), v.hex() if isinstance(v, float) else v) for v in values
+    ]
+
+
+class TestWindowTablesMatchNumpy:
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.integers(1, 400_000),
+                st.one_of(st.just(0.0), st.floats(1e-6, 0.2)),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        speed=st.sampled_from([1e7, 1e8, 1e9, 2.5e9, 1e10]),
+        config=st.sampled_from([DEFAULT_CONFIG, STRICT_CONFIG]),
+        transport=st.sampled_from(list(Transport)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_and_gamma_equal(self, frames, speed, config, transport):
+        payloads = [p for p, _ in frames]
+        seps = [t for _, t in frames]
+        if sum(seps) <= 0:
+            seps[-1] = 0.01
+        flow = replace(make_flow(seps, payloads), transport=transport)
+        dem = build_link_demand(flow, speed, config)
+        win_t, cmax, nmax, gamma = numpy_window_tables(dem)
+        _, _, _, row_t, row_c, row_n = dem._row
+        assert row_t == win_t and exact(row_t) == exact(win_t)
+        assert row_c == cmax and exact(row_c) == exact(cmax)
+        assert row_n == nmax and exact(row_n) == exact(nmax)
+        assert exact([dem.mx_support_gamma]) == exact([gamma])

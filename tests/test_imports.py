@@ -1,0 +1,112 @@
+"""What the admission server loads, and the lazily resolved packages.
+
+``serve`` needs the engine, the protocol and the service.  The
+simulator, the scenario families, the replay drivers and numpy (which
+those use) stay unloaded until a command that runs them asks: the
+``repro.sim``, ``repro.scenario`` and ``repro.service`` package inits
+resolve their names on first access, :class:`SimConfig` lives in the
+numpy-free :mod:`repro.sim.config`, and the demand windows are built in
+pure Python.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+#: Modules a ``serve`` session must not load.
+NOT_SERVED = (
+    "numpy",
+    "repro.sim.simulator",
+    "repro.scenario.families",
+    "repro.service.replay",
+)
+
+SERVE_SESSION = """
+import contextlib, io, json, sys
+
+import repro.cli
+from repro.scenario import load_scenario_file
+from repro.service import AdmissionServer, Request, ShardedAdmissionService
+
+scenario = load_scenario_file(sys.argv[1])
+flow = scenario.flows[0]
+with ShardedAdmissionService(
+    scenario.network, options=scenario.options
+) as service:
+    admit, query, release = service.process_batch([
+        Request(op="admit", flow=flow),
+        Request(op="query", flow_name=flow.name),
+        Request(op="release", flow_name=flow.name),
+    ])
+    AdmissionServer(service)
+with contextlib.redirect_stdout(io.StringIO()) as usage:
+    try:
+        repro.cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(json.dumps({
+    "payloads": [admit, query, release],
+    "usage": usage.getvalue(),
+    "loaded": sorted(m for m in %r if m in sys.modules),
+}))
+""" % (NOT_SERVED,)
+
+
+def test_serve_path_loads_neither_numpy_nor_the_simulator(tmp_path):
+    from repro.scenario import REGISTRY, save_scenario_file
+
+    path = tmp_path / "voip-star.json"
+    save_scenario_file(
+        path, REGISTRY.build("voip-star", n_hosts=16, n_calls=16, seed=1)
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SERVE_SESSION, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    admit, query, release = out["payloads"]
+    assert admit["accepted"], admit
+    assert "error" not in query and "error" not in release, out["payloads"]
+    assert "serve" in out["usage"]
+    assert out["loaded"] == []
+
+
+@pytest.mark.parametrize(
+    "package", ["repro.sim", "repro.scenario", "repro.service"]
+)
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert name in dir(module)
+        getattr(module, name)
+        assert name in vars(module)  # resolved once, then a plain lookup
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_name")
+
+
+def test_sim_config_is_one_class():
+    from repro.sim import SimConfig as from_package
+    from repro.sim.config import SimConfig
+    from repro.sim.simulator import SimConfig as from_simulator
+
+    assert from_package is SimConfig
+    assert from_simulator is SimConfig

@@ -884,7 +884,7 @@ def cmd_replay(args) -> int:
             trace_requests=args.traced,
         )
         if args.metrics_out:
-            from repro.service.replay import fetch_metrics_tcp
+            from repro.service import fetch_metrics_tcp
 
             metrics_doc = fetch_metrics_tcp(host, port)
         target = f"server {args.connect}"

@@ -24,6 +24,7 @@ from repro.core.packetization import (
     Packetization,
     eth_frame_count,
     max_frame_transmission_time,
+    packet_wire_bits,
     packetize,
     transmission_time,
     udp_packet_bits,
@@ -81,6 +82,7 @@ __all__ = [
     "link_utilization",
     "max_frame_transmission_time",
     "network_convergence_report",
+    "packet_wire_bits",
     "packetize",
     "transmission_time",
     "udp_packet_bits",

@@ -55,8 +55,9 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.packetization import (
     DEFAULT_CONFIG,
     PacketizationConfig,
+    eth_frame_count,
     max_frame_transmission_time,
-    packetize,
+    packet_wire_bits,
 )
 from repro.model.flow import Flow
 
@@ -349,17 +350,14 @@ def _cached_link_demand(
     linkspeed_bps: float,
     config: PacketizationConfig,
 ) -> LinkDemand:
-    packets = [packetize(s, transport, config) for s in payload_bits]
-    c = tuple(p.transmission_time(linkspeed_bps) for p in packets)
-    n_eth = tuple(p.n_eth_frames for p in packets)
-    t = tuple(float(x) for x in min_separations)
-    profile = LinkDemand(
-        flow_name="",
-        c=c,
-        n_eth=n_eth,
-        t=t,
-        mft=max_frame_transmission_time(linkspeed_bps),
+    mft = max_frame_transmission_time(linkspeed_bps)
+    c = tuple(
+        packet_wire_bits(s, transport, config) / linkspeed_bps
+        for s in payload_bits
     )
+    n_eth = tuple(eth_frame_count(s, transport) for s in payload_bits)
+    t = tuple(float(x) for x in min_separations)
+    profile = LinkDemand(flow_name="", c=c, n_eth=n_eth, t=t, mft=mft)
     return replace(
         profile,
         _row=(profile.tsum, profile.csum, profile.nsum)

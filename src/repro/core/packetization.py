@@ -112,23 +112,21 @@ class Packetization:
     """Fragmentation of one UDP packet into Ethernet frames.
 
     ``fragment_wire_bits`` lists the wire cost of each Ethernet frame in
-    transmission order; the simulator transmits exactly these sizes, and
-    the analysis uses their sum (``wire_bits``) and count
-    (``n_eth_frames``).
+    transmission order; the simulator transmits exactly these sizes.
+    ``wire_bits`` is their sum, priced in closed form by
+    :func:`packet_wire_bits` (the analysis calls that and
+    :func:`eth_frame_count` directly, without building the fragments).
     """
 
     udp_bits: int
     fragment_wire_bits: tuple[int, ...]
+    #: Total bits occupying the wire for this UDP packet.
+    wire_bits: int
 
     @property
     def n_eth_frames(self) -> int:
         """Number of Ethernet frames the packet fragments into."""
         return len(self.fragment_wire_bits)
-
-    @property
-    def wire_bits(self) -> int:
-        """Total bits occupying the wire for this UDP packet."""
-        return sum(self.fragment_wire_bits)
 
     def transmission_time(self, linkspeed_bps: float) -> float:
         """``C_i^{k,link}``: wire time of the whole packet on a link."""
@@ -163,7 +161,29 @@ def packetize(
     fragments = [ETH_MAX_WIRE_BITS] * full
     if rem:
         fragments.append(config.remainder_wire_bits(rem))
-    return Packetization(udp_bits=nbits, fragment_wire_bits=tuple(fragments))
+    return Packetization(
+        udp_bits=nbits,
+        fragment_wire_bits=tuple(fragments),
+        wire_bits=packet_wire_bits(payload_bits, transport, config),
+    )
+
+
+def packet_wire_bits(
+    payload_bits: int,
+    transport: Transport = Transport.UDP,
+    config: PacketizationConfig = DEFAULT_CONFIG,
+) -> int:
+    """Total wire bits of one UDP packet, in closed form (Sec. 3.1).
+
+    ``floor(nbits / 11840)`` full frames of 12304 bits plus the
+    remainder fragment's ``config.remainder_wire_bits(rem)``: the sum
+    of :func:`packetize`'s fragments without building them.
+    """
+    nbits = udp_packet_bits(payload_bits, transport)
+    full, rem = divmod(nbits, ETH_DATA_BITS)
+    if rem:
+        return full * ETH_MAX_WIRE_BITS + config.remainder_wire_bits(rem)
+    return full * ETH_MAX_WIRE_BITS
 
 
 def transmission_time(
@@ -173,7 +193,10 @@ def transmission_time(
     config: PacketizationConfig = DEFAULT_CONFIG,
 ) -> float:
     """``C_i^{k,link(s,d)}`` directly from payload size and link speed."""
-    return packetize(payload_bits, transport, config).transmission_time(linkspeed_bps)
+    wire_bits = packet_wire_bits(payload_bits, transport, config)
+    if linkspeed_bps <= 0:
+        raise ValueError("linkspeed must be positive")
+    return wire_bits / linkspeed_bps
 
 
 def eth_frame_count(
@@ -181,8 +204,8 @@ def eth_frame_count(
     transport: Transport = Transport.UDP,
 ) -> int:
     """Number of Ethernet frames of one UDP packet (``ceil(nbits/11840)``)."""
-    nbits = udp_packet_bits(payload_bits, transport)
-    return math.ceil(nbits / ETH_DATA_BITS)
+    full, rem = divmod(udp_packet_bits(payload_bits, transport), ETH_DATA_BITS)
+    return full + 1 if rem else full
 
 
 def max_frame_transmission_time(linkspeed_bps: float) -> float:

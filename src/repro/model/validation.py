@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.packetization import DEFAULT_CONFIG, packetize
+from repro.core.packetization import DEFAULT_CONFIG, packet_wire_bits
 from repro.model.flow import Flow, check_unique_names
 from repro.model.network import Network
 from repro.model.routing import validate_route
@@ -74,10 +74,12 @@ def minimum_path_latency(network: Network, flow: Flow, frame: int) -> float:
     ``CROUTE + CSEND`` of switch processing per intermediate switch.
     This is a *floor*: no analysis or simulation can report less.
     """
-    pkt = packetize(flow.spec.payload_bits[frame], flow.transport, DEFAULT_CONFIG)
+    wire_bits = packet_wire_bits(
+        flow.spec.payload_bits[frame], flow.transport, DEFAULT_CONFIG
+    )
     total = 0.0
     for (a, b) in flow.links():
-        total += pkt.wire_bits / network.linkspeed(a, b)
+        total += wire_bits / network.linkspeed(a, b)
         total += network.prop(a, b)
     for sw in flow.intermediate_switches():
         cfg = network.node(sw).switch

@@ -8,6 +8,8 @@ layer on top of the incremental
 * :mod:`repro.service.protocol` — versioned JSON-lines request protocol
   (admit / release / query / stats / snapshot / metrics / health) with
   an error-code taxonomy, idempotency keys and per-request deadlines;
+* :mod:`repro.service.client` — one ``metrics`` / ``stats`` /
+  ``health`` request to a live server, for clients that poll it;
 * :mod:`repro.service.sharding` — :class:`ShardedAdmissionService`:
   one engine per server, inline or in a worker process, with in-order
   micro-batches and a supervisor that respawns a dead worker and
@@ -34,7 +36,9 @@ layer on top of the incremental
 
 The names below resolve on first access: ``serve`` reads the server,
 the service and the snapshot loader, and never loads the replay
-drivers, the scenario families or numpy.
+drivers, the scenario families or numpy; a client that fetches
+``metrics``, ``stats`` or ``health`` loads only the client and the
+protocol.
 """
 
 from repro.util.lazy import lazy_exports
@@ -42,6 +46,7 @@ from repro.util.lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
+        "client": ("fetch_health_tcp", "fetch_metrics_tcp", "fetch_stats_tcp"),
         "faults": ("FaultError", "FaultPlan", "FaultSpec"),
         "protocol": (
             "ERR_BAD_REQUEST",
@@ -66,9 +71,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ARRIVALS",
             "ReplaySummary",
             "ReplayTrace",
-            "fetch_health_tcp",
-            "fetch_metrics_tcp",
-            "fetch_stats_tcp",
             "load_trace",
             "replay_over_tcp",
             "replay_serial",

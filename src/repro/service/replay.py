@@ -56,6 +56,13 @@ from repro.service.protocol import (
     request_from_dict,
     request_to_dict,
 )
+# The wire fetchers live in the numpy-free client module; the
+# benchmark's TCP client still imports them from here.
+from repro.service.client import (  # noqa: F401
+    fetch_health_tcp,
+    fetch_metrics_tcp,
+    fetch_stats_tcp,
+)
 from repro.service.retry import RetryPolicy, connect_with_backoff
 from repro.service.sharding import _apply_op, _engine_op
 from repro.telemetry import tracing as _tracing
@@ -467,55 +474,3 @@ async def replay_over_tcp(
 def replay_tcp(host: str, port: int, trace: ReplayTrace, **kwargs) -> ReplaySummary:
     """Synchronous wrapper around :func:`replay_over_tcp`."""
     return asyncio.run(replay_over_tcp(host, port, trace, **kwargs))
-
-
-async def _request_over_tcp(host: str, port: int, op: str) -> dict[str, Any]:
-    """One no-argument request (``metrics``/``stats``/``health``) to a
-    live server; returns the payload without the protocol envelope.
-
-    The read limit is raised well past asyncio's 64 KiB default: a
-    tracing server's ``metrics`` response carries the fleet's span ring
-    (``trace_spans``) on a single line.
-    """
-    reader, writer = await asyncio.open_connection(
-        host, port, limit=16 * 1024 * 1024
-    )
-    try:
-        writer.write(encode_line(request_to_dict(Request(op=op, id=0))))
-        await writer.drain()
-        line = await reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        doc = decode_line(line)
-        if not doc.get("ok"):
-            raise RuntimeError(
-                f"{op} request failed: {doc.get('error', 'unknown error')}"
-            )
-        return {
-            k: v for k, v in doc.items() if k not in ("v", "id", "ok", "trace")
-        }
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown
-            pass
-
-
-async def _metrics_over_tcp(host: str, port: int) -> dict[str, Any]:
-    return await _request_over_tcp(host, port, "metrics")
-
-
-def fetch_metrics_tcp(host: str, port: int) -> dict[str, Any]:
-    """Ask a live server for its telemetry via the ``metrics`` verb."""
-    return asyncio.run(_metrics_over_tcp(host, port))
-
-
-def fetch_stats_tcp(host: str, port: int) -> dict[str, Any]:
-    """Ask a live server for its counters via the ``stats`` verb."""
-    return asyncio.run(_request_over_tcp(host, port, "stats"))
-
-
-def fetch_health_tcp(host: str, port: int) -> dict[str, Any]:
-    """Ask a live server for its liveness via the ``health`` verb."""
-    return asyncio.run(_request_over_tcp(host, port, "health"))

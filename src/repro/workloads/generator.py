@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.packetization import DEFAULT_CONFIG, packetize
+from repro.core.packetization import packet_wire_bits
 from repro.model.flow import Flow
 from repro.model.gmf import GmfSpec
 from repro.model.network import Network, NodeKind
@@ -112,25 +112,40 @@ def _random_spec(
     mix /= mix.sum()
 
     budget_bits = utilization * tsum * linkspeed_bps  # wire bits per cycle
+    # Python floats multiply to the same doubles as numpy scalars, faster.
+    shares = mix.tolist()
+    # Once the scale moves by less than a bit per frame, rounds repeat
+    # their payloads: each distinct payload is priced once.
+    priced: dict[int, int] = {}
 
-    def wire_bits(scale: float) -> float:
+    def wire_bits(scale: float) -> int:
         total = 0
-        for share in mix:
-            payload = max(64, int(share * scale))
-            total += packetize(payload, config=DEFAULT_CONFIG).wire_bits
+        for share in shares:
+            payload = int(share * scale)
+            if payload < 64:
+                payload = 64
+            wire = priced.get(payload)
+            if wire is None:
+                wire = priced[payload] = packet_wire_bits(payload)
+            total += wire
         return total
 
-    # Bisection on the total payload scale.
+    # Bisection on the total payload scale.  A round that moves neither
+    # end is repeated exactly by every later one, so it ends the search.
     lo_s, hi_s = 1.0, max(2.0, budget_bits)
     for _ in range(60):
         mid = 0.5 * (lo_s + hi_s)
         if wire_bits(mid) <= budget_bits:
+            if mid == lo_s:
+                break
             lo_s = mid
+        elif mid == hi_s:
+            break
         else:
             hi_s = mid
     scale = lo_s
 
-    payloads = tuple(max(64, int(share * scale)) for share in mix)
+    payloads = tuple(max(64, int(share * scale)) for share in shares)
     deadline_factor = rng.uniform(*cfg.deadline_factor_range)
     deadline = max(1e-4, deadline_factor * tsum)
     return GmfSpec(

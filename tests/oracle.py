@@ -34,7 +34,11 @@ floats:
   per fragment release and per-delivery updates of record objects, on
   switches whose rotation-mode processors schedule every slot as an
   event and go through the switch's ``task_has_work`` / ``claim_work``
-  / ``complete_work`` methods (:class:`ReferenceRotationDriver`).
+  / ``complete_work`` methods (:class:`ReferenceRotationDriver`);
+* :func:`random_spec` — the flow generator's payload bisection as the
+  seed wrote it: numpy payload shares, every candidate priced as the
+  sum of :func:`~repro.core.packetization.packetize`'s fragments, all
+  60 rounds.
 
 The oracle shares the equation layer with production (packetization,
 the ``LinkDemand`` demand-bound functions, the stage equations and the
@@ -50,18 +54,22 @@ import itertools
 import math
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.context import AnalysisContext, AnalysisOptions
 from repro.core.holistic import JITTER_TOLERANCE
-from repro.core.packetization import packetize
+from repro.core.packetization import DEFAULT_CONFIG, packetize
 from repro.core.pipeline import analyze_flow
 from repro.core.results import AdmissionDecision, FlowResult, HolisticResult
 from repro.model.flow import Flow
+from repro.model.gmf import GmfSpec
 from repro.model.network import Network
 from repro.sim.release import EagerRelease, SpreadJitterPolicy
 from repro.sim.simulator import SimConfig, Simulator
 from repro.sim.swnode import ProcessorDriverBase, SimSwitch
 from repro.sim.trace import PacketRecord, SimulationTrace
 from repro.switch.queues import QueuedFrame
+from repro.workloads.generator import RandomFlowConfig
 
 
 # ----------------------------------------------------------------------
@@ -493,3 +501,65 @@ def simulate(
 ) -> SimulationTrace:
     """One reference run (mirrors :func:`repro.sim.simulator.simulate`)."""
     return ReferenceSimulator(network, flows, config).run()
+
+
+# ----------------------------------------------------------------------
+# Workload generation
+# ----------------------------------------------------------------------
+def random_spec(
+    rng: np.random.Generator,
+    cfg: RandomFlowConfig,
+    *,
+    utilization: float,
+    linkspeed_bps: float,
+) -> GmfSpec:
+    """The seed's ``repro.workloads.generator._random_spec``: verbatim,
+    except that a packet is priced as the sum of its fragments (what
+    ``Packetization.wire_bits`` computed then).  Patched in for the
+    production bisection, it must draw the same numbers and return the
+    same spec."""
+    lo, hi = cfg.n_frames_range
+    n = int(rng.integers(lo, hi + 1))
+    seps = np.exp(
+        rng.uniform(
+            math.log(cfg.separation_range[0]),
+            math.log(cfg.separation_range[1]),
+            size=n,
+        )
+    )
+    tsum = float(seps.sum())
+    # Relative payload mix with the requested burstiness.
+    mix = rng.uniform(1.0, cfg.burstiness, size=n)
+    mix[int(rng.integers(0, n))] = cfg.burstiness  # ensure the ratio exists
+    mix /= mix.sum()
+
+    budget_bits = utilization * tsum * linkspeed_bps  # wire bits per cycle
+
+    def wire_bits(scale: float) -> float:
+        total = 0
+        for share in mix:
+            payload = max(64, int(share * scale))
+            total += sum(
+                packetize(payload, config=DEFAULT_CONFIG).fragment_wire_bits
+            )
+        return total
+
+    # Bisection on the total payload scale.
+    lo_s, hi_s = 1.0, max(2.0, budget_bits)
+    for _ in range(60):
+        mid = 0.5 * (lo_s + hi_s)
+        if wire_bits(mid) <= budget_bits:
+            lo_s = mid
+        else:
+            hi_s = mid
+    scale = lo_s
+
+    payloads = tuple(max(64, int(share * scale)) for share in mix)
+    deadline_factor = rng.uniform(*cfg.deadline_factor_range)
+    deadline = max(1e-4, deadline_factor * tsum)
+    return GmfSpec(
+        min_separations=tuple(float(t) for t in seps),
+        deadlines=(deadline,) * n,
+        jitters=tuple(float(cfg.jitter_fraction * t) for t in seps),
+        payload_bits=payloads,
+    )

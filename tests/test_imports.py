@@ -1,4 +1,5 @@
-"""What the admission server loads, and the lazily resolved packages.
+"""What the admission server and its clients load, and the lazily
+resolved packages.
 
 ``serve`` needs the engine, the protocol and the service.  The
 simulator, the scenario families, the replay drivers and numpy (which
@@ -6,7 +7,9 @@ those use) stay unloaded until a command that runs them asks: the
 ``repro.sim``, ``repro.scenario`` and ``repro.service`` package inits
 resolve their names on first access, :class:`SimConfig` lives in the
 numpy-free :mod:`repro.sim.config`, and the demand windows are built in
-pure Python.
+pure Python.  A client that only fetches ``metrics``, ``stats`` or
+``health`` (``trace-export``, ``watch --connect``) needs the wire
+client and the protocol alone.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ NOT_SERVED = (
     "repro.sim.simulator",
     "repro.scenario.families",
     "repro.service.replay",
+    "repro.service.client",
 )
 
 SERVE_SESSION = """
@@ -63,6 +67,36 @@ print(json.dumps({
 """ % (NOT_SERVED,)
 
 
+#: Modules a client fetching ``metrics``/``stats``/``health`` must not load.
+NOT_FETCHED = ("numpy", "repro.service.replay", "repro.service.sharding")
+
+FETCH_SESSION = """
+import json, sys
+
+import repro.cli
+from repro.service import fetch_health_tcp, fetch_metrics_tcp, fetch_stats_tcp
+
+print(json.dumps(sorted(m for m in %r if m in sys.modules)))
+""" % (NOT_FETCHED,)
+
+
+def _run_fresh(code: str, *args: str):
+    """Run ``code`` in a fresh interpreter; its last stdout line as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_serve_path_loads_neither_numpy_nor_the_simulator(tmp_path):
     from repro.scenario import REGISTRY, save_scenario_file
 
@@ -70,24 +104,16 @@ def test_serve_path_loads_neither_numpy_nor_the_simulator(tmp_path):
     save_scenario_file(
         path, REGISTRY.build("voip-star", n_hosts=16, n_calls=16, seed=1)
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", SERVE_SESSION, str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    out = _run_fresh(SERVE_SESSION, str(path))
     admit, query, release = out["payloads"]
     assert admit["accepted"], admit
     assert "error" not in query and "error" not in release, out["payloads"]
     assert "serve" in out["usage"]
     assert out["loaded"] == []
+
+
+def test_wire_fetchers_load_neither_numpy_nor_the_engine():
+    assert _run_fresh(FETCH_SESSION) == []
 
 
 @pytest.mark.parametrize(

@@ -13,11 +13,14 @@ from repro.core.packetization import (
     ETH_MIN_WIRE_BITS,
     ETH_WIRE_OVERHEAD_BITS,
     IP_HEADER_BITS,
+    RTP_HEADER_BITS,
     STRICT_CONFIG,
+    UDP_HEADER_BITS,
     PacketizationConfig,
     eth_frame_count,
     max_frame_transmission_time,
     max_payload_per_udp_packet,
+    packet_wire_bits,
     packetize,
     transmission_time,
     udp_packet_bits,
@@ -175,3 +178,33 @@ class TestProperties:
         payload = max_payload_per_udp_packet()
         assert packetize(payload).n_eth_frames == 1
         assert packetize(payload + 8).n_eth_frames == 2
+
+
+#: Payloads within 8 bits of a fragment boundary: ``k * 11840`` of
+#: payload, or of UDP (+ RTP) packet bits.
+_BOUNDARY_PAYLOADS = st.builds(
+    lambda k, header, delta: max(1, k * ETH_DATA_BITS - header + delta),
+    st.integers(1, 10**8 // ETH_DATA_BITS),
+    st.sampled_from((0, UDP_HEADER_BITS, UDP_HEADER_BITS + RTP_HEADER_BITS)),
+    st.integers(-8, 8),
+)
+
+
+class TestClosedForm:
+    """``packet_wire_bits`` and ``eth_frame_count`` price a packet
+    without building its fragments; they must agree with them."""
+
+    @given(
+        payload=st.one_of(st.integers(1, 10**8), _BOUNDARY_PAYLOADS),
+        transport=st.sampled_from(list(Transport)),
+        config=st.sampled_from((DEFAULT_CONFIG, STRICT_CONFIG)),
+    )
+    @settings(max_examples=500)
+    def test_matches_fragments(self, payload, transport, config):
+        p = packetize(payload, transport, config)
+        wire = packet_wire_bits(payload, transport, config)
+        assert wire == p.wire_bits == sum(p.fragment_wire_bits)
+        assert eth_frame_count(payload, transport) == p.n_eth_frames
+        assert transmission_time(payload, 1e7, transport, config) == (
+            p.transmission_time(1e7)
+        )

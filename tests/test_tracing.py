@@ -516,7 +516,8 @@ class TestMetricsUnderFaults:
         )
 
         async def run():
-            from repro.service.replay import _request_over_tcp, replay_over_tcp
+            from repro.service.client import _request_over_tcp
+            from repro.service.replay import replay_over_tcp
 
             svc = ShardedAdmissionService(
                 sc.network, workers=True, fault_plan=plan, journal_limit=8,

@@ -1,12 +1,19 @@
 """Workload generators: MPEG, VoIP, topologies, random flow sets."""
 
-import pytest
+import math
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
 from repro.core.context import AnalysisContext
 from repro.model.gmf import GmfSpec
 from repro.model.network import NodeKind
 from repro.model.routing import validate_route
 from repro.util.units import mbps, ms
+from repro.workloads import generator
 from repro.workloads.generator import RandomFlowConfig, random_flow_set, uunifast
 from repro.workloads.mpeg import (
     MpegGopPattern,
@@ -208,3 +215,47 @@ class TestRandomFlowSet:
             two_switch_net, n_flows=10, total_utilization=0.3, seed=9, config=cfg
         )
         assert all(0 <= f.priority < 4 for f in flows)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _random_flow_configs(draw):
+    f_lo = draw(st.integers(1, 8))
+    sep_lo = draw(_log_uniform(1e-4, 0.1))
+    dl_lo = draw(st.floats(0.1, 2.0))
+    return RandomFlowConfig(
+        n_frames_range=(f_lo, draw(st.integers(f_lo, 10))),
+        separation_range=(sep_lo, sep_lo * draw(st.floats(1.0, 100.0))),
+        burstiness=draw(st.floats(1.0, 20.0)),
+        deadline_factor_range=(dl_lo, dl_lo + draw(st.floats(0.0, 2.0))),
+        jitter_fraction=draw(st.floats(0.0, 0.5)),
+        priority_levels=draw(st.integers(1, 8)),
+    )
+
+
+class TestRandomSpecReference:
+    """The payload bisection against the seed's (``oracle.random_spec``):
+    same draws, same payloads, flow for flow."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_flows=st.integers(1, 6),
+        # Shares down to the generator's 1e-6 floor, where the scale's
+        # lower end never leaves 1.0.
+        total=_log_uniform(1e-7, 2.0),
+        speed=_log_uniform(1e7, 1e10),
+        cfg=_random_flow_configs(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_flow_set_matches_reference(self, seed, n_flows, total, speed, cfg):
+        net = line_network(3, hosts_per_switch=2, speed_bps=speed)
+        kwargs = dict(
+            n_flows=n_flows, total_utilization=total, seed=seed, config=cfg
+        )
+        flows = random_flow_set(net, **kwargs)
+        with mock.patch.object(generator, "_random_spec", oracle.random_spec):
+            reference = random_flow_set(net, **kwargs)
+        assert flows == reference

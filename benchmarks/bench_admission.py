@@ -54,7 +54,8 @@ def test_admission_churn(benchmark, n_flows):
 
     Models the steady-state of an online controller: a mostly-stable
     admitted set with churn at the margin.  Exercises the release (cone
-    reset) path and the retired demand-profile store.
+    reset) path and the rebuild of the re-admitted flow's demand
+    profiles over the shared window tables.
     """
     net, flows = _workload(n_flows)
     ctrl = AdmissionController(net)

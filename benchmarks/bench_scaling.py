@@ -6,8 +6,8 @@ length and route length, plus simulator event throughput, and the
 datacenter axis — a single admission decision, and a single release,
 against 10^4/10^5 already-admitted flows through the incremental
 admission engine (``core/hierarchy.py``) — and one summed demand query
-through each of the two interference paths of ``core/demand.py``, the
-measurement behind ``_VECTORIZE_THRESHOLD``.
+through the fused kernel of ``core/demand.py`` at growing interferer
+counts.
 
 Every benchmark tags ``benchmark.extra_info["scale"]`` with its scale
 label (``single-pod`` for the historical cases, ``datacenter-1e4`` /
@@ -24,7 +24,6 @@ import os
 
 import pytest
 
-from repro.core import demand
 from repro.core.context import AnalysisOptions
 from repro.core.admission import AdmissionController
 from repro.core.demand import LinkDemandMatrix, build_link_demand
@@ -309,7 +308,7 @@ def test_release_at_scale(benchmark, scale):
 
 
 # ----------------------------------------------------------------------
-# One summed demand query: fused scalar kernel vs vectorised gather
+# One summed demand query through the fused scalar kernel
 # ----------------------------------------------------------------------
 def _interferer_link(n: int):
     """``n`` flows on one 1 Gbit/s link and their jitter shifts.
@@ -337,24 +336,19 @@ def _interferer_link(n: int):
     return LinkDemandMatrix(demands), [d.flow_name for d in demands], shifts
 
 
-@pytest.mark.parametrize("path", ["fused", "vectorised"])
 @pytest.mark.parametrize("n", [8, 20, 32, 64, 128, 512, 2048])
-def test_interference_query(benchmark, monkeypatch, n, path):
+def test_interference_query(benchmark, n):
     """One ``mixed_sum`` query (the egress recurrence's summed demand)
-    over ``n`` interferers, through the fused scalar kernel or the
-    vectorised gather, whatever ``_VECTORIZE_THRESHOLD`` says.
-
-    The threshold picks the path at :meth:`LinkDemandMatrix.subset`;
-    this benchmark times both at every size, on the same rows, so the
-    crossover reads off the table.  Both return the same float."""
+    over ``n`` interferers gathered by :meth:`LinkDemandMatrix.subset`.
+    Its value must equal the per-flow sum bit for bit."""
     benchmark.extra_info["scale"] = "single-link"
     benchmark.extra_info["interferers"] = n
     matrix, names, shifts = _interferer_link(n)
-    monkeypatch.setattr(demand, "_VECTORIZE_THRESHOLD", n + 1)
-    fused = matrix.subset(names, shifts)
-    monkeypatch.setattr(demand, "_VECTORIZE_THRESHOLD", 1)
-    vectorised = matrix.subset(names, shifts)
+    gathered = matrix.subset(names, shifts)
     t, circ = ms(3), us(2)
-    query = (fused if path == "fused" else vectorised).mixed_sum
-    value = benchmark(query, t, circ)
-    assert value == fused.mixed_sum(t, circ) == vectorised.mixed_sum(t, circ)
+    value = benchmark(gathered.mixed_sum, t, circ)
+    per_flow = sum(
+        d.mx_work(t + e) + d.nx(t + e) * circ
+        for d, e in zip(matrix.demands, shifts)
+    )
+    assert value.hex() == per_flow.hex()

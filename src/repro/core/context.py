@@ -396,8 +396,8 @@ class AnalysisContext:
       retires its flat demand matrix (cached against the old tuple);
       stage memos need no drop at all, since an entry recorded over
       other participants than a stage's current ones is never returned
-      (:meth:`stage_memo_get`).  Removing a flow pops its own entries
-      only to free them;
+      (:meth:`stage_memo_get`).  Removing a flow pops its own memo
+      entries and demand profiles only to free them;
     * a tentative change can be undone: between :meth:`begin_undo` and
       :meth:`rollback_undo` the jitter table and the stage memo both log
       each entry's value before its first overwrite, so a rejected
@@ -420,12 +420,11 @@ class AnalysisContext:
         self.jitters = JitterTable(self.flows)
         self._by_name = {f.name: f for f in self.flows}
         # Maps flow name -> {(n1, n2) -> (flow object, LinkDemand)}.
-        # Keyed by name first so an admission release/rejection evicts a
-        # flow's profiles in O(1) instead of scanning the whole cache.
-        # The flow object is kept for a value check (identity fast
-        # path): retired profiles are reinstalled on re-admission
-        # (install_demands), and a released name could later be reused
-        # by a different flow.
+        # Keyed by name first so remove_flow drops a flow's profiles in
+        # one pop.  The flow object is kept for a value check (identity
+        # fast path, see demand): the window tables themselves live in
+        # the process-wide, name-free cache of build_link_demand, so a
+        # re-admitted flow rebuilds only its named views.
         self._demand_cache: dict[
             str, dict[tuple[str, str], tuple[Flow, LinkDemand]]
         ] = {}
@@ -509,6 +508,7 @@ class AnalysisContext:
                 break
         self.jitters.remove_flow(flow_name)
         self._stage_cache.pop(flow_name, None)
+        self._demand_cache.pop(flow_name, None)
         for link in flow.links():
             entry = self._link_index.get(link, [])
             for i, f in enumerate(entry):
@@ -526,9 +526,11 @@ class AnalysisContext:
 
         Entries are value-checked (with an identity fast path): a
         profile is a pure function of the flow's value and the link, so
-        an equal flow parsed from the wire or unpickled by a shard
-        worker reuses the cached profile, while a *different* flow
-        reusing a released name can never be served a stale one.
+        an equal flow object reuses the cached profile, while a
+        *different* flow under a cached name is never served a stale
+        one.  :meth:`remove_flow` drops a flow's entries; a flow
+        admitted again rebuilds only its named views over the shared
+        window tables (:func:`~repro.core.demand.build_link_demand`).
         """
         per_flow = self._demand_cache.get(flow.name)
         if per_flow is None:
@@ -556,29 +558,6 @@ class AnalysisContext:
                 entry = (flow, entry[1])
                 per_flow[(n1, n2)] = entry
         return entry[1]
-
-    def pop_demands(
-        self, flow_name: str
-    ) -> dict[tuple[str, str], tuple[Flow, LinkDemand]] | None:
-        """Detach and return a flow's cached demand profiles (or None).
-
-        The admission controller retires released flows' profiles into a
-        bounded store instead of discarding them; :meth:`install_demands`
-        puts them back on re-admission.  Entries stay value-checked
-        (see :meth:`demand`), so reinstalling profiles of a reused
-        name now naming a different flow can never serve a wrong
-        profile — it just rebuilds on first access.
-        """
-        return self._demand_cache.pop(flow_name, None)
-
-    def install_demands(
-        self,
-        flow_name: str,
-        entries: dict[tuple[str, str], tuple[Flow, LinkDemand]],
-    ) -> None:
-        """Re-attach demand profiles previously detached by
-        :meth:`pop_demands`."""
-        self._demand_cache[flow_name] = entries
 
     # ------------------------------------------------------------------
     # Flat demand arrays / interference sets

@@ -22,24 +22,17 @@ Batched interference queries
 ----------------------------
 The busy-period recurrences evaluate ``sum_j MX/NX(tau_j, t + extra_j)``
 over a whole interferer set at every iterate.  The analysis context
-keeps one :class:`LinkDemandMatrix` per link — every flow's
-sorted-window tables, stacked into padded matrices on the link's first
-large stage — and :meth:`LinkDemandMatrix.subset` gathers each stage's
-:class:`InterferenceSet` from it.  Sets of :data:`_VECTORIZE_THRESHOLD`
-or more interferers answer the summed query with a handful of
-vectorised numpy operations; smaller ones run the fused scalar kernels
-(:func:`fused_mx_sum`, :func:`fused_nx_sum`, :func:`fused_mixed_sum`)
-over the flows' :data:`DemandRow` entries, which the stage memo's
-fixed-point check (``core/pipeline.py``) reuses.  The vectorised and
-fused values come from exactly the same precomputed tables and are
-accumulated in the same left-to-right order as the per-flow sums, so
-the results are bit-identical — the test oracle sums per flow, and the
-engine-equivalence suite compares the two with ``==``.
-
-numpy is confined to that large-stage gather: only its functions
-import it, and it first loads when a :class:`LinkDemandMatrix` builds
-its padded matrices, so an engine whose stages all stay below the
-threshold (as on every served benchmark workload) never loads it.
+keeps one :class:`LinkDemandMatrix` per link, holding every flow's
+:data:`DemandRow` in flow order, and :meth:`LinkDemandMatrix.subset`
+gathers each stage's :class:`InterferenceSet` from it.  A set answers
+the summed query with the fused scalar kernels (:func:`fused_mx_sum`,
+:func:`fused_nx_sum`, :func:`fused_mixed_sum`), which the stage memo's
+fixed-point check (``core/pipeline.py``) reuses.  The kernels read the
+same precomputed tables as the per-flow methods and add the terms in
+the same left-to-right order, so the sums are bit-identical: the test
+oracle sums per flow, ``tests/test_demand.py`` compares the two on
+random sets and the engine-equivalence suite compares whole analyses
+with ``==``.  The module is pure Python and never loads numpy.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import floor
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.core.packetization import (
     DEFAULT_CONFIG,
@@ -60,9 +53,6 @@ from repro.core.packetization import (
     packet_wire_bits,
 )
 from repro.model.flow import Flow
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -298,14 +288,11 @@ class LinkDemand:
 
 #: ``(TSUM, CSUM, NSUM, window lengths, CSUM prefix maxima, NSUM prefix
 #: maxima)`` of one profile, the window tables as sorted Python lists
-#: of ``float`` (``int`` for the NSUM maxima).  The scalar kernels below
+#: of ``float`` (``int`` for the NSUM maxima).  The fused kernels below
 #: run on it: a single-instant query costs one
-#: :func:`bisect.bisect_right` instead of a numpy ``searchsorted``
-#: dispatch (~10x per-call overhead for the short arrays involved).
-#: :class:`LinkDemandMatrix` stacks these same lists into its padded
-#: matrices, and ``bisect_right`` performs the same comparisons as the
-#: vectorised rank count, so the scalar and vectorised answers stay
-#: bit-identical.
+#: :func:`bisect.bisect_right`, with the same comparisons as
+#: :meth:`LinkDemand._best_c_within`.  Profiles of one spec class share
+#: one row (see :func:`build_link_demand`).
 DemandRow = tuple[float, float, int, list[float], list[float], list[int]]
 
 #: Relative part of :meth:`LinkDemand._boundary`'s nudge.
@@ -492,23 +479,6 @@ def fused_mixed_sum(
     return sum(vals)
 
 
-#: Below this many interferers the vectorised path costs more in numpy
-#: dispatch than it saves; fall back to the fused scalar kernels (both
-#: paths are bit-identical, so the switch is purely a perf knob).
-#: ``benchmarks/bench_scaling.py::test_interference_query`` times one
-#: ``mixed_sum`` query through each path on the same rows.  Medians on
-#: a 2-vCPU container, fused vs vectorised: 8 interferers 5.2 vs
-#: 28.3 us, 20: 9.5 vs 26.3, 32: 15.5 vs 24.4, 64: 29.7 vs 26.3, 128:
-#: 57.2 vs 34.9, 512: 221 vs 76, 2048: 1487 vs 230 (fastest rounds 828
-#: vs 206).  The vectorised gather wins only from about 64 interferers
-#: on.  The constant still stays at 20: no benchmark workload has a
-#: stage that large (``datacenter-hier`` peaks at 18 interferers), so
-#: no A/B can confirm a move, and the dense test's stages (at most 34
-#: interferers) must keep reaching the vectorised path.  Below it the
-#: engine never imports numpy.
-_VECTORIZE_THRESHOLD = 20
-
-
 class InterferenceSet:
     """Batched ``sum_j MX/NX(tau_j, t + shift_j)`` over an interferer set.
 
@@ -516,18 +486,11 @@ class InterferenceSet:
     shifts are fixed for the whole stage) and queried at every iterate
     of every busy-period / queuing-time fixed point of the stage.
 
-    Constructed directly, a set runs the fused scalar kernels
-    (:func:`fused_mx_sum` and friends) over its interferers'
-    :data:`DemandRow` entries: one cycle split and one pure-Python
-    bisect per term and query.  The printed-model (``strict``) ``mx``
-    keeps the per-flow :meth:`LinkDemand.mx` loop.  Sets built by
-    :meth:`from_arrays` (large stages, gathered by
-    :meth:`LinkDemandMatrix.subset`) hold the interferers'
-    sorted-window tables as +inf-padded matrices; a query then costs
-    one vectorised row-wise rank count and two gathers instead of ``N``
-    Python-level calls.  Per-flow values are reduced strictly
-    left-to-right in construction order either way, so both forms
-    return bit-identical sums.
+    Queries run the fused scalar kernels (:func:`fused_mx_sum` and
+    friends) over the interferers' :data:`DemandRow` entries: one cycle
+    split and one bisect per term and query, the terms summed left to
+    right in construction order.  The printed-model (``strict``) ``mx``
+    keeps the per-flow :meth:`LinkDemand.mx` loop.
 
     Parameters
     ----------
@@ -552,7 +515,6 @@ class InterferenceSet:
         self.demands = tuple(demands)
         self.shifts = tuple(float(s) for s in shifts)
         self.strict = strict
-        self._vectorized = False
         self.rows = tuple([d._row for d in self.demands])
 
     @classmethod
@@ -563,56 +525,14 @@ class InterferenceSet:
         rows: tuple[DemandRow, ...],
         strict: bool,
     ) -> "InterferenceSet":
-        """A scalar-path set over ready tuples: ``rows`` are the
-        demands' :data:`DemandRow` entries, ``shifts`` one per demand
-        (neither is copied or converted)."""
+        """A set over ready tuples: ``rows`` are the demands'
+        :data:`DemandRow` entries, ``shifts`` one per demand (neither is
+        copied or converted)."""
         self = cls.__new__(cls)
         self.demands = demands
         self.shifts = shifts
         self.strict = strict
-        self._vectorized = False
         self.rows = rows
-        return self
-
-    @classmethod
-    def from_arrays(
-        cls,
-        demands: tuple[LinkDemand, ...],
-        shifts: tuple[float, ...],
-        *,
-        strict: bool,
-        tsums: np.ndarray,
-        csums: np.ndarray,
-        nsums: np.ndarray,
-        win_t: np.ndarray,
-        cmax: np.ndarray,
-        nmax: np.ndarray,
-    ) -> "InterferenceSet":
-        """A vectorised set over pre-gathered window matrices.
-
-        :class:`LinkDemandMatrix.subset` slices a link-wide matrix by
-        flow position; the matrices may carry extra ``+inf``/0 padding
-        columns (link-level width vs per-set width), which is inert:
-        the rank count ``win_t <= boundary`` never admits an ``inf``
-        column and the gathers never index past the last admitted
-        window.  All values come from the same shared per-class tables
-        the scalar path bisects, so queries stay bit-identical.
-        """
-        import numpy as np
-
-        self = cls.__new__(cls)
-        self.demands = demands
-        self.shifts = shifts
-        self.strict = strict
-        self._vectorized = True
-        self._shift_arr = np.array(shifts)
-        self._tsums = tsums
-        self._csums = csums
-        self._nsums = nsums
-        self._win_t = win_t
-        self._cmax = cmax
-        self._nmax = nmax
-        self._rows = np.arange(len(demands))
         return self
 
     def __len__(self) -> int:
@@ -656,109 +576,41 @@ class InterferenceSet:
     # ------------------------------------------------------------------
     # Batched evaluation
     # ------------------------------------------------------------------
-    def _gather(
-        self, s: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Split cycles and gather best windows for query times ``s``.
-
-        Mirrors :meth:`LinkDemand._split_cycles` / ``_boundary`` /
-        ``_best_*_within`` operation for operation (same float ops, same
-        promote-on-drift guard) so gathered values match the scalar path
-        bit for bit.
-        """
-        import numpy as np
-
-        cycles = np.floor(s / self._tsums)
-        rem = s - cycles * self._tsums
-        over = rem >= self._tsums
-        if over.any():
-            cycles = np.where(over, cycles + 1.0, cycles)
-            rem = np.where(over, 0.0, rem)
-        rem = np.maximum(rem, 0.0)
-        boundary = rem * (1.0 + 1e-12) + 1e-18
-        idx = (self._win_t <= boundary[:, None]).sum(axis=1)
-        has = idx > 0
-        gi = np.where(has, idx - 1, 0)
-        cbest = np.where(has, self._cmax[self._rows, gi], 0.0)
-        nbest = np.where(has, self._nmax[self._rows, gi], 0)
-        return cycles, rem, cbest, nbest
-
     def mx_sum(self, t: float) -> float:
         """Ordered sum of ``mx``/``mx_work`` over the set at ``t+shift``."""
-        if not self._vectorized:
-            if self.strict:
-                return sum(
-                    d.mx(t + e) for d, e in zip(self.demands, self.shifts)
-                )
-            return fused_mx_sum(self.rows, self.shifts, t)
-        import numpy as np
-
-        s = t + self._shift_arr
-        cycles, rem, cbest, _ = self._gather(s)
         if self.strict:
-            small = np.where(rem > 0.0, np.minimum(rem, cbest), 0.0)
-            vals = np.where(s > 0.0, cycles * self._csums + small, 0.0)
-        else:
-            vals = cycles * self._csums + cbest
-        return sum(vals.tolist())
+            return sum(
+                d.mx(t + e) for d, e in zip(self.demands, self.shifts)
+            )
+        return fused_mx_sum(self.rows, self.shifts, t)
 
     def nx_sum(self, t: float) -> int:
         """Exact integer sum of ``nx`` over the set at ``t+shift``."""
-        if not self._vectorized:
-            return fused_nx_sum(self.rows, self.shifts, t)
-        import numpy as np
-
-        s = t + self._shift_arr
-        cycles, _, _, nbest = self._gather(s)
-        vals = (cycles * self._nsums + nbest).astype(np.int64)
-        # Integer summation is exact and order-independent, so the
-        # vectorised reduction matches the scalar path bit for bit.
-        return int(vals.sum())
+        return fused_nx_sum(self.rows, self.shifts, t)
 
     def mixed_sum(self, t: float, circ: float) -> float:
         """Ordered sum of ``mx_j + circ*nx_j`` over the set (egress)."""
-        if not self._vectorized:
-            if self.strict:
-                return sum(
-                    d.mx(t + e) + d.nx(t + e) * circ
-                    for d, e in zip(self.demands, self.shifts)
-                )
-            return fused_mixed_sum(self.rows, self.shifts, t, circ)
-        import numpy as np
-
-        s = t + self._shift_arr
-        cycles, rem, cbest, nbest = self._gather(s)
         if self.strict:
-            small = np.where(rem > 0.0, np.minimum(rem, cbest), 0.0)
-            mx = np.where(s > 0.0, cycles * self._csums + small, 0.0)
-        else:
-            mx = cycles * self._csums + cbest
-        nx = (cycles * self._nsums + nbest).astype(np.int64)
-        return sum((mx + nx * circ).tolist())
+            return sum(
+                d.mx(t + e) + d.nx(t + e) * circ
+                for d, e in zip(self.demands, self.shifts)
+            )
+        return fused_mixed_sum(self.rows, self.shifts, t, circ)
 
 
 class LinkDemandMatrix:
-    """Memory-flat demand representation of every flow on one link.
+    """The demand rows of every flow on one link, in flow order.
 
-    Holds, in flow (admission) order, the full-cycle sums and the
-    sorted window tables stacked into one padded matrix per quantity.
     Rows of flows with the same spec class reference the *same* shared
-    window arrays (the name-free :func:`build_link_demand` cache), so a
+    window tables (the name-free :func:`build_link_demand` cache), so a
     datacenter-scale link with 10^5 identically-shaped flows stores one
     window table, not 10^5.
 
-    :meth:`subset` assembles a stage's :class:`InterferenceSet` with a
-    single row-gather per matrix — one C-level fancy index instead of a
-    per-flow Python packing loop.  Below the vectorisation threshold it
-    returns a plain scalar-path set over the shared per-flow profiles;
-    both are bit-identical to summing the profiles one by one.  The
-    padded matrices are built on the first subset that reaches the
-    threshold, so a link whose stages all stay below it never builds
-    them.
-
-    :attr:`rows` holds every flow's :data:`DemandRow` in the same
-    order: references to the per-class rows, so the stage memo's
-    fixed-point check (``core/pipeline.py``) reads them without copying.
+    :meth:`subset` assembles a stage's :class:`InterferenceSet` from
+    the named flows' profiles and rows, and :meth:`rows_of` returns the
+    rows alone for the stage memo's fixed-point check
+    (``core/pipeline.py``).  Both hand out references to the per-class
+    rows, never copies.
 
     The matrix also carries the stages' utilisation sums over its flows,
     which the stage modules compute once with their ``*_utilization``
@@ -778,12 +630,6 @@ class LinkDemandMatrix:
         "ingress_sums",
         "egress_sums",
         "_index",
-        "_tsums",
-        "_csums",
-        "_nsums",
-        "_win_t",
-        "_cmax",
-        "_nmax",
     )
 
     def __init__(self, demands: Sequence[LinkDemand]):
@@ -795,37 +641,6 @@ class LinkDemandMatrix:
         self.first_hop_sum: float | None = None
         self.ingress_sums: dict[float, float] = {}
         self.egress_sums: dict[str, tuple[tuple, float]] = {}
-        # The padded matrices: None until the first large subset, which
-        # builds all six (_build_arrays).
-        self._tsums = None
-
-    def _build_arrays(self) -> None:
-        """Stack the padded per-quantity matrices (first large subset)."""
-        import numpy as np
-
-        n = len(self.demands)
-        self._tsums = np.array([d.tsum for d in self.demands])
-        self._csums = np.array([d.csum for d in self.demands])
-        self._nsums = np.array(
-            [d.nsum for d in self.demands], dtype=np.int64
-        )
-        width = max((len(row[3]) for row in self.rows), default=0)
-        self._win_t = np.full((n, width), np.inf)
-        self._cmax = np.zeros((n, width))
-        self._nmax = np.zeros((n, width), dtype=np.int64)
-        # Fill per spec *class*, not per flow: rows sharing one
-        # DemandRow (identity implies value here — the name-free
-        # profile cache interns them) are written with one broadcast
-        # each.
-        by_class: dict[int, list[int]] = {}
-        for i, row in enumerate(self.rows):
-            by_class.setdefault(id(row), []).append(i)
-        for rows in by_class.values():
-            _, _, _, win_t, cmax, nmax = self.rows[rows[0]]
-            w = len(win_t)
-            self._win_t[rows, :w] = win_t
-            self._cmax[rows, :w] = cmax
-            self._nmax[rows, :w] = nmax
 
     def __len__(self) -> int:
         return len(self.demands)
@@ -851,31 +666,14 @@ class LinkDemandMatrix:
         """
         positions = [self._index[name] for name in names]
         own = self.demands
-        demands = tuple([own[p] for p in positions])
-        if type(shifts) is tuple:
-            shift_t = shifts
-        else:
-            shift_t = tuple([float(s) for s in shifts])
-        if len(positions) < _VECTORIZE_THRESHOLD:
-            rows = self.rows
-            return InterferenceSet.from_rows(
-                demands, shift_t, tuple([rows[p] for p in positions]), strict
-            )
-        if self._tsums is None:
-            self._build_arrays()
-        import numpy as np
-
-        rows = np.asarray(positions)
-        return InterferenceSet.from_arrays(
-            demands,
-            shift_t,
-            strict=strict,
-            tsums=self._tsums[rows],
-            csums=self._csums[rows],
-            nsums=self._nsums[rows],
-            win_t=self._win_t[rows],
-            cmax=self._cmax[rows],
-            nmax=self._nmax[rows],
+        rows = self.rows
+        if type(shifts) is not tuple:
+            shifts = tuple([float(s) for s in shifts])
+        return InterferenceSet.from_rows(
+            tuple([own[p] for p in positions]),
+            shifts,
+            tuple([rows[p] for p in positions]),
+            strict,
         )
 
 

@@ -22,12 +22,11 @@ cone:
   over one :class:`~repro.core.context.AnalysisContext`, whose flow set
   changes in place (``add_flow``/``remove_flow``) and whose undo logs
   withdraw a rejected candidate.  The controller keeps the admission
-  bookkeeping: the reader edges a new flow creates, a released flow's
-  cone and the retired demand profiles.  :mod:`repro.core.admission`
-  is its public import path, and each server of
-  :mod:`repro.service.sharding` runs one.  (The module keeps its older
-  name because the benchmark's span wrappers look up
-  :func:`analyze_flow` here.)
+  bookkeeping: the reader edges a new flow creates and a released
+  flow's cone.  :mod:`repro.core.admission` is its public import path,
+  and each server of :mod:`repro.service.sharding` runs one.  (The
+  module keeps its older name because the benchmark's span wrappers
+  look up :func:`analyze_flow` here.)
 
 Exactness
 ---------
@@ -84,7 +83,6 @@ whose inputs it changed:
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Iterable, Mapping, Sequence
 
 from repro import telemetry as _telemetry
@@ -182,12 +180,11 @@ class AdmissionController:
     instead of the admitted-set size — milliseconds at 10^5 admitted
     flows.
 
-    Released and rejected flows' demand profiles are retired into a
-    bounded store of ``retained_flows`` entries instead of discarded,
-    so a release followed by re-admission of the same flow (the churn
-    of a call service) rebuilds no demand profile.  Retired entries keep
-    their value check: a reused name never revives a stale profile,
-    while an equal flow re-parsed from the wire reuses every one.
+    Released and rejected flows leave the context with their demand
+    profiles.  Their window tables stay in the process-wide, name-free
+    cache of :func:`~repro.core.demand.build_link_demand`, so a flow
+    admitted again (the churn of a call service, or an equal flow
+    re-parsed from the wire) rebuilds only its named views over them.
 
     :meth:`preload` bulk-admits a known-good set with one solve (its
     state equals the sequential-admission outcome); :meth:`export_state`
@@ -199,8 +196,6 @@ class AdmissionController:
         network: Network,
         options: AnalysisOptions | None = None,
         initial_flows: Sequence[Flow] = (),
-        *,
-        retained_flows: int = 256,
     ):
         self.network = network
         self.options = options or AnalysisOptions()
@@ -208,8 +203,6 @@ class AdmissionController:
         self._envelopes = DemandEnvelopes(self._ctx)
         self._stages = StageSchedule(self._ctx)
         self._results: dict[str, FlowResult] = {}
-        self._retired: OrderedDict[str, dict] = OrderedDict()
-        self._retained_flows = max(0, retained_flows)
         if initial_flows:
             self.preload(initial_flows)
 
@@ -241,23 +234,6 @@ class AdmissionController:
     def jitter_snapshot(self) -> dict:
         """Converged explicit jitter entries of the admitted set."""
         return self._ctx.jitters.snapshot()
-
-    # ------------------------------------------------------------------
-    # Retired demand-profile generations
-    # ------------------------------------------------------------------
-    def _retire_demands(self, flow_name: str) -> None:
-        entries = self._ctx.pop_demands(flow_name)
-        if entries is None or not self._retained_flows:
-            return
-        self._retired.pop(flow_name, None)
-        self._retired[flow_name] = entries
-        while len(self._retired) > self._retained_flows:
-            self._retired.popitem(last=False)
-
-    def _revive_demands(self, flow_name: str) -> None:
-        entries = self._retired.pop(flow_name, None)
-        if entries is not None:
-            self._ctx.install_demands(flow_name, entries)
 
     # ------------------------------------------------------------------
     # Reader edges
@@ -370,7 +346,6 @@ class AdmissionController:
         ctx = self._ctx
         if flow.name in ctx._by_name:
             raise ValueError(f"flow name {flow.name!r} already admitted")
-        self._revive_demands(flow.name)
         ctx.add_flow(flow)  # validates the route, invalidates its links
 
         violation = self._envelopes.violation(flow)
@@ -417,7 +392,6 @@ class AdmissionController:
         if edges_installed:
             self._stages.remove(flow.name)
         self._ctx.remove_flow(flow.name)
-        self._retire_demands(flow.name)
 
     def _release_cone(
         self, flow: Flow
@@ -483,7 +457,6 @@ class AdmissionController:
         self._stages.remove(flow_name)
         self._results.pop(flow_name, None)
         ctx.remove_flow(flow_name)
-        self._retire_demands(flow_name)
 
         ctx.jitters.reset_entries(cone)  # cold restart (see module doc)
         converged, updated, rounds, runs = self._solve(seed)
@@ -517,7 +490,6 @@ class AdmissionController:
         """
         ctx = self._ctx
         for flow in flows:
-            self._revive_demands(flow.name)
             ctx.add_flow(flow)
             self._stages.add(flow)
         if jitters:
@@ -563,7 +535,6 @@ class AdmissionController:
         *,
         flows: Sequence[Flow],
         jitters: Mapping | None = None,
-        retained_flows: int = 256,
     ) -> "AdmissionController":
         """Rebuild a controller from :meth:`export_state` output.
 
@@ -573,7 +544,7 @@ class AdmissionController:
         exporter's admitted set, table and bounds, so its later
         decisions are the exporter's.
         """
-        ctrl = cls(network, options, retained_flows=retained_flows)
+        ctrl = cls(network, options)
         ctrl.preload(flows, jitters=jitters)
         return ctrl
 

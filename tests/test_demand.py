@@ -1,8 +1,10 @@
 """Demand-bound functions (Eqs. 4-13): windowed sums, MXS/MX/NXS/NX.
 
 Includes a brute-force reference implementation cross-checked against
-the vectorised one under hypothesis, and the numpy construction of the
-window tables that the pure-Python one must reproduce bit for bit.
+the windowed one under hypothesis, the fused interference kernels
+checked bit for bit against the oracle's per-flow sums, and the numpy
+construction of the window tables that the pure-Python one must
+reproduce bit for bit.
 """
 
 import math
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.core.demand import (
-    _VECTORIZE_THRESHOLD,
     InterferenceSet,
     LinkDemand,
     LinkDemandMatrix,
@@ -247,7 +249,7 @@ class TestHypothesisCrossCheck:
         dem = build_link_demand(make_flow(seps, payloads), 1e8)
         # Float drift at exact window boundaries means the two
         # implementations may disagree exactly there; bracket instead:
-        # the vectorised value must lie between brute(t) and brute(t+eps)
+        # the windowed value must lie between brute(t) and brute(t+eps)
         # (the library deliberately rounds boundaries conservatively up).
         eps = t * 1e-9 + 1e-12
         assert brute_mx(dem, t) - 1e-12 <= dem.mx(t) <= brute_mx(dem, t + eps) + 1e-12
@@ -310,9 +312,58 @@ class TestMxWork:
         assert video_demand.mx_work(t) > video_demand.mx_work(t - 2 * eps)
 
 
+#: Separations (s) and payloads (bits) the spec classes below draw
+#: from: zero separations make bursts, the larger payloads fragment.
+_SEPARATIONS = (0.0, 0.001, 0.0025, 0.01, 0.03)
+_PAYLOADS = (64, 8_000, 12_000, 64_000, 250_000)
+
+
+@st.composite
+def link_cases(draw):
+    """Flows of a few spec classes on one link, a stage's interferers
+    among them (a random subset in a random order) with their shifts,
+    and query times."""
+    classes = []
+    for _ in range(draw(st.integers(1, 8))):
+        frames = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_SEPARATIONS), st.sampled_from(_PAYLOADS)
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        seps = [t for t, _ in frames]
+        if sum(seps) <= 0:
+            seps[-1] = 0.01
+        transport = draw(st.sampled_from(list(Transport)))
+        classes.append((seps, [p for _, p in frames], transport))
+    flows = []
+    for i in range(draw(st.integers(1, 64))):
+        seps, payloads, transport = classes[
+            draw(st.integers(0, len(classes) - 1))
+        ]
+        flow = make_flow(seps, payloads, name=f"f{i}")
+        flows.append(replace(flow, transport=transport))
+    order = draw(st.permutations([f.name for f in flows]))
+    names = order[: draw(st.integers(0, len(flows)))]
+    shifts = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.0005, 0.0025]), st.floats(0.0, 0.05)
+            ),
+            min_size=len(names),
+            max_size=len(names),
+        )
+    )
+    times = draw(st.lists(st.floats(0.0, 0.2), max_size=4))
+    return flows, names, tuple(shifts), [0.0, *times]
+
+
 class TestLinkDemandMatrix:
-    """The padded matrices exist only once a subset reaches the
-    vectorisation threshold; below it a matrix holds no numpy array."""
+    """A matrix holds its flows' rows once; a stage's subset, of any
+    size, hands out references to them and builds no array."""
 
     @staticmethod
     def _matrix(n):
@@ -329,31 +380,98 @@ class TestLinkDemandMatrix:
         ]
         return LinkDemandMatrix(demands), [d.flow_name for d in demands]
 
+    @staticmethod
+    def _holds_no_array(obj):
+        slots = getattr(type(obj), "__slots__", ())
+        values = [getattr(obj, s) for s in slots] + list(
+            getattr(obj, "__dict__", {}).values()
+        )
+        return not any(isinstance(v, np.ndarray) for v in values)
+
     def test_small_subsets_build_no_arrays(self):
-        matrix, names = self._matrix(2 * _VECTORIZE_THRESHOLD)
-        small = names[: _VECTORIZE_THRESHOLD - 1]
+        matrix, names = self._matrix(40)
+        small = names[:19]
         for start in range(0, len(names) - len(small), 7):
             part = names[start:start + len(small)]
-            matrix.subset(part, [0.001] * len(part))
-        matrix.subset(small, [0.0] * len(small), strict=True)
-        assert matrix._tsums is None
+            gathered = matrix.subset(part, [0.001] * len(part))
+            assert self._holds_no_array(gathered)
+            for name, row in zip(part, gathered.rows):
+                assert row is matrix.rows[matrix._index[name]]
+        gathered = matrix.subset(small, [0.0] * len(small), strict=True)
+        assert gathered.strict and self._holds_no_array(gathered)
+        assert self._holds_no_array(matrix)
 
     def test_large_subset_builds_the_arrays_once(self):
-        matrix, names = self._matrix(2 * _VECTORIZE_THRESHOLD)
-        large = names[1:_VECTORIZE_THRESHOLD + 1]
+        matrix, names = self._matrix(40)
+        large = names[1:21]
         shifts = [0.0005 * i for i in range(len(large))]
         gathered = matrix.subset(large, shifts)
-        assert matrix._tsums is not None
-        win_t = matrix._win_t
-        assert win_t.shape[0] == len(names)
+        assert self._holds_no_array(gathered) and self._holds_no_array(matrix)
+        rows = matrix.rows
+        assert len(rows) == len(names)
+        # Flows of one spec class (period 12 here) share one row.
+        assert all(rows[i] is rows[i + 12] for i in range(len(names) - 12))
+        assert len({id(r) for r in rows}) == 12
         matrix.subset(names, [0.0] * len(names))
-        assert matrix._win_t is win_t
-        scalar = InterferenceSet(
-            matrix.demands[1:_VECTORIZE_THRESHOLD + 1], shifts
-        )
+        assert matrix.rows is rows
+        assert gathered.rows == matrix.rows_of(large)
+        assert all(a is b for a, b in zip(gathered.rows, rows[1:21]))
+        scalar = InterferenceSet(matrix.demands[1:21], shifts)
         for t in (0.0, 0.003, 0.017, 0.05, 0.31):
             assert gathered.mx_sum(t) == scalar.mx_sum(t)
             assert gathered.nx_sum(t) == scalar.nx_sum(t)
+
+    @given(
+        case=link_cases(),
+        strict=st.booleans(),
+        speed=st.sampled_from([1e7, 1e8, 1e9]),
+        circ=st.sampled_from([0.0, 2e-6, 1.3e-5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_subset_sums_equal_per_flow_sums(self, case, strict, speed, circ):
+        """A gathered set's fused sums equal the oracle's per-flow sums
+        bit for bit, at 0, at random times, at whole cycles and at
+        window lengths of the first interferers (also with their shifts
+        taken off, so ``t + shift`` lands on the boundary itself)."""
+        flows, names, shifts, times = case
+        config = STRICT_CONFIG if strict else DEFAULT_CONFIG
+        matrix = LinkDemandMatrix(
+            [build_link_demand(f, speed, config) for f in flows]
+        )
+        gathered = matrix.subset(names, shifts, strict=strict)
+        by_name = {d.flow_name: d for d in matrix.demands}
+        reference = oracle.ScalarInterference(
+            [by_name[name] for name in names], shifts, strict=strict
+        )
+        queries = list(times)
+        for d, e in zip(reference.demands[:3], shifts):
+            window_lengths = d._row[3]
+            for point in (d.tsum, 2 * d.tsum, *window_lengths[::3]):
+                queries += [point, point - e]
+        for t in queries:
+            if t < 0.0:
+                continue
+            assert exact([gathered.mx_sum(t)]) == exact([reference.mx_sum(t)])
+            assert exact([gathered.nx_sum(t)]) == exact([reference.nx_sum(t)])
+            assert exact([gathered.mixed_sum(t, circ)]) == exact(
+                [reference.mixed_sum(t, circ)]
+            )
+
+    def test_cycle_split_drift_is_promoted(self):
+        """At this ``t`` the quotient ``t / TSUM`` rounds to one whole
+        cycle too few, so the remainder is a full cycle: the kernels
+        must promote it as the per-flow methods do."""
+        flow = make_flow([0.2541630210460348], [12_000])
+        t = 32769.746629507354
+        dem = build_link_demand(flow, 1e8)
+        assert t - math.floor(t / dem.tsum) * dem.tsum >= dem.tsum
+        gathered = LinkDemandMatrix([dem]).subset(["f"], (0.0,))
+        reference = oracle.ScalarInterference([dem], (0.0,), strict=False)
+        assert exact([gathered.mx_sum(t)]) == exact([reference.mx_sum(t)])
+        assert exact([gathered.nx_sum(t)]) == exact([reference.nx_sum(t)])
+        assert exact([gathered.mixed_sum(t, 1e-5)]) == exact(
+            [reference.mixed_sum(t, 1e-5)]
+        )
 
 
 # ----------------------------------------------------------------------

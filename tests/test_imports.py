@@ -6,10 +6,10 @@ simulator, the scenario families, the replay drivers and numpy (which
 those use) stay unloaded until a command that runs them asks: the
 ``repro.sim``, ``repro.scenario`` and ``repro.service`` package inits
 resolve their names on first access, :class:`SimConfig` lives in the
-numpy-free :mod:`repro.sim.config`, and the demand windows are built in
-pure Python.  A client that only fetches ``metrics``, ``stats`` or
-``health`` (``trace-export``, ``watch --connect``) needs the wire
-client and the protocol alone.
+numpy-free :mod:`repro.sim.config`, and the demand windows and sums are
+pure Python, however many flows share a link.  A client that only
+fetches ``metrics``, ``stats`` or ``health`` (``trace-export``,
+``watch --connect``) needs the wire client and the protocol alone.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,27 @@ print(json.dumps({
 """ % (NOT_SERVED,)
 
 
+DENSE_SESSION = """
+import json, sys
+
+from repro.scenario import load_scenario_file
+from repro.service import Request, ShardedAdmissionService
+
+scenario = load_scenario_file(sys.argv[1])
+with ShardedAdmissionService(
+    scenario.network, options=scenario.options
+) as service:
+    payloads = [
+        service.process_batch([Request(op="admit", flow=flow)])[0]
+        for flow in scenario.flows
+    ]
+print(json.dumps({
+    "accepted": sum(1 for p in payloads if p.get("accepted")),
+    "numpy": "numpy" in sys.modules,
+}))
+"""
+
+
 #: Modules a client fetching ``metrics``/``stats``/``health`` must not load.
 NOT_FETCHED = ("numpy", "repro.service.replay", "repro.service.sharding")
 
@@ -110,6 +132,20 @@ def test_serve_path_loads_neither_numpy_nor_the_simulator(tmp_path):
     assert "error" not in query and "error" not in release, out["payloads"]
     assert "serve" in out["usage"]
     assert out["loaded"] == []
+
+
+def test_dense_serve_session_never_loads_numpy(tmp_path):
+    """48 calls between two hosts put 27 flows on one link; admitting
+    them all in a served session still never loads numpy."""
+    from repro.scenario import REGISTRY, save_scenario_file
+
+    scenario = REGISTRY.build("voip-star", n_hosts=2, n_calls=48, seed=1)
+    per_link = Counter(link for f in scenario.flows for link in f.links())
+    assert max(per_link.values()) >= 20
+    path = tmp_path / "voip-star-dense.json"
+    save_scenario_file(path, scenario)
+    out = _run_fresh(DENSE_SESSION, str(path))
+    assert out == {"accepted": 48, "numpy": False}
 
 
 def test_wire_fetchers_load_neither_numpy_nor_the_engine():

@@ -789,33 +789,15 @@ class TestServer:
 
 
 # ----------------------------------------------------------------------
-# Retained demand generations (release -> re-admit hot path)
+# Demand profiles across release and re-admission
 # ----------------------------------------------------------------------
 class TestRetainedDemands:
-    def test_release_then_readmit_reuses_demand_profiles(self):
-        sc = saturating_scenario()
-        ctrl = AdmissionController(sc.network)
-        flow = sc.flows[0]
-        assert ctrl.request(flow).accepted
-        entries = ctrl._ctx._demand_cache[flow.name]
-        ctrl.release(flow.name)
-        assert flow.name in ctrl._retired
-        assert ctrl.request(flow).accepted
-        assert ctrl._ctx._demand_cache[flow.name] is entries
-
-    def test_retired_store_is_bounded(self):
-        sc = saturating_scenario()
-        ctrl = AdmissionController(sc.network, retained_flows=2)
-        for i in range(4):
-            f = call_flow(f"r{i}", ("h0", "sw", "h1"))
-            assert ctrl.request(f).accepted
-            ctrl.release(f.name)
-        assert len(ctrl._retired) == 2
-        assert set(ctrl._retired) == {"r2", "r3"}
+    """A flow leaves the context with its demand profiles; its window
+    tables stay in the name-free cache of ``build_link_demand``."""
 
     def test_equal_flow_from_the_wire_reuses_profiles(self):
         # The service path never sees the same Flow *object* twice —
-        # requests are re-parsed / unpickled — so revival must work on
+        # requests are re-parsed / unpickled — so sharing must work on
         # value equality, not identity.
         from repro.io import flow_from_dict, flow_to_dict
 
@@ -833,7 +815,7 @@ class TestRetainedDemands:
         assert ctrl.request(reparsed).accepted
         demands_after = ctrl._ctx._demand_cache[flow.name]
         for link, demand in demands_before.items():
-            assert demands_after[link][1] is demand
+            assert demands_after[link][1]._row is demand._row
 
     def test_reused_name_never_serves_stale_profile(self):
         sc = saturating_scenario()
@@ -841,11 +823,30 @@ class TestRetainedDemands:
         small = call_flow("dual", ("h0", "sw", "h1"), payload=8_000)
         assert ctrl.request(small).accepted
         ctrl.release("dual")
-        # Same name, different flow object and payload: the revived
-        # entries are identity-checked away, not served stale.
+        # Same name, different flow object and payload: the new flow
+        # gets its own profile, not the released one's.
         big = call_flow("dual", ("h0", "sw", "h1"), payload=64_000)
         assert ctrl.request(big).accepted
         bound_big = ctrl.last_analysis.result("dual").worst_response
         fresh = AdmissionController(sc.network)
         assert fresh.request(big).accepted
         assert bound_big == fresh.last_analysis.result("dual").worst_response
+
+    def test_churn_leaves_no_demand_entries(self):
+        sc = saturating_scenario()
+        ctrl = AdmissionController(sc.network)
+        for name in ("k0", "k1"):
+            flow = call_flow(name, ("h0", "sw", "h1"))
+            assert ctrl.request(flow).accepted
+        for i in range(300):
+            flow = call_flow(f"u{i}", ("h2", "sw", "h3"))
+            assert ctrl.request(flow).accepted
+            ctrl.release(flow.name)
+        # One reject by the pre-check and one by a missed deadline.
+        overload = call_flow("over", ("h0", "sw", "h1"), payload=400_000)
+        decision = ctrl.request(overload)
+        assert not decision.accepted and decision.analysis is None
+        late = call_flow("late", ("h0", "sw", "h1"), deadline=ms(1))
+        decision = ctrl.request(late)
+        assert not decision.accepted and decision.analysis is not None
+        assert set(ctrl._ctx._demand_cache) == {"k0", "k1"}

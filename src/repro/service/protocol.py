@@ -31,10 +31,11 @@ surface:
   successful response per key and replays it for duplicates, so a
   client that retries an ``admit``/``release`` whose response was lost
   — a crashed connection, a dropped reply — never double-applies it;
-* a **per-request deadline**: ``"deadline_s"`` (seconds from arrival).
-  A request still queued past its deadline is answered with
-  ``deadline_exceeded`` instead of being processed — stale work is
-  shed, not served.
+* a **per-request deadline**: ``"deadline_s"`` (seconds from when the
+  server reads the request; a request sent while a batch runs is read
+  only after that batch ends).  A request still queued past its
+  deadline is answered with ``deadline_exceeded`` instead of being
+  processed — stale work is shed, not served.
 
 Protocol v3 added the replication surface: replication fields in
 ``health``/``stats`` payloads (``replicas``, per-shard
@@ -153,7 +154,8 @@ class Request:
     #: Idempotency key: the server replays the cached successful
     #: response for a duplicate key instead of re-applying the op.
     idem: str | None = None
-    #: Per-request deadline in seconds from server arrival; queued
+    #: Per-request deadline in seconds from when the server reads the
+    #: request (after any batch running at its arrival); queued
     #: requests past it are shed with ``deadline_exceeded``.
     deadline_s: float | None = None
     #: Distributed-tracing context (``{"id": ..., "span": ...}``);

@@ -11,21 +11,31 @@ engine ops to the one engine in order.  A burst therefore costs one
 engine round trip per run, while a lone request still sees
 one-request latency.
 
-The service call runs in a thread-pool executor so the event loop keeps
-accepting connections and buffering requests during an analysis; the
-dispatcher is the only thread touching the service, so no further
-locking is needed.
+The dispatcher calls the service directly, on the event-loop thread,
+so serving starts no thread: a ``serve`` process bound to a numeric
+address (the default ``127.0.0.1``) runs exactly one.  A second thread
+would buy nothing: the engine is pure Python and holds the GIL for a
+whole batch, and responses leave in FIFO order, so nothing read during
+a batch could be answered before it ends.  One thread also keeps every
+worker respawn a fork of a single-threaded process, the only fork
+POSIX makes safe.  The price is that a batch blocks the loop: a request
+that arrives meanwhile waits in the kernel and is read the next time
+the dispatcher yields (at the latest when it waits on an empty queue),
+so its ``deadline_s`` clock and the ``max_queue`` check start at that
+read.  A hung worker blocks the loop until the service's
+``op_timeout``.
 
 Overload and failure behaviour (protocol v2):
 
-* **Load shedding** — with ``max_queue > 0``, a request arriving while
-  the dispatch queue is at or over the limit is answered immediately
-  with ``overloaded`` + ``retry_after`` instead of being queued (the
+* **Load shedding** — with ``max_queue > 0``, a request read while
+  the dispatch queue is at or over the limit is answered with
+  ``overloaded`` + ``retry_after`` instead of being queued (the
   error still travels through the queue so per-connection response
   order is preserved).
 * **Deadlines** — a request carrying ``deadline_s`` that is still
   queued when its deadline passes is answered ``deadline_exceeded``
-  without touching the service.
+  without touching the service; the deadline counts from when the
+  server reads the request.
 * **Idempotency** — successful responses to requests carrying an
   ``idem`` key are cached (bounded LRU) and replayed for duplicates,
   so a client retrying an ``admit``/``release`` whose response was
@@ -400,9 +410,7 @@ class AdmissionServer:
             payloads: list = []
             if requests:
                 try:
-                    payloads = await loop.run_in_executor(
-                        None, self.service.process_batch, requests
-                    )
+                    payloads = self.service.process_batch(requests)
                 except Exception as exc:
                     # A failing batch must never kill the dispatcher —
                     # answer its requests with an error and keep serving

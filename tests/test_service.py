@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -559,9 +560,21 @@ class TestServer:
             sc, n_requests=36, arrival="poisson", rate=400, hold=12, seed=3
         )
         serial = replay_serial(sc.network, trace, sc.options)
+        # (on the main thread?, live threads) at each batch.
+        batch_threads = []
 
         async def run():
             svc = ShardedAdmissionService(sc.network)
+            real = svc.process_batch
+
+            def watched(requests):
+                batch_threads.append(
+                    (threading.current_thread() is threading.main_thread(),
+                     threading.active_count())
+                )
+                return real(requests)
+
+            svc.process_batch = watched
             server = AdmissionServer(svc, port=0, batch_window_s=0.001)
             await server.start()
             try:
@@ -577,6 +590,9 @@ class TestServer:
         # An open-loop trace may release flows whose admit was rejected;
         # both controllers must refuse those identically.
         assert summary.errors == serial.errors
+        # Every batch runs on the event-loop thread, the only thread.
+        assert batch_threads and set(batch_threads) == {(True, 1)}, \
+            batch_threads
 
     def test_protocol_errors_answered_in_order(self):
         sc = saturating_scenario()

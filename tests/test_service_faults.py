@@ -11,7 +11,9 @@ even when the server drops connections.
 import asyncio
 import json
 import os
+import socket
 import sys
+import threading
 import time
 
 import pytest
@@ -454,12 +456,24 @@ class TestTcpFaults:
         not sys.platform.startswith("linux"),
         reason="reads /proc/<pid>/fd; workers are forked only on Linux",
     )
-    def test_respawned_worker_holds_no_client_socket(self):
+    def test_respawned_worker_holds_no_client_socket(self, monkeypatch):
         # A worker forked while a client is connected inherits the
         # client's connection.  It must close it (and every other
         # inherited socket but its pipe), or a connection the server
         # closes sends no FIN while the worker lives and the client
-        # waits out its request timeout.
+        # waits out its request timeout.  The fork itself must come
+        # from a single-threaded server: a thread alive at fork time
+        # can hold a lock the child then waits on forever.
+        from repro.service.replication import StandbyReplica
+
+        spawn_threads = []
+        spawn = StandbyReplica.__init__
+
+        def counting_spawn(self, *args, **kwargs):
+            spawn_threads.append(threading.active_count())
+            spawn(self, *args, **kwargs)
+
+        monkeypatch.setattr(StandbyReplica, "__init__", counting_spawn)
         sc = two_star_scenario()
         plan = FaultPlan.parse("kill:shard=0,at=1;drop_conn:at=3")
         flows = [
@@ -512,6 +526,7 @@ class TestTcpFaults:
         docs, held, tail, health = asyncio.run(run())
         assert [d["ok"] for d in docs] == [True, True, True]
         assert health["restarts"] == 1, "the kill must have fired"
+        assert spawn_threads == [1, 1], "threads alive at each worker fork"
         assert len(held) == 1, f"worker sockets besides its pipe: {held}"
         assert tail == b""
 
@@ -569,45 +584,52 @@ class TestTcpFaults:
 
     def test_load_shedding_with_retry_after(self):
         sc = saturating_scenario()
+        docs: list[dict] = []
+
+        def client(port):
+            # A blocking client on its own thread: the server's batches
+            # block the event loop, so a client coroutine on that loop
+            # could not send while one runs.  The timeout bounds every
+            # send and read, so the thread always ends.
+            with socket.create_connection(
+                ("127.0.0.1", port), timeout=10
+            ) as sock:
+                for i in range(8):
+                    sock.sendall(
+                        json.dumps({"v": 2, "id": i, "op": "stats"})
+                        .encode() + b"\n"
+                    )
+                    time.sleep(0.02)
+                with sock.makefile("rb") as lines:
+                    docs.extend(json.loads(lines.readline()) for _ in range(8))
 
         async def run():
             svc = ShardedAdmissionService(sc.network)
-            gate = asyncio.Event()
             real = svc.process_batch
+            slept = []
 
             def slow(requests):
-                while not gate.is_set():
-                    time.sleep(0.005)
+                if not slept:  # only the first batch blocks
+                    slept.append(True)
+                    time.sleep(0.3)
                 return real(requests)
 
             svc.process_batch = slow
             server = await _serve(svc, batch_max=1, max_queue=2)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                # First request occupies the dispatcher; the rest pile
-                # into the queue until it sheds.
-                for i in range(8):
-                    writer.write(
-                        json.dumps({"v": 2, "id": i, "op": "stats"})
-                        .encode() + b"\n"
-                    )
-                    await writer.drain()
-                    await asyncio.sleep(0.02)
-                gate.set()
-                docs = [
-                    json.loads(await reader.readline()) for _ in range(8)
-                ]
-                writer.close()
-                await writer.wait_closed()
-                return docs, server.requests_shed
+                # The first request occupies the dispatcher while the
+                # other seven arrive; once read they pile into the queue
+                # until it sheds.
+                sender = threading.Thread(target=client, args=(server.port,))
+                sender.start()
+                while sender.is_alive():
+                    await asyncio.sleep(0.01)
+                return server.requests_shed
             finally:
-                gate.set()
                 await server.stop()
                 svc.close()
 
-        docs, shed = asyncio.run(run())
+        shed = asyncio.run(run())
         assert [d["id"] for d in docs] == list(range(8)), "order preserved"
         shed_docs = [d for d in docs if not d["ok"]]
         assert shed == len(shed_docs) > 0

@@ -545,7 +545,11 @@ class TestGracefulShutdown:
                 return real(requests)
 
             svc.process_batch = slow
-            server = AdmissionServer(svc, port=0, batch_max=1)
+            # The batch window is where the dispatcher yields with
+            # requests still queued, so shutdown can start behind them.
+            server = AdmissionServer(
+                svc, port=0, batch_max=1, batch_window_s=0.05
+            )
             await server.start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -558,9 +562,10 @@ class TestGracefulShutdown:
                     )
                 await writer.drain()
                 # Let the connection handler queue all three requests;
-                # the dispatcher is then mid-batch in the executor and
-                # the drain marker trails the still-queued rest.
+                # the dispatcher then takes them one batch at a time
+                # and the drain marker trails the still-queued rest.
                 await asyncio.sleep(0.1)
+                assert server._queue.qsize() >= 1, "a backlog to drain"
                 await server.shutdown()
                 docs = [
                     json.loads(await reader.readline()) for _ in range(3)
